@@ -1,9 +1,9 @@
 """Command-line front end: config ingestion, dispatch, serialization.
 
 Subcommands: plan, spectrum, sidebands, pulse, overlap, entangle, map,
-rabi, ramsey, localize {fit,visibility,coupling}, cavity {waist,g0},
+rabi, ramsey, localize {fit,visibility,coupling,scan}, cavity {waist,g0},
 reproduce {fig3a,...,fig10}. Exit codes: 0 success, 2 configuration
-error, 3 solver failure.
+error (also --plot without matplotlib), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -338,12 +338,12 @@ def model_from_config(cfg, drive_detuning=None, drive_rabi=None, polarization=No
     )
 
 
-def raman_setting_from_config(cfg, rabi_override=None) -> RamanSetting:
+def raman_setting_from_config(cfg, rabi_override=None, polarization=None) -> RamanSetting:
     drv = cfg["lasers"]["drive"]
     return RamanSetting(
         b_gauss=cfg["b_field"]["gauss"],
         orientation=cfg["b_field"]["orientation"],
-        drive_polarization=POLARIZATIONS[drv["polarization"]](),
+        drive_polarization=(polarization or POLARIZATIONS[drv["polarization"]])(),
         drive_rabi=mhz(rabi_override if rabi_override is not None else drv["rabi_2pi_mhz"]),
         delta_cav=mhz(cfg["cavity"]["detuning_2pi_mhz"]),
         atom=load_atom(cfg["atom"]["overrides"] or None),
@@ -351,10 +351,11 @@ def raman_setting_from_config(cfg, rabi_override=None) -> RamanSetting:
 
 
 def _line_by_label(lines, label):
+    """The line from S1/2,-1/2, the state the ion is prepared in, to ``label``."""
     for line in lines:
-        if line.final.label == label:
+        if line.initial.label == "S1/2,-1/2" and line.final.label == label:
             return line
-    raise ConfigError(f"no Raman line ends in state {label!r}")
+    raise ConfigError(f"no Raman line leads from S1/2,-1/2 to state {label!r}")
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -572,9 +573,10 @@ def cmd_sidebands(cfg, out, args):
 def _pulse_for_line(cfg, label, rabi_mhz_value, duration, bin_width, rtol, max_steps=20_000_000):
     from .experiments import photon_pulse
 
-    setting = raman_setting_from_config(cfg, rabi_override=rabi_mhz_value)
-    lines = enumerate_paths(setting)
-    line = _line_by_label(lines, label)
+    setting = raman_setting_from_config(
+        cfg, rabi_override=rabi_mhz_value, polarization=beam_b_polarization
+    )
+    line = _line_by_label(enumerate_paths(setting), label)
     channel = line.channel
     model = model_from_config(
         cfg,
@@ -657,9 +659,10 @@ def cmd_overlap(cfg, out, args):
     best = None
     for scale in o["rabi_scale_grid"]:
         for doff in o["detuning_offset_2pi_mhz"]:
-            setting = raman_setting_from_config(cfg, rabi_override=o["rabi_2pi_mhz"] * scale)
-            lines = enumerate_paths(setting)
-            line = _line_by_label(lines, "D5/2,-3/2")
+            setting = raman_setting_from_config(
+                cfg, rabi_override=o["rabi_2pi_mhz"] * scale, polarization=beam_b_polarization
+            )
+            line = _line_by_label(enumerate_paths(setting), "D5/2,-3/2")
             from .experiments import photon_pulse
 
             model = model_from_config(
@@ -873,6 +876,8 @@ def cmd_localize(cfg, out, args):
         )
         print(f"coupling reduction g_obs/g0 = {factor:.4f}")
         return {"g_obs_over_g0": factor}
+    if action == "scan":
+        return _localize_axial_scan(cfg, out, args)
     # fit
     f = loc["fit"]
     lam = f["wavelength_nm"] * 1e-9
@@ -979,8 +984,6 @@ def cmd_reproduce(args):
     out = Path(args.out) / figure
     out.mkdir(parents=True, exist_ok=True)
     command, action = REPRODUCE_COMMAND[figure]
-    if figure == "fig3a":
-        return _reproduce_axial_scan(cfg, out, args)
     if figure == "fig6a":
         return _reproduce_cooling_comparison(cfg, out, args)
     if figure == "fig8":
@@ -993,7 +996,8 @@ def cmd_reproduce(args):
     return handler(cfg, out, args)
 
 
-def _reproduce_axial_scan(cfg, out, args):
+def _localize_axial_scan(cfg, out, args):
+    """Count rate across one standing-wave period of the cavity mode."""
     sc = cfg["localize"]["scan"]
     lam = sc["wavelength_nm"] * 1e-9
     z = np.linspace(0.0, lam, sc["points"])

@@ -11,6 +11,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from .errors import ConfigError
+
 
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -75,8 +77,8 @@ def write_svg_plot(path, curves, xlabel, ylabel, title="", meta: dict | None = N
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
-        raise RuntimeError(
-            "plot output requires matplotlib (install the 'plot' extra)"
+        raise ConfigError(
+            "--plot requires matplotlib (install the 'plot' extra)"
         ) from exc
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -34,11 +34,12 @@ photon number decays at 2 kappa. Vectorization is column-stacking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .atom import decay_channels, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
@@ -96,16 +97,6 @@ class HamiltonianParts:
     drive_coupling: sp.csr_matrix | None  # first-tone coupling + h.c. (Hermitian)
     beat_operators: list  # [(A_k, freq_k)] for extra drive tones; term A e^{-i f t} + h.c.
     envelope: object  # callable t -> [0, 1] scaling all drive terms
-
-    def at_time(self, t: float) -> sp.csr_matrix:
-        h = self.static.copy()
-        env = self.envelope(t)
-        if env != 0.0 and self.drive_coupling is not None:
-            h = h + env * self.drive_coupling
-        for a_op, freq in self.beat_operators:
-            phase = env * np.exp(-1j * freq * t)
-            h = h + phase * a_op + np.conj(phase) * a_op.conj().T
-        return h.tocsr()
 
     @property
     def is_static(self) -> bool:
@@ -288,6 +279,36 @@ class Liouvillian:
                 out = out + c * (superop @ v)
         return out
 
+    def restrict(self, seed) -> tuple[np.ndarray, Liouvillian]:
+        """The block of L reachable from the vectorized entries ``seed``.
+
+        Keeps the connected components of the sparsity graph of
+        |static_part| + sum |td_terms| that hold a seed entry (the symmetry
+        reduction of Buca & Prosen, New J. Phys. 14, 073007 (2012)). No
+        nonzero entry couples a kept index to a dropped one, so a state
+        supported on the kept entries never leaves them, and the dropped
+        entries of a solution seeded there are exactly zero.
+
+        Returns ``(keep, block)``: the sorted kept indices, and a copy of
+        this Liouvillian whose static part and time-dependent terms act on
+        ``v[keep]``. Its ``layout``, ``parts`` and ``collapses`` still
+        describe the full space.
+        """
+        graph = abs(self.static_part)
+        for superop, _ in self.td_terms:
+            graph = graph + abs(superop)
+        _, labels = connected_components(graph, directed=True, connection="weak")
+        keep = np.flatnonzero(np.isin(labels, labels[seed]))
+
+        def block(op):
+            return op[keep][:, keep]
+
+        return keep, replace(
+            self,
+            static_part=block(self.static_part),
+            td_terms=[(block(superop), f) for superop, f in self.td_terms],
+        )
+
     def trace_preservation_defect(self) -> float:
         """sup-norm of the adjoint applied to the identity; 0 if trace-preserving."""
         ident = vec(np.eye(self.dim, dtype=complex))
@@ -337,9 +358,7 @@ def build_liouvillian(
     env_const = getattr(env, "is_constant", False)
     if parts.drive_coupling is not None:
         drive_super = commutator_superoperator(parts.drive_coupling)
-        if env_const and not parts.beat_operators:
-            static = static + drive_super
-        elif env_const:
+        if env_const:
             static = static + drive_super
         else:
             td_terms.append((drive_super, lambda t, e=env: e(t)))
@@ -391,33 +410,40 @@ def steady_state(
 ):
     """Stationary density matrix of a static Liouvillian.
 
-    Direct sparse solve of the vectorized system with one row replaced
-    by the trace constraint; falls back to shifted inverse iteration if
-    the factorization fails. The residual ||L rho|| must come out below
-    1e-10 * ||L||; optionally the null space is probed for a second
-    near-zero eigenvalue, which would mean the stationary state is not
-    unique.
+    Direct sparse solve of the vectorized system, restricted to the
+    entries reachable from the populations (:meth:`Liouvillian.restrict`),
+    with one row replaced by the trace constraint; falls back to shifted
+    inverse iteration if the factorization fails. The residual ||L rho||
+    must come out below 1e-10 * ||L||; optionally the null space is probed
+    for a second near-zero eigenvalue, which would mean the stationary
+    state is not unique. The residual, the fallback and the probe work on
+    the full operator.
     """
     if not liouv.is_static:
         raise SteadyStateError("steady state requires a time-independent Liouvillian")
-    L = liouv.static_part.tocsc()
+    L = liouv.static_part
     n = liouv.dim
     scale = float(abs(L).max())
     if scale == 0.0:
         raise SteadyStateError("Liouvillian is identically zero")
 
-    trace_row = sp.csc_matrix(
-        (np.full(n, scale), (np.zeros(n, dtype=int), np.arange(n) * (n + 1))),
-        shape=(1, n * n),
+    # LU on the block reachable from the populations; the first kept row
+    # (the population of basis state 0) gives way to the trace constraint
+    diagonal = np.arange(n) * (n + 1)
+    keep, block = liouv.restrict(diagonal)
+    trace_row = sp.csr_matrix(
+        (np.full(n, scale), (np.zeros(n, dtype=int), np.searchsorted(keep, diagonal))),
+        shape=(1, keep.size),
     )
-    modified = sp.vstack([trace_row, L.tocsr()[1:, :]]).tocsc()
-    rhs = np.zeros(n * n, dtype=complex)
+    modified = sp.vstack([trace_row, block.static_part[1:, :]]).tocsc()
+    rhs = np.zeros(keep.size, dtype=complex)
     rhs[0] = scale
 
     rho_vec = None
     try:
         lu = spla.splu(modified)
-        rho_vec = lu.solve(rhs)
+        rho_vec = np.zeros(n * n, dtype=complex)
+        rho_vec[keep] = lu.solve(rhs)
     except RuntimeError:
         rho_vec = None
     if rho_vec is None or not np.all(np.isfinite(rho_vec)):
@@ -554,15 +580,23 @@ def evolve(
     fastest-timescale diagnostic if the step size underflows, and
     reports the worst trace drift across the run (guaranteed <= 1e-7
     for a trace-preserving Liouvillian at these tolerances).
+
+    Only the entries reachable from the support of ``rho0`` are stepped
+    (:meth:`Liouvillian.restrict`); the others stay exactly zero. The
+    error norm is the RMS over all ``dim**2`` entries, so the step
+    sequence is the one the full vector would take.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be an increasing array of at least two times")
     rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
-    y = vec(rho0_mat).astype(complex)
+    y_full = vec(rho0_mat).astype(complex)
+    keep, block = liouv.restrict(np.flatnonzero(y_full))
+    y = y_full[keep]
+    n2 = y_full.size
     t = float(t_grid[0])
 
-    rhs = liouv.apply if liouv.td_terms else (lambda _t, v: liouv.static_part @ v)
+    rhs = block.apply if block.td_terms else (lambda _t, v: block.static_part @ v)
 
     states = [DensityMatrix(matrix=rho0_mat.copy(), time=t)]
     trace0 = float(np.trace(rho0_mat).real)
@@ -570,7 +604,7 @@ def evolve(
 
     k = np.empty((7, y.size), dtype=complex)
     k[0] = rhs(t, y)
-    h = _initial_step(rhs, t, y, k[0], rtol, atol)
+    h = _initial_step(y, k[0], rtol, atol, n2)
     t_end = float(t_grid[-1])
     next_out = 1
     n_steps = n_rejected = 0
@@ -601,7 +635,7 @@ def evolve(
         y_new = y + h_try * (_DP_B5 @ k)
         err_vec = h_try * (_DP_ERR @ k)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean(np.abs(err_vec / sc) ** 2)))
+        err = _rms(err_vec / sc, n2)
 
         if err <= 1.0:
             t = t_grid[next_out] if clamped else t + h_try
@@ -609,7 +643,9 @@ def evolve(
             k[0] = k[6]  # FSAL
             n_steps += 1
             if clamped:
-                rho = unvec(y, liouv.dim)
+                y_full = np.zeros(n2, dtype=complex)
+                y_full[keep] = y
+                rho = unvec(y_full, liouv.dim)
                 states.append(DensityMatrix(matrix=rho, time=t))
                 drift = abs(float(np.trace(rho).real) - trace0)
                 max_drift = max(max_drift, drift)
@@ -634,10 +670,15 @@ def evolve(
     )
 
 
-def _initial_step(rhs, t, y, f0, rtol, atol):
+def _rms(v, n2):
+    """RMS of ``v`` padded with zeros to ``n2`` entries."""
+    return math.sqrt(float(np.sum(np.abs(v) ** 2)) / n2)
+
+
+def _initial_step(y, f0, rtol, atol, n2):
     sc = atol + rtol * np.abs(y)
-    d0 = math.sqrt(float(np.mean(np.abs(y / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean(np.abs(f0 / sc) ** 2)))
+    d0 = _rms(y / sc, n2)
+    d1 = _rms(f0 / sc, n2)
     if d0 < 1e-5 or d1 < 1e-5:
         return 1e-9
     return 0.01 * d0 / d1

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,3 +248,48 @@ def test_reproduce_fig6_sideband_figures(tmp_path):
     rows_b = [l for l in (tmp_path / "fig6b" / "sidebands.csv").read_text().splitlines() if not l.startswith("#")]
     dets = [float(r.split(",")[0]) for r in rows_b[1:]]
     assert max(dets) - min(dets) > 40.0  # micromotion satellites extend the span
+
+
+def test_localize_scan_runs_the_axial_standing_wave_scan(tmp_path):
+    assert run_cli(["localize", "scan"], tmp_path / "cmd") == 0
+    assert not (tmp_path / "cmd" / "localize_fit.json").exists()
+    payload = json.loads((tmp_path / "cmd" / "axial_scan.json").read_text())
+    assert payload["sigma_z_nm"] == pytest.approx(13.66, abs=0.05)
+    assert main(["--out", str(tmp_path), "reproduce", "fig3a"]) == 0
+
+    def table(path):
+        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+    rows = table(tmp_path / "cmd" / "axial_scan.csv")
+    assert rows[0] == "position_nm,rate_hz"
+    assert len(rows) == 1 + 81
+    assert rows == table(tmp_path / "fig3a" / "axial_scan.csv")
+
+
+def test_pulse_v_line_starts_in_the_prepared_state(tmp_path):
+    """D5/2,-3/2 is reached from S1/2,-1/2 by a V photon; from S1/2,+1/2 by H."""
+    cfg = {
+        "lasers": {"drive": {"polarization": "sigma_minus"}},
+        "pulse": {"duration_us": 0.2, "bin_ns": 100.0, "target_line": "D5/2,-3/2", "rabi_2pi_mhz": 106.0},
+    }
+    assert run_cli(["pulse"], tmp_path, config=cfg) == 0
+    payload = json.loads((tmp_path / "pulse.json").read_text())
+    assert payload["designated_channel"] == "V"
+    assert payload["detuning_2pi_mhz"] == pytest.approx(-398.17, abs=0.005)
+
+
+def test_pulse_line_is_taken_from_the_driven_polarization(tmp_path):
+    """The pulse drives sigma-minus, so its line comes from the sigma-minus table
+    (-406.32 MHz), not from the default beam-A polarization's (-408.74 MHz)."""
+    cfg = {"pulse": {"duration_us": 0.2, "bin_ns": 100.0}}
+    assert run_cli(["pulse"], tmp_path, config=cfg) == 0
+    payload = json.loads((tmp_path / "pulse.json").read_text())
+    assert payload["designated_channel"] == "H"
+    assert payload["detuning_2pi_mhz"] == pytest.approx(-406.32, abs=0.005)
+
+
+def test_plot_without_matplotlib_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib now fails
+    assert main(["--plot", "--out", str(tmp_path), "reproduce", "fig3a"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: --plot requires matplotlib (install the 'plot' extra)"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from ioncavity.constants import khz, mhz
 from ioncavity.errors import FrameConsistencyError, SteadyStateError
@@ -21,6 +22,7 @@ from ioncavity.lindblad import (
     state_population,
     steady_state,
 )
+from ioncavity.polarization import Polarization
 from ioncavity.system import (
     Envelope,
     LaserField,
@@ -489,3 +491,76 @@ def test_steady_state_requires_static(atom_no_decay):
     liouv = build_liouvillian(model, layout)
     with pytest.raises(SteadyStateError):
         steady_state(liouv)
+
+
+# -- reachable-subspace restriction -------------------------------------------
+
+
+@st.composite
+def random_models(draw, atom):
+    """A CW single-tone model and a variant with a second tone and/or a pulse."""
+    weights = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    assume(max(abs(w) for w in weights) > 0.1)
+    phases = [draw(st.floats(0.0, 2 * math.pi)) for _ in range(3)]
+    polarization = Polarization.from_spherical(
+        *(w * np.exp(1j * p) for w, p in zip(weights, phases))
+    )
+    rabi = mhz(draw(st.floats(5.0, 120.0)))
+    detuning = mhz(draw(st.floats(-430.0, -380.0)))
+    common = dict(
+        drive_polarization=polarization,
+        delta_cav=mhz(draw(st.floats(-450.0, -350.0))),
+        b_gauss=draw(st.floats(0.5, 10.0)),
+        repump_854_rabi=mhz(5.0) if draw(st.booleans()) else 0.0,
+        repump_854_detuning=mhz(draw(st.floats(-3.0, 3.0))),
+        repump_866_rabi=mhz(5.0) if draw(st.booleans()) else 0.0,
+        atom=atom,
+    )
+    tones = [Tone(rabi=rabi, detuning=detuning)]
+    if draw(st.booleans()):
+        tones.append(Tone(rabi=rabi / 2, detuning=detuning + mhz(draw(st.floats(-20.0, 20.0))), phase=0.3))
+    envelope = Envelope(t_on=2e-7, t_off=1e-6) if draw(st.booleans()) else Envelope()
+    static = standard_model(drive_rabi=rabi, drive_detuning=detuning, **common)
+    driven = standard_model(
+        drive_rabi=rabi, drive_detuning=detuning, drive_tones=tuple(tones), drive_envelope=envelope, **common
+    )
+    return static, driven
+
+
+def assert_block_closed(liouv, keep):
+    """No nonzero entry of any term couples a kept index to a dropped one."""
+    dropped = np.setdiff1d(np.arange(liouv.dim**2), keep)
+    for op in [liouv.static_part] + [op for op, _ in liouv.td_terms]:
+        op = op.tocsr()
+        assert op[keep][:, dropped].count_nonzero() == 0
+        assert op[dropped][:, keep].count_nonzero() == 0
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_reachable_subspace_is_exact(atom, layout, data):
+    static_model, driven_model = data.draw(random_models(atom))
+    n = layout.dim
+
+    # (a) + (b): the steady-state block, seeded by the populations
+    liouv = build_liouvillian(static_model, layout)
+    keep, _ = liouv.restrict(np.arange(n) * (n + 1))
+    assert_block_closed(liouv, keep)
+    ss = steady_state(liouv, check_unique=False)
+    scale = abs(liouv.static_part).max()
+    assert np.linalg.norm(liouv.static_part @ vec(ss.matrix)) <= 1e-10 * scale
+
+    # (a) + (c): the block an evolution from |S1/2,-1/2> stays in
+    liouv = build_liouvillian(driven_model, layout)
+    y0 = vec(layout.basis_state(atom.state("S1/2", -0.5)))
+    keep, block = liouv.restrict(np.flatnonzero(y0))
+    assert keep.size < n * n
+    assert_block_closed(liouv, keep)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = np.zeros(n * n, dtype=complex)
+    v[keep] = rng.standard_normal(keep.size) + 1j * rng.standard_normal(keep.size)
+    for t in rng.uniform(0.0, 1.5e-6, size=3):
+        full = liouv.apply(t, v)
+        embedded = np.zeros_like(full)
+        embedded[keep] = block.apply(t, v[keep])
+        assert np.max(np.abs(full - embedded)) <= 1e-12 * np.max(np.abs(full))
