@@ -439,11 +439,9 @@ def steady_state(
     rhs = np.zeros(keep.size, dtype=complex)
     rhs[0] = scale
 
-    rho_vec = None
     try:
-        lu = spla.splu(modified)
         rho_vec = np.zeros(n * n, dtype=complex)
-        rho_vec[keep] = lu.solve(rhs)
+        rho_vec[keep] = spla.splu(modified).solve(rhs)
     except RuntimeError:
         rho_vec = None
     if rho_vec is None or not np.all(np.isfinite(rho_vec)):
