@@ -9,19 +9,29 @@ counts of every `evolve` call they make. A later solver change must
 reproduce them to GOLDEN_REL and repeat the step counts exactly; the
 acceptance bands elsewhere are far too wide to catch such a regression.
 
-Regenerate only when the physics is meant to change, never to make this
-test pass:
+The whole-report entries (`entangle_report`, `map`, `entangle_check_overlap`)
+were captured from the two-tone drivers as they stood before
+`entangle_bichromatic` and `map_state` were merged into one driver: the
+joint matrix, emission and channel probabilities, fidelities, coherence
+phase, calibration and warnings of each run.
 
-    PYTHONPATH=src python tests/test_golden.py
+Regenerate only when the physics is meant to change, never to make this
+test pass. Name the entries to rewrite; the others are left as they are:
+
+    PYTHONPATH=src python tests/test_golden.py map entangle_report
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ioncavity import cli, experiments
@@ -50,6 +60,24 @@ def recorded_evolve_counts():
         yield counts
     finally:
         experiments.evolve = original
+
+
+@contextmanager
+def recorded_pulses():
+    """Collect [total_efficiency, leak_fraction] of every `photon_pulse` the drivers run."""
+    values = []
+    original = experiments.photon_pulse
+
+    def recording(*args, **kwargs):
+        shape = original(*args, **kwargs)
+        values.append([shape.total_efficiency, shape.leak_fraction])
+        return shape
+
+    experiments.photon_pulse = recording
+    try:
+        yield values
+    finally:
+        experiments.photon_pulse = original
 
 
 def spectrum_values():
@@ -107,14 +135,66 @@ def pulse_values():
     }
 
 
-def entangle_values():
-    """Calibrated 1 us bichromatic run at 2pi x 25 MHz on tone 1."""
+def entangle_run():
+    """Calibrated 1 us bichromatic run at 2pi x 25 MHz on tone 1, with its DP5 counts."""
     with recorded_evolve_counts() as counts:
         report = experiments.entangle_bichromatic(rabi_tone1=TWO_PI * 25e6, duration=1e-6)
+    return report, counts
+
+
+def entangle_values(run=None):
+    report, counts = run or entangle_run()
     return {
         "fidelity_max": report.fidelity_max,
         "coherence_phase": report.coherence_phase,
         "dp5_steps_rejected": counts,
+    }
+
+
+def report_record(report, counts):
+    """Every number of a `JointStateReport`, plus the DP5 counts of its run."""
+    return {
+        "joint_re": report.joint.real.tolist(),
+        "joint_im": report.joint.imag.tolist(),
+        "emission_probability": report.emission_probability,
+        "channel_probabilities": dict(report.channel_probabilities),
+        "fidelity": report.fidelity,
+        "fidelity_max": report.fidelity_max,
+        "coherence_phase": report.coherence_phase,
+        "calibration": {k: float(v) for k, v in report.calibration.items()},
+        "warnings": list(report.warnings),
+        "dp5_steps_rejected": counts,
+    }
+
+
+def entangle_report_values(run=None):
+    return report_record(*(run or entangle_run()))
+
+
+def map_values():
+    """2 us state mapping at 2pi x 25 MHz: calibrated alpha = pi/4 and uncalibrated alpha = 0."""
+    kwargs = dict(rabi_tone1=TWO_PI * 25e6, duration=2e-6)
+    values = {}
+    for name, alpha, calibrate in (("calibrated_pi_4", math.pi / 4, True), ("alpha_0", 0.0, False)):
+        with recorded_evolve_counts() as counts:
+            report = experiments.map_state(alpha, 0.0, calibrate=calibrate, **kwargs)
+        values[name] = report_record(report, counts)
+    return values
+
+
+def check_overlap_values():
+    """Uncalibrated 6 us entangle run at 2pi x 40 MHz with the single-tone overlap check."""
+    with warnings.catch_warnings(record=True) as caught, recorded_pulses() as pulses:
+        warnings.simplefilter("always")
+        with recorded_evolve_counts() as counts:
+            report = experiments.entangle_bichromatic(
+                rabi_tone1=TWO_PI * 40e6, duration=6e-6, rtol=1e-5, t_points=40,
+                calibrate=False, check_overlap=True,
+            )
+    return {
+        **report_record(report, counts),
+        "raised_warnings": [str(w.message) for w in caught],
+        "single_tone_pulses": pulses,
     }
 
 
@@ -126,6 +206,34 @@ def golden():
 def assert_rel(value, expected, what):
     err = abs(value - expected) / abs(expected)
     assert err <= GOLDEN_REL, f"{what}: {value!r} vs golden {expected!r} (rel. {err:.2e})"
+
+
+def assert_report(got, want, what):
+    """Step counts and warnings exactly; numbers to GOLDEN_REL.
+
+    A number whose golden value is exactly zero (an untouched calibration
+    shift, the phase of a vanishing coherence) must stay exactly zero. The
+    joint matrix is compared entry by entry relative to its largest entry,
+    since some entries are zero or at rounding level by construction.
+    """
+    assert got["dp5_steps_rejected"] == want["dp5_steps_rejected"], what
+    assert got["warnings"] == want["warnings"], what
+    joint = np.array(got["joint_re"]) + 1j * np.array(got["joint_im"])
+    golden_joint = np.array(want["joint_re"]) + 1j * np.array(want["joint_im"])
+    err = np.abs(joint - golden_joint).max() / np.abs(golden_joint).max()
+    assert err <= GOLDEN_REL, f"{what} joint matrix (rel. {err:.2e})"
+    scalars = {k: want[k] for k in ("emission_probability", "fidelity", "fidelity_max", "coherence_phase")}
+    scalars.update({f"p_{ch}": p for ch, p in want["channel_probabilities"].items()})
+    scalars.update(want["calibration"])
+    values = {k: got[k] for k in ("emission_probability", "fidelity", "fidelity_max", "coherence_phase")}
+    values.update({f"p_{ch}": p for ch, p in got["channel_probabilities"].items()})
+    values.update(got["calibration"])
+    assert values.keys() == scalars.keys(), what
+    for key, expected in scalars.items():
+        if expected == 0.0:
+            assert values[key] == 0.0, f"{what} {key}: {values[key]!r}, golden exactly 0"
+        else:
+            assert_rel(values[key], expected, f"{what} {key}")
 
 
 def test_golden_spectrum(golden):
@@ -148,14 +256,49 @@ def test_golden_pulse(golden):
 
 
 def test_golden_entangle(golden):
-    got, want = entangle_values(), golden["entangle"]
+    run = entangle_run()
+    got, want = entangle_values(run), golden["entangle"]
     assert got["dp5_steps_rejected"] == want["dp5_steps_rejected"]
     assert_rel(got["fidelity_max"], want["fidelity_max"], "entangle fidelity_max")
     assert_rel(got["coherence_phase"], want["coherence_phase"], "entangle coherence phase")
+    assert_report(entangle_report_values(run), golden["entangle_report"], "entangle report")
+
+
+def test_golden_map(golden):
+    got, want = map_values(), golden["map"]
+    assert got.keys() == want.keys()
+    for name in want:
+        assert_report(got[name], want[name], f"map {name}")
+
+
+def test_golden_entangle_check_overlap(golden):
+    """The single-tone overlap check: same pulses, same warning outcome, same report."""
+    got, want = check_overlap_values(), golden["entangle_check_overlap"]
+    assert got["raised_warnings"] == want["raised_warnings"]
+    assert len(got["single_tone_pulses"]) == len(want["single_tone_pulses"]) == 2
+    for g, w in zip(got["single_tone_pulses"], want["single_tone_pulses"]):
+        assert_rel(g[0], w[0], "single-tone pulse efficiency")
+        assert_rel(g[1], w[1], "single-tone pulse leak fraction")
+    assert_report(got, want, "entangle with overlap check")
+
+
+ENTRIES = {
+    "spectrum": spectrum_values,
+    "pulse": pulse_values,
+    "entangle": entangle_values,
+    "entangle_report": entangle_report_values,
+    "map": map_values,
+    "entangle_check_overlap": check_overlap_values,
+}
 
 
 if __name__ == "__main__":
-    values = {"spectrum": spectrum_values(), "pulse": pulse_values(), "entangle": entangle_values()}
+    names = sys.argv[1:] or list(ENTRIES)
+    unknown = sorted(set(names) - set(ENTRIES))
+    if unknown:
+        sys.exit(f"unknown golden entries {unknown}; choose from {list(ENTRIES)}")
+    values = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    values.update({name: ENTRIES[name]() for name in names})
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n", newline="\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {', '.join(names)} to {GOLDEN}")
