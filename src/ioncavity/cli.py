@@ -21,7 +21,7 @@ from . import localization
 from .atom import load_atom
 from .cavity import CavityGeometry, DetectionChain, max_coupling, mode_waist
 from .constants import TWO_PI, mhz, to_mhz
-from .errors import ConfigError, FitNonConvergenceError, IonCavityError, SteadyStateError, StiffnessError
+from .errors import ConfigError, IonCavityError
 from .io_utils import config_hash, write_csv, write_json, write_svg_plot
 from .polarization import Polarization
 from .raman import RamanSetting, effective_coupling, effective_decay, enumerate_paths, select_optimal_pair
@@ -1182,9 +1182,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _report_error(args, exc, kind="config")
         return 2
-    except (SteadyStateError, StiffnessError, FitNonConvergenceError) as exc:
-        _report_error(args, exc, kind="solver")
-        return 3
     except IonCavityError as exc:
         _report_error(args, exc, kind="solver")
         return 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atom import ZeemanState, zeeman_shift
+from .atom import ZeemanState, load_atom, zeeman_shift
 from .constants import TWO_PI
 from .errors import BinningMismatchError, SteadyStateError
 from .hilbert import HilbertLayout
@@ -29,7 +29,7 @@ from .lindblad import (
     steady_state,
 )
 from .polarization import Polarization
-from .raman import RamanLine, RamanSetting, enumerate_paths
+from .raman import RamanLine, RamanSetting, enumerate_paths, stark_shift_ground
 from .system import SystemModel, Tone, beam_b_polarization, standard_model
 
 
@@ -100,7 +100,14 @@ class PulseShape:
 
 @dataclass
 class JointStateReport:
-    """Emission-conditioned joint state of the atom and photon polarization."""
+    """Emission-conditioned joint state of the atom and photon polarization.
+
+    ``channel_probabilities`` means two different things. From
+    ``entangle_bichromatic`` it holds the unnormalized per-channel emission
+    probabilities (they sum to ``emission_probability``); from
+    ``map_state`` it holds the normalized polarization fractions of the
+    emitted photon (they sum to 1).
+    """
 
     joint: np.ndarray  # density matrix on the reported basis
     basis: tuple  # labels of the basis states
@@ -410,8 +417,12 @@ def pulse_overlap(shape_1: PulseShape, shape_2: PulseShape) -> float:
 
 # -- bichromatic schemes -----------------------------------------------------
 
+OVERLAP_THRESHOLD = 0.95  # single-tone pulse-shape overlap below which a report warns
+_CHANNELS = ("H", "V")
+
 
 def _beam_b_lines(atom, b_gauss, delta_cav, rabi_for_stark):
+    """The sigma-minus Raman setting and its lines keyed by (initial, final) 2m."""
     setting = RamanSetting(
         b_gauss=b_gauss,
         orientation="perpendicular",
@@ -420,42 +431,42 @@ def _beam_b_lines(atom, b_gauss, delta_cav, rabi_for_stark):
         delta_cav=delta_cav,
         atom=atom,
     )
-    return {(ln.initial.two_m, ln.final.two_m): ln for ln in enumerate_paths(setting)}
+    return setting, {(ln.initial.two_m, ln.final.two_m): ln for ln in enumerate_paths(setting)}
 
 
-def _accumulate_joint(model, layout, traj, channel_rotations, atom_projection):
+def _channel_probabilities(joint):
+    """Per-channel sums of a matrix on the (atomic state x channel) basis."""
+    diag = joint.diagonal()
+    return {ch: float(np.real(diag[c::2].sum())) for c, ch in enumerate(_CHANNELS)}
+
+
+def _accumulate_joint(kappa, layout, traj, channel_rotations, atom_states):
     """Integrate the per-channel cavity-decay source terms over a trajectory.
 
     The conditional joint state is sigma[p, p'] = 2 kappa Int dt
-    a_p rho(t) a_p'^dagger. Each channel's emitted amplitude rotates in
-    the computation frame at ``channel_rotations[ch]`` (the beat of the
-    tone feeding it plus its initial state's frame energy); the cross
-    terms are de-rotated accordingly so the reported coherence is phase
-    referenced to the drive tones. Valid for <n> << 1. Returns the
-    accumulated (unnormalized) joint matrix and the de-rotated cross
-    integrand for drift diagnostics.
+    a_p rho(t) a_p'^dagger on the (atomic state x channel) basis. As
+    a_p = 1_atom (x) a_mode, each entry is the mode trace of a_p rho_ab
+    a_p'^dagger over the mode block rho_ab between two reported atomic
+    states; the blocks of all times are gathered once. Each channel's
+    emitted amplitude rotates in the computation frame at
+    ``channel_rotations[ch]``; the cross terms are de-rotated accordingly
+    so the reported coherence is phase referenced to the drive tones.
+    Valid for <n> << 1. Returns the accumulated (unnormalized) joint
+    matrix and the de-rotated integrand for drift diagnostics.
     """
-    a_dense = {ch: layout.destroy(ch).toarray() for ch in ("H", "V")}
-    omegas = channel_rotations
-    kappa = model.cavity.kappa
+    nd2, n_atom = layout.mode_dim**2, len(atom_states)
+    idx = np.concatenate([layout.atom_index(s) * nd2 + np.arange(nd2) for s in atom_states])
     times = np.array([st.time for st in traj.states])
-    nA = len(atom_projection)
-    proj = atom_projection  # per reported atomic state, full-space index arrays
-
-    integrand = np.zeros((len(times), nA * 2, nA * 2), dtype=complex)
-    for ti, st in enumerate(traj.states):
-        rho = st.matrix
-        for pi, p in enumerate(("H", "V")):
-            for qi, q in enumerate(("H", "V")):
-                m = a_dense[p] @ rho @ a_dense[q].conj().T
-                derot = np.exp(-1j * (omegas[q] - omegas[p]) * st.time)
-                for ai in range(nA):
-                    for bi in range(nA):
-                        # partial trace over modes within the projected atomic block
-                        val = np.trace(m[np.ix_(proj[ai], proj[bi])])
-                        integrand[ti, ai * 2 + pi, bi * 2 + qi] = 2 * kappa * derot * val
-    sigma = np.trapezoid(integrand, times, axis=0)
-    return sigma, times, integrand
+    blocks = np.stack([st.matrix[np.ix_(idx, idx)] for st in traj.states])
+    blocks = blocks.reshape(len(times), n_atom, nd2, n_atom, nd2)
+    a = np.stack([layout.destroy(ch)[idx[:nd2]][:, idx[:nd2]].toarray() for ch in _CHANNELS])
+    # Tr(a_p rho a_q^dagger) = sum_jk (a_q^dagger a_p)[k, j] rho[j, k]
+    traced = np.einsum("tajbk,pqkj->tapbq", blocks, np.einsum("qik,pij->pqkj", a.conj(), a))
+    rot = np.array([channel_rotations[ch] for ch in _CHANNELS])
+    derot = np.exp(-1j * (rot[None, :] - rot[:, None]) * times[:, None, None])  # [t, p, q]
+    integrand = (2 * kappa * derot)[:, None, :, None, :] * traced
+    integrand = integrand.reshape(len(times), 2 * n_atom, 2 * n_atom)
+    return np.trapezoid(integrand, times, axis=0), times, integrand
 
 
 def _coherence_drift(times, integrand, row, col, clamp=TWO_PI * 150e3):
@@ -480,86 +491,73 @@ def _coherence_drift(times, integrand, row, col, clamp=TWO_PI * 150e3):
     return float(np.clip(slope, -clamp, clamp))
 
 
-def _atom_block_indices(layout, state_):
-    nd = layout.mode_dim
-    base = layout.atom_index(state_) * nd * nd
-    return np.arange(base, base + nd * nd)
-
-
-def entangle_bichromatic(
+def _two_tone(
+    branches,
+    amplitudes,
+    phase,
     *,
+    tone_phases,
+    passes,
     rabi_tone1: float,
     duration: float,
-    relative_phase: float = 0.0,
-    global_phase: float = 0.0,
-    amplitude_ratio: float | None = None,
     b_gauss: float = 4.77,
     delta_cav: float = -TWO_PI * 400e6,
     rtol: float = 1e-6,
     t_points: int = 200,
     calibrate: bool = True,
-    calibration_passes: int = 2,
     calibration: dict | None = None,
     check_overlap: bool = False,
-    overlap_threshold: float = 0.95,
 ) -> JointStateReport:
-    """Drive both target transitions at once; report the joint state.
+    """Drive two sigma-minus Raman branches at once; report the joint state.
 
-    Tone 1 addresses |S,-1/2> -> |D,-5/2> (H photon), tone 2 addresses
-    |S,-1/2> -> |D,-3/2> (V photon) with ``relative_phase``. Tone
-    amplitudes start balanced so the two effective couplings are equal.
+    Branch k is an (initial, final) 2m pair of the S1/2 -> D5/2 line table,
+    driven by tone k at phase ``tone_phases[k]`` and emitting into its
+    line's channel. With real amplitudes (c1, c2) the target is
+    c1|f1,ch1> + c2 e^{i phase}|f2,ch2>; the ion starts in
+    c1|i1> + c2 e^{i phase}|i2>, or in the shared initial state. A tone
+    whose amplitude is zero stays off: it would act only on
+    depolarization-repopulated atoms of the idle branch. Tone 2 runs at
+    ``ratio`` times tone 1's Rabi frequency, from the line amplitude ratio.
 
-    Beating tones dress the shared ground state at their difference
-    frequency, which both pulls the two lines apart slightly and mixes
-    the paths (each tone's modulation sideband drives the other path),
-    effects beyond the static second-order Stark model. With
-    ``calibrate`` short probe runs measure the residual coherence drift
-    and rate imbalance and correct tone 2's detuning and amplitude,
-    exactly as the experimental calibration scans would. A previous
-    report's ``calibration`` dict can be passed instead to reuse the
-    corrections (e.g. when scanning the relative phase).
-
-    The target state is (|D,-5/2>|H> + exp(i phi)|D,-3/2>|V>)/sqrt(2);
-    fidelity is evaluated with the fixed sign structure of the two
-    emission amplitudes (Clebsch-Gordan and mode-projection phases)
-    removed, so phi is referenced to the relative tone phase alone.
+    Beating tones dress the ground states at their difference frequency,
+    pulling the lines apart and mixing the paths beyond the static Stark
+    model. With ``calibrate``, ``passes`` probe runs at an equal
+    superposition shift tone 2 by the residual drift of the branch cross
+    coherence and balance the branch channels by ratio *= sqrt(p1/p2);
+    a previous report's ``calibration`` dict reuses the corrections. The
+    fixed sign structure of the two emission amplitudes (Clebsch-Gordan
+    and mode-projection phases) is removed, so the coherence phase is
+    referenced to ``phase`` alone.
     """
-    from .atom import load_atom
-
     atom = load_atom()
-    lines0 = _beam_b_lines(atom, b_gauss, delta_cav, rabi_tone1)
-    ratio0 = (
-        amplitude_ratio
-        if amplitude_ratio is not None
-        else lines0[(-1, -5)].amplitude / lines0[(-1, -3)].amplitude
-    )
-    # fixed sign/phase structure of the two branch amplitudes; emission
-    # enters through the conjugate coupling (the h.c. term creates the photon)
-    amp_h = sum(p.amp_drive * np.conj(p.amp_emit) for p in lines0[(-1, -5)].paths)
-    amp_v = sum(p.amp_drive * np.conj(p.amp_emit) for p in lines0[(-1, -3)].paths)
-    intrinsic = float(np.angle(amp_h * np.conj(amp_v)))
-
-    d_up = atom.state("D5/2", -2.5)
-    d_dn = atom.state("D5/2", -1.5)
-    init = atom.state("S1/2", -0.5)
     layout = HilbertLayout(atom=atom, n_max=1)
-    proj = [_atom_block_indices(layout, d_up), _atom_block_indices(layout, d_dn)]
+    _, lines0 = _beam_b_lines(atom, b_gauss, delta_cav, rabi_tone1)
+    line1, line2 = (lines0[b] for b in branches)
+    # emission enters through the conjugate coupling (the h.c. term creates the photon)
+    amp1, amp2 = (
+        sum(p.amp_drive * np.conj(p.amp_emit) for p in ln.paths) for ln in (line1, line2)
+    )
+    intrinsic = float(np.angle(amp1 * np.conj(amp2)))
+    shared = line1.initial == line2.initial
+    finals = list({ln.final.two_m: ln.final for ln in (line1, line2)}.values())
+    channels = (line1.channel, line2.channel)
+    i1, i2 = (2 * finals.index(ln.final) + _CHANNELS.index(ln.channel) for ln in (line1, line2))
 
-    def run(shift, ratio, phase, run_duration, points):
-        rabi2 = rabi_tone1 * ratio
-        rabi_total = math.sqrt(rabi_tone1**2 + rabi2**2)
-        lines = _beam_b_lines(atom, b_gauss, delta_cav, rabi_total)
-        tones = (
-            Tone(rabi=rabi_tone1, detuning=lines[(-1, -5)].detuning, phase=global_phase),
-            Tone(
-                rabi=rabi2,
-                detuning=lines[(-1, -3)].detuning + shift,
-                phase=phase + global_phase,
-            ),
+    def run(shift, ratio, amps, state_phase, run_duration, points):
+        on = [abs(c) > 1e-9 for c in amps]
+        rabis = (rabi_tone1, rabi_tone1 * ratio)
+        rabi_total = math.sqrt(sum(r**2 for r, o in zip(rabis, on) if o))
+        setting, lines = _beam_b_lines(atom, b_gauss, delta_cav, rabi_total)
+        dets = (lines[branches[0]].detuning, lines[branches[1]].detuning + shift)
+        tones = tuple(
+            Tone(rabi=r, detuning=d, phase=ph)
+            for r, d, ph, o in zip(rabis, dets, tone_phases, on)
+            if o
         )
+        anchor = tones[0].detuning
         model = standard_model(
-            drive_rabi=rabi_tone1,
-            drive_detuning=tones[0].detuning,
+            drive_rabi=tones[0].rabi,
+            drive_detuning=anchor,
             drive_polarization=beam_b_polarization(),
             drive_tones=tones,
             repump_854_rabi=0.0,
@@ -568,51 +566,54 @@ def entangle_bichromatic(
             delta_cav=delta_cav,
             atom=atom,
         )
-        rho0 = layout.basis_state(init)
+        if shared:
+            rho0 = layout.basis_state(line1.initial)
+        else:
+            psi = np.zeros(layout.dim, dtype=complex)
+            psi[layout.index(line1.initial, 0, 0)] = amps[0]
+            psi[layout.index(line2.initial, 0, 0)] = amps[1] * np.exp(1j * state_phase)
+            rho0 = np.outer(psi, psi.conj())
         t_grid = np.linspace(0.0, run_duration, points + 1)
         traj = evolve(build_liouvillian(model, layout), rho0, t_grid, rtol=rtol)
-        # both branches share the initial state: cross rotation is the tone beat
-        rotations = {"H": 0.0, "V": tones[1].detuning - tones[0].detuning}
-        sigma, times, integrand = _accumulate_joint(model, layout, traj, rotations, proj)
-        return model, sigma, times, integrand
+        # each branch co-rotates with its tone's beat; from distinct initial states
+        # it also carries its own state's frame energy, which a shared state cancels
+        rotations = {}
+        for ln, det in zip((line1, line2), dets):
+            frame = zeeman_shift(ln.initial, b_gauss) + stark_shift_ground(ln.initial, setting, det)
+            rotations[ln.channel] = det - anchor + (0.0 if shared else frame)
+        return (model, *_accumulate_joint(model.cavity.kappa, layout, traj, rotations, finals))
 
     if calibration is not None:
         shift = float(calibration["tone2_detuning_shift"])
         ratio = float(calibration["amplitude_ratio"])
     else:
-        shift, ratio = 0.0, ratio0
+        shift, ratio = 0.0, line1.amplitude / line2.amplitude
         if calibrate:
             probe_t = min(duration, max(0.4 * duration, 12e-6))
-            for _ in range(calibration_passes):
-                _, sigma_p, times, integrand = run(
-                    shift, ratio, relative_phase, probe_t, max(t_points // 2, 80)
-                )
-                shift += _coherence_drift(times, integrand, 0, 3)
-                p_h = np.real(sigma_p[0, 0] + sigma_p[2, 2])
-                p_v = np.real(sigma_p[1, 1] + sigma_p[3, 3])
-                if p_h > 0 and p_v > 0:
-                    ratio *= math.sqrt(p_h / p_v)
+            probe_points = max(t_points // 2, 80)
+            probe = (math.cos(math.pi / 4), math.sin(math.pi / 4))  # equal superposition
+            for _ in range(passes):
+                _, sigma_p, times, integrand = run(shift, ratio, probe, 0.0, probe_t, probe_points)
+                shift += _coherence_drift(times, integrand, i1, i2)
+                probs = _channel_probabilities(sigma_p)
+                p1, p2 = probs[channels[0]], probs[channels[1]]
+                if p1 > 0 and p2 > 0:
+                    ratio *= math.sqrt(p1 / p2)
 
-    model, sigma, times, integrand = run(shift, ratio, relative_phase, duration, t_points)
+    model, sigma, _, _ = run(shift, ratio, amplitudes, phase, duration, t_points)
 
     emission = float(np.real(np.trace(sigma)))
-    p_h = float(np.real(sigma[0, 0] + sigma[2, 2]))  # H photon, any atomic state
-    p_v = float(np.real(sigma[1, 1] + sigma[3, 3]))
     joint = sigma / max(emission, 1e-300)
-
-    # basis: (D-5/2 x H, D-5/2 x V, D-3/2 x H, D-3/2 x V)
-    chi = joint[0, 3] * np.exp(-1j * intrinsic)  # <D-5/2,H|.|D-3/2,V>, sign-referenced
-    pop = joint[0, 0].real + joint[3, 3].real
-    fidelity_max = 0.5 * pop + abs(chi)
-    coherence_phase = float(-np.angle(chi))  # phi of |a,H> + e^{i phi}|b,V>
-    fidelity = 0.5 * pop + (np.exp(1j * relative_phase) * chi).real
+    c1, c2 = amplitudes
+    chi = joint[i1, i2] * np.exp(-1j * intrinsic)  # <f1,ch1|.|f2,ch2>, sign-referenced
+    pops = c1**2 * joint[i1, i1].real + c2**2 * joint[i2, i2].real
 
     report_warnings = []
     if check_overlap:
-        overlap = _single_tone_overlap(model, layout, rabi_tone1, ratio, duration, rtol)
-        if overlap < overlap_threshold:
+        overlap = _single_tone_overlap(model, channels, duration, rtol)
+        if overlap < OVERLAP_THRESHOLD:
             msg = (
-                f"single-tone pulse shapes overlap only {overlap:.3f} < {overlap_threshold}; "
+                f"single-tone pulse shapes overlap only {overlap:.3f} < {OVERLAP_THRESHOLD}; "
                 "time-bin structure invalidates a polarization-only state report"
             )
             warnings.warn(msg)
@@ -620,13 +621,15 @@ def entangle_bichromatic(
 
     return JointStateReport(
         joint=joint,
-        basis=("D5/2,-5/2 x H", "D5/2,-5/2 x V", "D5/2,-3/2 x H", "D5/2,-3/2 x V"),
+        basis=tuple(
+            ch if len(finals) == 1 else f"{f.label} x {ch}" for f in finals for ch in _CHANNELS
+        ),
         emission_probability=emission,
-        channel_probabilities={"H": p_h, "V": p_v},
-        fidelity=float(fidelity),
-        fidelity_max=float(fidelity_max),
-        coherence_phase=coherence_phase,
-        target_phase=relative_phase,
+        channel_probabilities=_channel_probabilities(sigma),
+        fidelity=float(pops + 2 * c1 * c2 * (np.exp(1j * phase) * chi).real),
+        fidelity_max=float(pops + 2 * abs(c1 * c2) * abs(chi)),
+        coherence_phase=float(-np.angle(chi)),
+        target_phase=phase,
         warnings=report_warnings,
         calibration={
             "tone2_detuning_shift": shift,
@@ -636,171 +639,56 @@ def entangle_bichromatic(
     )
 
 
-def _single_tone_overlap(model, layout, rabi_1, ratio, duration, rtol):
-    drive = model.laser("drive")
+def _single_tone_overlap(model, channels, duration, rtol):
+    """Overlap of the pulse shapes that each drive tone gives on its own."""
     shapes = []
-    for tone, rabi, ch in ((drive.tones[0], rabi_1, "H"), (drive.tones[1], rabi_1 * ratio, "V")):
-        single = replace(
-            model,
-            lasers=tuple(
-                replace(l, tones=(Tone(rabi=rabi, detuning=tone.detuning),))
-                if l.role == "drive"
-                else l
-                for l in model.lasers
-            ),
-        )
-        shapes.append(
-            photon_pulse(single, duration, bin_width=duration / 100, designated_channel=ch, rtol=rtol)
-        )
-    p1 = shapes[0].normalized("H")
-    p2 = shapes[1].normalized("V")
-    return float(np.sum(np.sqrt(p1 * p2)))
+    for tone, ch in zip(model.laser("drive").tones, channels):
+        alone = (Tone(rabi=tone.rabi, detuning=tone.detuning),)
+        lasers = tuple(replace(l, tones=alone) if l.role == "drive" else l for l in model.lasers)
+        kwargs = dict(bin_width=duration / 100, designated_channel=ch, rtol=rtol)
+        shapes.append(photon_pulse(replace(model, lasers=lasers), duration, **kwargs))
+    return pulse_overlap(*shapes)
 
 
-def map_state(
-    alpha: float,
-    phi: float,
-    *,
-    rabi_tone1: float,
-    duration: float,
-    b_gauss: float = 4.77,
-    delta_cav: float = -TWO_PI * 400e6,
-    rtol: float = 1e-6,
-    t_points: int = 200,
-    calibrate: bool = True,
-    calibration_passes: int = 1,
-    calibration: dict | None = None,
+def entangle_bichromatic(
+    *, relative_phase: float = 0.0, global_phase: float = 0.0, **options
 ) -> JointStateReport:
+    """Drive both target transitions at once; report the joint state.
+
+    Tone 1 addresses |S,-1/2> -> |D,-5/2> (H photon), tone 2 addresses
+    |S,-1/2> -> |D,-3/2> (V photon) with ``relative_phase``; a
+    ``global_phase`` common to both is a gauge choice. The target state is
+    (|D,-5/2>|H> + exp(i phi)|D,-3/2>|V>)/sqrt(2) on the basis
+    (D-5/2 x H, D-5/2 x V, D-3/2 x H, D-3/2 x V). Calibration takes two
+    probe passes. ``options`` are those of ``_two_tone``: ``rabi_tone1``
+    and ``duration`` (required), ``b_gauss``, ``delta_cav``, ``rtol``,
+    ``t_points``, ``calibrate``, ``calibration`` and ``check_overlap``
+    (warn when the single-tone pulse shapes overlap less than
+    ``OVERLAP_THRESHOLD``).
+    """
+    return _two_tone(
+        ((-1, -5), (-1, -3)), (math.sqrt(0.5), math.sqrt(0.5)), relative_phase,
+        tone_phases=(global_phase, relative_phase + global_phase), passes=2, **options,
+    )
+
+
+def map_state(alpha: float, phi: float, **options) -> JointStateReport:
     """Map an S1/2 qubit onto the photon polarization via a shared final state.
 
     The prepared atomic state cos(a)|S,-1/2> + e^{i phi} sin(a)|S,+1/2>
     is driven by two tones that both end in |D,-3/2>: the -1/2 branch
     emits a V (pi) photon, the +1/2 branch an H (sigma) photon. Target
-    photonic state: cos(a)|V> + e^{i phi} sin(a)|H>. Calibration probes
-    (run at an equal superposition) correct tone 2 for the residual
-    line pull and transfer-rate imbalance of simultaneous tones; a
-    previous report's ``calibration`` dict can be reused across an
-    (alpha, phi) sweep.
+    photonic state: cos(a)|V> + e^{i phi} sin(a)|H> on the basis (H, V).
+    Calibration takes one probe pass; ``options`` are those of
+    ``entangle_bichromatic`` except ``check_overlap``. The channel
+    probabilities are the photon's polarization fractions.
     """
-    from .atom import load_atom
-    from .raman import stark_shift_ground
-
-    atom = load_atom()
-    lines0 = _beam_b_lines(atom, b_gauss, delta_cav, rabi_tone1)
-    ratio0 = lines0[(-1, -3)].amplitude / lines0[(1, -3)].amplitude
-    amp_v = sum(p.amp_drive * np.conj(p.amp_emit) for p in lines0[(-1, -3)].paths)
-    amp_h = sum(p.amp_drive * np.conj(p.amp_emit) for p in lines0[(1, -3)].paths)
-    intrinsic = float(np.angle(amp_v * np.conj(amp_h)))
-
-    s_dn = atom.state("S1/2", -0.5)
-    s_up = atom.state("S1/2", 0.5)
-    d_target = atom.state("D5/2", -1.5)
-    layout = HilbertLayout(atom=atom, n_max=1)
-    proj = [_atom_block_indices(layout, d_target)]
-
-    def run(shift, ratio, a, ph, run_duration, points):
-        # a tone whose source amplitude is exactly zero stays off: it would
-        # act only on depolarization-repopulated atoms of the idle path
-        drive_v = abs(math.cos(a)) > 1e-9
-        drive_h = abs(math.sin(a)) > 1e-9
-        rabi2 = rabi_tone1 * ratio
-        rabi_sq = (rabi_tone1**2 if drive_v else 0.0) + (rabi2**2 if drive_h else 0.0)
-        rabi_total = math.sqrt(rabi_sq)
-        lines = _beam_b_lines(atom, b_gauss, delta_cav, rabi_total)
-        det_v = lines[(-1, -3)].detuning
-        det_h = lines[(1, -3)].detuning + shift
-        tones = []
-        if drive_v:
-            tones.append(Tone(rabi=rabi_tone1, detuning=det_v))
-        if drive_h:
-            tones.append(Tone(rabi=rabi2, detuning=det_h))
-        anchor = tones[0].detuning
-        model = standard_model(
-            drive_rabi=tones[0].rabi,
-            drive_detuning=anchor,
-            drive_polarization=beam_b_polarization(),
-            drive_tones=tuple(tones),
-            repump_854_rabi=0.0,
-            repump_866_rabi=0.0,
-            b_gauss=b_gauss,
-            delta_cav=delta_cav,
-            atom=atom,
-        )
-        psi = np.zeros(layout.dim, dtype=complex)
-        psi[layout.index(s_dn, 0, 0)] = math.cos(a)
-        psi[layout.index(s_up, 0, 0)] = math.sin(a) * np.exp(1j * ph)
-        rho0 = np.outer(psi, psi.conj())
-        t_grid = np.linspace(0.0, run_duration, points + 1)
-        traj = evolve(build_liouvillian(model, layout), rho0, t_grid, rtol=rtol)
-        # each branch co-rotates with its tone beat plus its initial state
-        setting = RamanSetting(
-            b_gauss=b_gauss,
-            orientation="perpendicular",
-            drive_polarization=Polarization.sigma_minus(),
-            drive_rabi=rabi_total,
-            delta_cav=delta_cav,
-            atom=atom,
-        )
-        omega = {}
-        for ch, det, init_state in (("V", det_v, s_dn), ("H", det_h, s_up)):
-            omega[ch] = (
-                det
-                - anchor
-                + zeeman_shift(init_state, b_gauss)
-                + stark_shift_ground(init_state, setting, det)
-            )
-        sigma, times, integrand = _accumulate_joint(model, layout, traj, omega, proj)
-        return sigma, times, integrand
-
-    if calibration is not None:
-        shift = float(calibration["tone2_detuning_shift"])
-        ratio = float(calibration["amplitude_ratio"])
-    else:
-        shift, ratio = 0.0, ratio0
-        if calibrate:
-            probe_t = min(duration, max(0.4 * duration, 12e-6))
-            for _ in range(calibration_passes):
-                sigma_p, times, integrand = run(
-                    shift, ratio, math.pi / 4, 0.0, probe_t, max(t_points // 2, 80)
-                )
-                shift += _coherence_drift(times, integrand, 1, 0)
-                p_h_p, p_v_p = np.real(sigma_p[0, 0]), np.real(sigma_p[1, 1])
-                if p_h_p > 0 and p_v_p > 0:
-                    ratio *= math.sqrt(p_v_p / p_h_p)
-
-    sigma, times, integrand = run(shift, ratio, alpha, phi, duration, t_points)  # 2x2 on (H, V)
-
-    emission = float(np.real(np.trace(sigma)))
-    joint = sigma / max(emission, 1e-300)
-    p_h = float(joint[0, 0].real)
-    p_v = float(joint[1, 1].real)
-
-    target = np.array([math.sin(alpha) * np.exp(1j * phi), math.cos(alpha)])  # (H, V)
-    chi = joint[1, 0] * np.exp(-1j * intrinsic)  # <V|.|H>, sign-referenced
-    fidelity = (
-        math.sin(alpha) ** 2 * p_h
-        + math.cos(alpha) ** 2 * p_v
-        + 2 * math.sin(alpha) * math.cos(alpha) * (np.exp(1j * phi) * chi).real
+    report = _two_tone(
+        ((-1, -3), (1, -3)), (math.cos(alpha), math.sin(alpha)), phi,
+        tone_phases=(0.0, 0.0), passes=1, **options,
     )
-    amp = abs(math.sin(alpha) * math.cos(alpha))
-    fidelity_max = (
-        math.cos(alpha) ** 2 * p_v + math.sin(alpha) ** 2 * p_h + 2 * amp * abs(chi)
-    )
-    return JointStateReport(
-        joint=joint,
-        basis=("H", "V"),
-        emission_probability=emission,
-        channel_probabilities={"H": p_h, "V": p_v},
-        fidelity=float(fidelity),
-        fidelity_max=float(fidelity_max),
-        coherence_phase=float(-np.angle(chi)),
-        target_phase=phi,
-        calibration={
-            "tone2_detuning_shift": shift,
-            "amplitude_ratio": ratio,
-            "intrinsic_phase": intrinsic,
-        },
-    )
+    report.channel_probabilities = _channel_probabilities(report.joint)
+    return report
 
 
 # -- qubit dynamics (analytic carrier models) --------------------------------

@@ -11,7 +11,7 @@ resonant (Zeeman plus second-order Stark shifts).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class RamanSetting:
     drive_polarization: Polarization
     drive_rabi: float  # rad/s
     delta_cav: float  # rad/s, cavity detuning from the P3/2 <-> D5/2 line
-    delta_drv: float | None = None  # bookkeeping; resonance ops compute their own
     atom: AtomData = field(default_factory=load_atom)
 
     @property
@@ -277,7 +276,3 @@ def resonance_detuning(path: RamanPath, setting: RamanSetting, iterations: int =
         shift = stark_shift_ground(path.initial, setting, delta)
         delta = setting.delta_cav + dz - shift
     return delta
-
-
-def with_drive_rabi(setting: RamanSetting, rabi: float) -> RamanSetting:
-    return replace(setting, drive_rabi=rabi)

@@ -293,3 +293,24 @@ def test_plot_without_matplotlib_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["--plot", "--out", str(tmp_path), "reproduce", "fig3a"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["config error: --plot requires matplotlib (install the 'plot' extra)"]
+
+
+def test_solver_failure_exits_3(tmp_path, capsys):
+    code = run_cli(["--json-errors", "pulse"], tmp_path, config={"solver": {"max_steps": 10}})
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "StiffnessError"
+    assert payload["kind"] == "solver"
+
+
+def test_reproduce_all_writes_data_without_matplotlib(tmp_path, capsys, monkeypatch):
+    import importlib.util
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
+    spec = importlib.util.spec_from_file_location("reproduce_all", script)
+    reproduce_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reproduce_all)
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib now fails
+    assert reproduce_all.run(["fig3a"], out=tmp_path) == {}
+    assert capsys.readouterr().out.count("without plots") == 1
+    assert (tmp_path / "fig3a").is_dir()

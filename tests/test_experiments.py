@@ -477,3 +477,45 @@ def test_entangle_report_invariant_under_global_tone_phase():
     assert b.fidelity == pytest.approx(a.fidelity, abs=1e-9)
     assert b.fidelity_max == pytest.approx(a.fidelity_max, abs=1e-9)
     assert np.allclose(a.joint, b.joint, atol=1e-9)
+
+
+def test_accumulate_joint_matches_the_dense_loop():
+    """The block-wise mode trace equals 2 kappa Tr_modes(a_p rho a_q^dagger) taken
+    with full-space dense products, state by state, on random density matrices."""
+    from types import SimpleNamespace
+
+    from ioncavity.atom import load_atom
+    from ioncavity.experiments import _accumulate_joint
+    from ioncavity.hilbert import HilbertLayout
+
+    atom = load_atom()
+    layout = HilbertLayout(atom=atom, n_max=1)
+    reported = [atom.state("D5/2", -2.5), atom.state("D5/2", -1.5)]
+    rotations = {"H": mhz(-3.0), "V": mhz(11.0)}
+    kappa = TWO_PI * 50e3
+    rng = np.random.default_rng(5)
+    states = []
+    for t in np.linspace(0.0, 1e-6, 7):
+        re, im = rng.normal(size=(2, layout.dim, layout.dim))
+        rho = (re + 1j * im) @ (re + 1j * im).conj().T
+        states.append(SimpleNamespace(matrix=rho / np.trace(rho).real, time=t))
+    sigma, times, integrand = _accumulate_joint(
+        kappa, layout, SimpleNamespace(states=states), rotations, reported
+    )
+
+    nd2 = layout.mode_dim**2
+    blocks = [layout.atom_index(s) * nd2 + np.arange(nd2) for s in reported]
+    a = {ch: layout.destroy(ch).toarray() for ch in ("H", "V")}
+    want = np.zeros_like(integrand)
+    for ti, st in enumerate(states):
+        for pi, p in enumerate(("H", "V")):
+            for qi, q in enumerate(("H", "V")):
+                m = a[p] @ st.matrix @ a[q].conj().T
+                derot = np.exp(-1j * (rotations[q] - rotations[p]) * st.time)
+                for ai, rows in enumerate(blocks):
+                    for bi, cols in enumerate(blocks):
+                        val = np.trace(m[np.ix_(rows, cols)])
+                        want[ti, 2 * ai + pi, 2 * bi + qi] = 2 * kappa * derot * val
+    scale = np.abs(want).max()
+    assert np.abs(integrand - want).max() <= 1e-13 * scale
+    assert np.abs(sigma - np.trapezoid(want, times, axis=0)).max() <= 1e-13 * scale * times[-1]

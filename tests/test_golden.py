@@ -45,39 +45,31 @@ GOLDEN_REL = 1e-9
 
 
 @contextmanager
-def recorded_evolve_counts():
-    """Collect [n_steps, n_rejected] of every `evolve` call the drivers make."""
-    counts = []
-    original = experiments.evolve
-
-    def recording(*args, **kwargs):
-        traj = original(*args, **kwargs)
-        counts.append([traj.n_steps, traj.n_rejected])
-        return traj
-
-    experiments.evolve = recording
-    try:
-        yield counts
-    finally:
-        experiments.evolve = original
-
-
-@contextmanager
-def recorded_pulses():
-    """Collect [total_efficiency, leak_fraction] of every `photon_pulse` the drivers run."""
+def recorded(name, summary):
+    """Collect ``summary(result)`` of every call the drivers make to ``experiments.<name>``."""
     values = []
-    original = experiments.photon_pulse
+    original = getattr(experiments, name)
 
     def recording(*args, **kwargs):
-        shape = original(*args, **kwargs)
-        values.append([shape.total_efficiency, shape.leak_fraction])
-        return shape
+        result = original(*args, **kwargs)
+        values.append(summary(result))
+        return result
 
-    experiments.photon_pulse = recording
+    setattr(experiments, name, recording)
     try:
         yield values
     finally:
-        experiments.photon_pulse = original
+        setattr(experiments, name, original)
+
+
+def recorded_evolve_counts():
+    """Collect [n_steps, n_rejected] of every `evolve` call the drivers make."""
+    return recorded("evolve", lambda traj: [traj.n_steps, traj.n_rejected])
+
+
+def recorded_pulses():
+    """Collect [total_efficiency, leak_fraction] of every `photon_pulse` the drivers run."""
+    return recorded("photon_pulse", lambda shape: [shape.total_efficiency, shape.leak_fraction])
 
 
 def spectrum_values():
@@ -208,6 +200,14 @@ def assert_rel(value, expected, what):
     assert err <= GOLDEN_REL, f"{what}: {value!r} vs golden {expected!r} (rel. {err:.2e})"
 
 
+def _report_scalars(record):
+    names = ("emission_probability", "fidelity", "fidelity_max", "coherence_phase")
+    scalars = {k: record[k] for k in names}
+    scalars.update({f"p_{ch}": p for ch, p in record["channel_probabilities"].items()})
+    scalars.update(record["calibration"])
+    return scalars
+
+
 def assert_report(got, want, what):
     """Step counts and warnings exactly; numbers to GOLDEN_REL.
 
@@ -222,12 +222,7 @@ def assert_report(got, want, what):
     golden_joint = np.array(want["joint_re"]) + 1j * np.array(want["joint_im"])
     err = np.abs(joint - golden_joint).max() / np.abs(golden_joint).max()
     assert err <= GOLDEN_REL, f"{what} joint matrix (rel. {err:.2e})"
-    scalars = {k: want[k] for k in ("emission_probability", "fidelity", "fidelity_max", "coherence_phase")}
-    scalars.update({f"p_{ch}": p for ch, p in want["channel_probabilities"].items()})
-    scalars.update(want["calibration"])
-    values = {k: got[k] for k in ("emission_probability", "fidelity", "fidelity_max", "coherence_phase")}
-    values.update({f"p_{ch}": p for ch, p in got["channel_probabilities"].items()})
-    values.update(got["calibration"])
+    scalars, values = _report_scalars(want), _report_scalars(got)
     assert values.keys() == scalars.keys(), what
     for key, expected in scalars.items():
         if expected == 0.0:
