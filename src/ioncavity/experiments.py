@@ -19,14 +19,13 @@ from .constants import TWO_PI
 from .errors import BinningMismatchError, SteadyStateError
 from .hilbert import HilbertLayout
 from .lindblad import (
-    Liouvillian,
+    _ReducedSteadyState,
     build_liouvillian,
     detected_mode_numbers,
     drive_detuning_shift_superoperator,
     evolve,
     photon_flux,
     state_population,
-    steady_state,
 )
 from .polarization import Polarization
 from .raman import RamanLine, RamanSetting, enumerate_paths, stark_shift_ground
@@ -137,27 +136,31 @@ def spectrum_grid(
 
 
 def _solve_point(args):
-    model, layout_nmax, detunings = args
+    """Rows and failure reasons of a detuning scan on one reduction.
+
+    With ``probe`` the first point is also checked for a unique stationary
+    state, and any failure there raises instead of marking the point.
+    """
+    model, layout_nmax, detunings, probe = args
     layout = HilbertLayout(atom=model.atom, n_max=layout_nmax)
     base = build_liouvillian(model, layout)
-    shift = drive_detuning_shift_superoperator(layout)
+    solver = _ReducedSteadyState(base, shift=drive_detuning_shift_superoperator(layout))
     d0 = model.laser("drive").detuning
-    out = []
-    for d in detunings:
-        liouv = Liouvillian(
-            layout=layout,
-            parts=base.parts,
-            collapses=base.collapses,
-            static_part=(base.static_part - (d - d0) * shift).tocsr(),
-        )
+    rows, failures = [], {}
+    for i, d in enumerate(detunings):
+        first = probe and i == 0
         try:
-            ss, info = steady_state(liouv, check_unique=False, return_info=True)
-            flux = photon_flux(ss, layout, model.cavity.kappa, model.detection)
-            pop_s_up = state_population(ss, layout, model.atom.state("S1/2", 0.5))
-            out.append((flux[0], flux[1], True, info["residual"], pop_s_up))
+            ss, info = solver.solve(d0 - d, check_unique=first)
         except SteadyStateError as exc:
-            out.append((math.nan, math.nan, False, math.inf, math.nan))
-    return out
+            if first:
+                raise
+            failures[float(d)] = str(exc)
+            rows.append((math.nan, math.nan, False, math.inf, math.nan))
+            continue
+        flux = photon_flux(ss, layout, model.cavity.kappa, model.detection)
+        pop_s_up = state_population(ss, layout, model.atom.state("S1/2", 0.5))
+        rows.append((flux[0], flux[1], True, info["residual"], pop_s_up))
+    return rows, failures
 
 
 def raman_spectrum(
@@ -172,24 +175,23 @@ def raman_spectrum(
 
     The drive detuning enters the Liouvillian linearly through two
     diagonal projectors, so each point is the base operator plus a
-    scaled shift; one sparse solve per point. Solver failures mark the
-    point as unconverged rather than aborting the scan.
+    scaled diagonal shift: the scan reduces once and does one sparse LU
+    per point. ``check_unique_first`` probes the first point for a second
+    stationary state and raises if it finds one. Solver failures elsewhere
+    mark the point as unconverged rather than aborting the scan; the
+    reasons go to ``metadata["failures"]`` (detuning -> message).
     """
     detunings = np.sort(np.asarray(detunings, dtype=float))
-    if check_unique_first:
-        layout = HilbertLayout(atom=model.atom, n_max=n_max)
-        probe = build_liouvillian(model.replace_drive(detuning=float(detunings[0])), layout)
-        steady_state(probe, check_unique=True)  # raises if degenerate
-
     if jobs > 1:
-        chunks = np.array_split(detunings, jobs)
+        if check_unique_first:
+            _solve_point((model, n_max, detunings[:1], True))  # raises if degenerate
+        chunks = [chunk for chunk in np.array_split(detunings, jobs) if len(chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _solve_point, [(model, n_max, chunk) for chunk in chunks if len(chunk)]
-            )
-        rows = [row for chunk_rows in results for row in chunk_rows]
+            results = list(pool.map(_solve_point, [(model, n_max, c, False) for c in chunks]))
     else:
-        rows = _solve_point((model, n_max, detunings))
+        results = [_solve_point((model, n_max, detunings, check_unique_first))]
+    rows = [row for chunk_rows, _ in results for row in chunk_rows]
+    failures = {d: why for _, chunk_failures in results for d, why in chunk_failures.items()}
 
     rates = np.array([[r[0] for r in rows], [r[1] for r in rows]])
     converged = np.array([r[2] for r in rows])
@@ -202,7 +204,7 @@ def raman_spectrum(
         residuals=residuals,
         dwell=dwell,
         dark_counts=tuple(model.detection.dark_counts),
-        metadata={"s_up_population": pops, "n_max": n_max},
+        metadata={"s_up_population": pops, "n_max": n_max, "failures": failures},
     )
 
 
@@ -610,7 +612,7 @@ def _two_tone(
 
     report_warnings = []
     if check_overlap:
-        overlap = _single_tone_overlap(model, channels, duration, rtol)
+        overlap = _single_tone_overlap(model, branches, channels, duration, rtol)
         if overlap < OVERLAP_THRESHOLD:
             msg = (
                 f"single-tone pulse shapes overlap only {overlap:.3f} < {OVERLAP_THRESHOLD}; "
@@ -639,11 +641,17 @@ def _two_tone(
     )
 
 
-def _single_tone_overlap(model, channels, duration, rtol):
-    """Overlap of the pulse shapes that each drive tone gives on its own."""
+def _single_tone_overlap(model, branches, channels, duration, rtol):
+    """Overlap of the pulse shapes that each drive tone gives on its own.
+
+    A lone tone sits on its own line: the one of its branch in the line
+    table at its own Rabi frequency, whose ground Stark shift differs from
+    the one both tones together give.
+    """
     shapes = []
-    for tone, ch in zip(model.laser("drive").tones, channels):
-        alone = (Tone(rabi=tone.rabi, detuning=tone.detuning),)
+    for tone, branch, ch in zip(model.laser("drive").tones, branches, channels):
+        _, lines = _beam_b_lines(model.atom, model.b_gauss, model.cavity.delta_cav, tone.rabi)
+        alone = (Tone(rabi=tone.rabi, detuning=lines[branch].detuning),)
         lasers = tuple(replace(l, tones=alone) if l.role == "drive" else l for l in model.lasers)
         kwargs = dict(bin_width=duration / 100, designated_channel=ch, rtol=rtol)
         shapes.append(photon_pulse(replace(model, lasers=lasers), duration, **kwargs))

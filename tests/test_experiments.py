@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ioncavity.constants import TWO_PI, mhz, to_mhz
-from ioncavity.errors import BinningMismatchError
+from ioncavity import experiments, lindblad
+from ioncavity.errors import BinningMismatchError, SteadyStateError
 from ioncavity.experiments import (
     PulseShape,
     ScanResult,
@@ -22,9 +23,11 @@ from ioncavity.experiments import (
     spectrum_grid,
     thermal_rabi,
 )
+from ioncavity.hilbert import HilbertLayout
+from ioncavity.lindblad import build_liouvillian, photon_flux, steady_state
 from ioncavity.polarization import Polarization
 from ioncavity.raman import RamanSetting, enumerate_paths
-from ioncavity.system import standard_model, beam_b_polarization
+from ioncavity.system import beam_a_polarization, beam_b_polarization, standard_model
 
 
 def lorentzian_scan(centers, heights, width=mhz(0.5), dark=(33.1, 33.6), span=mhz(30.0)):
@@ -387,6 +390,85 @@ def test_raman_spectrum_parallel_merge_deterministic(atom):
     assert np.array_equal(serial.rates, parallel.rates)
 
 
+def _fig4_line_model(atom):
+    """The fig4 beam-A model at its strongest H line, with the line's detuning."""
+    setting = RamanSetting(
+        b_gauss=4.77,
+        orientation="perpendicular",
+        drive_polarization=beam_a_polarization(),
+        drive_rabi=mhz(88.0),
+        delta_cav=-mhz(400.0),
+        atom=atom,
+    )
+    line = max((l for l in enumerate_paths(setting) if l.channel == "H"), key=lambda l: l.amplitude)
+    model = standard_model(
+        drive_rabi=mhz(88.0),
+        drive_detuning=line.detuning - mhz(0.5),
+        drive_polarization=beam_a_polarization(),
+        atom=atom,
+    )
+    return model, line.detuning
+
+
+def test_scan_reduces_once_and_matches_direct_solves(atom, monkeypatch):
+    """One Liouvillian and one reduction per scan, uniqueness probe included;
+    its block is the one restrict gives at the first and last detuning, and
+    its rates equal direct solves at every point."""
+    model, center = _fig4_line_model(atom)
+    grid = np.linspace(center - mhz(0.5), center + mhz(0.5), 5)
+    restricts, solvers, builds = [], [], []
+    original_restrict = lindblad.Liouvillian.restrict
+
+    def counting_restrict(self, seed):
+        restricts.append(seed)
+        return original_restrict(self, seed)
+
+    class Recording(lindblad._ReducedSteadyState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build_liouvillian(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad.Liouvillian, "restrict", counting_restrict)
+    monkeypatch.setattr(experiments, "_ReducedSteadyState", Recording)
+    monkeypatch.setattr(experiments, "build_liouvillian", counting_build)
+    scan = raman_spectrum(model, grid, check_unique_first=True)
+    assert len(restricts) == len(solvers) == len(builds) == 1
+    assert scan.converged.all() and scan.metadata["failures"] == {}
+
+    layout = HilbertLayout(atom=atom, n_max=1)
+    n = layout.dim
+    for i, d in enumerate(grid):
+        liouv = build_liouvillian(model.replace_drive(detuning=float(d)), layout)
+        if i in (0, len(grid) - 1):
+            keep, _ = original_restrict(liouv, np.arange(n) * (n + 1))
+            assert np.array_equal(keep, solvers[0].keep)
+        ss = steady_state(liouv, check_unique=False)
+        direct = photon_flux(ss, layout, model.cavity.kappa, model.detection)
+        assert scan.rates[:, i] == pytest.approx(direct, rel=1e-10)
+
+
+def test_scan_failures_keep_their_reason(atom, monkeypatch):
+    """An unconverged point is marked and its SteadyStateError message kept."""
+    model, center = _fig4_line_model(atom)
+    grid = np.linspace(center - mhz(0.3), center + mhz(0.3), 3)
+    original_solve = lindblad._ReducedSteadyState.solve
+
+    def failing_solve(self, x=0.0, check_unique=False):
+        if x == model.laser("drive").detuning - grid[1]:
+            raise SteadyStateError("injected failure")
+        return original_solve(self, x, check_unique)
+
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "solve", failing_solve)
+    scan = raman_spectrum(model, grid, check_unique_first=True)
+    assert scan.converged.tolist() == [True, False, True]
+    assert np.isnan(scan.rates[:, 1]).all()
+    assert scan.metadata["failures"] == {float(grid[1]): "injected failure"}
+
+
 # -- left-right spectrum symmetry ------------------------------------------------
 
 
@@ -477,6 +559,28 @@ def test_entangle_report_invariant_under_global_tone_phase():
     assert b.fidelity == pytest.approx(a.fidelity, abs=1e-9)
     assert b.fidelity_max == pytest.approx(a.fidelity_max, abs=1e-9)
     assert np.allclose(a.joint, b.joint, atol=1e-9)
+
+
+def test_single_tone_overlap_drives_each_tone_on_its_own_line(monkeypatch):
+    """Each lone tone of the overlap check sits on its own line, so its 6 us
+    pulse detects a few percent, not the 0.05-0.08 % of an off-line drive."""
+    from ioncavity.experiments import entangle_bichromatic
+
+    efficiencies = []
+    original = experiments.photon_pulse
+
+    def recording(*args, **kwargs):
+        shape = original(*args, **kwargs)
+        efficiencies.append(shape.total_efficiency)
+        return shape
+
+    monkeypatch.setattr(experiments, "photon_pulse", recording)
+    entangle_bichromatic(
+        rabi_tone1=mhz(40.0), duration=6e-6, rtol=1e-5, t_points=40,
+        calibrate=False, check_overlap=True,
+    )
+    assert len(efficiencies) == 2
+    assert min(efficiencies) > 0.02
 
 
 def test_accumulate_joint_matches_the_dense_loop():

@@ -13,7 +13,10 @@ The whole-report entries (`entangle_report`, `map`, `entangle_check_overlap`)
 were captured from the two-tone drivers as they stood before
 `entangle_bichromatic` and `map_state` were merged into one driver: the
 joint matrix, emission and channel probabilities, fidelities, coherence
-phase, calibration and warnings of each run.
+phase, calibration and warnings of each run. The single-tone pulses of
+`entangle_check_overlap` (efficiency, leak fraction and DP5 counts) were
+rewritten when each lone tone moved onto its own line; they had been
+driven at the detuning calibrated for both tones together.
 
 The `spectrum_fig5` and `n_max2` entries were captured before the spectrum
 scan shared one reduction and changed its LU ordering: the bundled fig5

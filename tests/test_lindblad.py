@@ -9,6 +9,7 @@ from ioncavity.constants import khz, mhz
 from ioncavity.errors import FrameConsistencyError, SteadyStateError
 from ioncavity.hilbert import HilbertLayout, commutator_superoperator, unvec, vec
 from ioncavity.lindblad import (
+    _check_uniqueness,
     DensityMatrix,
     Liouvillian,
     build_hamiltonian,
@@ -564,3 +565,47 @@ def test_reachable_subspace_is_exact(atom, layout, data):
         embedded = np.zeros_like(full)
         embedded[keep] = block.apply(t, v[keep])
         assert np.max(np.abs(full - embedded)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_steady_state_reports_its_path(atom, layout):
+    """The info dict names the block size, the LU fill and the path taken."""
+    driven = standard_model(drive_rabi=mhz(99.0), drive_detuning=-mhz(407.0),
+                            drive_polarization=beam_b_polarization(), atom=atom)
+    _, info = steady_state(build_liouvillian(driven, layout), check_unique=False, return_info=True)
+    assert (info["reduced_dim"], info["path"]) == (1296, "lu")
+    assert info["lu_fill"] > info["reduced_dim"]
+    # no drive: the block is singular, so the full-space inverse iteration answers
+    dark = standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom)
+    _, info = steady_state(build_liouvillian(dark, layout), check_unique=False, return_info=True)
+    assert (info["path"], info["lu_fill"]) == ("inverse_iteration", None)
+
+
+def _uniqueness_verdicts(liouv):
+    """Verdicts of the probe on the reduced block and on the full operator."""
+    n = liouv.dim
+    ss, info = steady_state(liouv, check_unique=False, return_info=True)
+    verdicts = []
+    for probe in (
+        lambda: steady_state(liouv, check_unique=True),
+        lambda: _check_uniqueness(liouv.static_part, info["residual_scale"], vec(ss.matrix)),
+    ):
+        try:
+            probe()
+            verdicts.append("unique")
+        except SteadyStateError:
+            verdicts.append("degenerate")
+    assert info["reduced_dim"] < n * n
+    return verdicts
+
+
+def test_block_probe_matches_full_space_without_drive(atom, layout):
+    model = standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom)
+    assert _uniqueness_verdicts(build_liouvillian(model, layout)) == ["degenerate"] * 2
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_block_probe_matches_full_space(atom, layout, data):
+    static_model, _ = data.draw(random_models(atom))
+    reduced, full = _uniqueness_verdicts(build_liouvillian(static_model, layout))
+    assert reduced == full
