@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -314,3 +315,213 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, capsys, monkeypa
     assert reproduce_all.run(["fig3a"], out=tmp_path) == {}
     assert capsys.readouterr().out.count("without plots") == 1
     assert (tmp_path / "fig3a").is_dir()
+
+
+# -- golden CLI outputs --------------------------------------------------------
+#
+# `tests/data/golden_cli.json` holds, for every (command, action) on the smoke
+# configs above, `spectrum --dump-operators` and `reproduce fig3a/fig3b/fig10`,
+# what the CLI wrote: file names, CSV meta lines and headers, JSON keys and
+# plan.txt and stdout line by line, with every number to GOLDEN_REL. The one
+# exception is the spectrum's `residual` column: it is the round-off of the LU
+# solve (~1e-7 against a convergence check at 1e-10 * scale ~ 0.8) and moves in
+# its third digit with the BLAS thread count, so it is held to RESIDUAL_ABS.
+# Plots are not covered. Regenerate only when an output is meant to change; name the
+# cases to rewrite, the others are left as they are:
+#
+#     PYTHONPATH=src python tests/test_cli.py plan spectrum
+
+GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
+GOLDEN_REL = 1e-9
+RESIDUAL_ABS = 1e-6
+
+_SIGMA_MINUS = {"lasers": {"drive": {"polarization": "sigma_minus"}}}
+_SMOKE_SPECTRUM = {
+    "lasers": {"drive": {"polarization": "sigma_minus", "rabi_2pi_mhz": 99.0}},
+    "spectrum": {"points_per_line": 3, "baseline_points": 4, "window_2pi_mhz": 0.4},
+}
+_SMOKE_TWO_TONE = {
+    "entangle": {"rabi_2pi_mhz": 40.0, "duration_us": 6.0, "calibrate": False, "t_points": 40},
+    "map": {"rabi_2pi_mhz": 40.0, "duration_us": 6.0, "alpha_rad": 0.0, "calibrate": False, "t_points": 40},
+    "solver": {"rtol": 1e-5},
+}
+
+# case id -> (user config or None, CLI arguments after --out)
+CLI_CASES = {
+    "plan": ({"lasers": {"drive": {"polarization": "sigma_minus", "rabi_2pi_mhz": 99.0}}}, ["plan"]),
+    "spectrum": (_SMOKE_SPECTRUM, ["spectrum"]),
+    "spectrum_dump_operators": (_SMOKE_SPECTRUM, ["--dump-operators", "spectrum"]),
+    "sidebands": (
+        {
+            "lasers": {"drive": {"polarization": "sigma_minus", "rabi_2pi_mhz": 33.0}},
+            "sidebands": {"points": 9, "window_2pi_mhz": 1.6, "micromotion_index": 0.3},
+        },
+        ["sidebands"],
+    ),
+    "pulse": (
+        {
+            **_SIGMA_MINUS,
+            "pulse": {"duration_us": 2.0, "bin_ns": 500.0, "rabi_2pi_mhz": 106.0},
+            "solver": {"rtol": 1e-5},
+        },
+        ["pulse"],
+    ),
+    "overlap": (
+        {
+            **_SIGMA_MINUS,
+            "overlap": {
+                "rabi_2pi_mhz": 106.0,
+                "duration_us": 4.0,
+                "bin_ns": 800.0,
+                "rabi_scale_grid": [1.0],
+                "detuning_offset_2pi_mhz": [0.0],
+            },
+            "solver": {"rtol": 1e-5},
+        },
+        ["overlap"],
+    ),
+    "entangle": (_SMOKE_TWO_TONE, ["entangle"]),
+    "map": (_SMOKE_TWO_TONE, ["map"]),
+    "rabi": (None, ["rabi"]),
+    "ramsey": (None, ["ramsey"]),
+    "localize_fit": (None, ["localize", "fit"]),
+    "localize_visibility": (None, ["localize", "visibility"]),
+    "localize_coupling": (None, ["localize", "coupling"]),
+    "localize_scan": (None, ["localize", "scan"]),
+    "cavity_waist": (None, ["cavity", "waist"]),
+    "cavity_g0": (None, ["cavity", "g0"]),
+    "reproduce_fig3a": (None, ["reproduce", "fig3a"]),
+    "reproduce_fig3b": (None, ["reproduce", "fig3b"]),
+    "reproduce_fig10": (None, ["reproduce", "fig10"]),
+}
+
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _text_lines(text):
+    """Each line split into its numbers and the text between them."""
+    import re
+
+    return [[_cell(tok) for tok in re.split(f"({_NUMBER})", line) if tok] for line in text.splitlines()]
+
+
+def _operator_dump(text):
+    """Line count and column sums of a (row, col, re, im) triplet dump."""
+    data = np.loadtxt(text.splitlines(), ndmin=2) if text else np.zeros((0, 4))
+    return {
+        "lines": int(data.shape[0]),
+        "sum_row": float(data[:, 0].sum()),
+        "sum_col": float(data[:, 1].sum()),
+        "sum_abs_re": float(np.abs(data[:, 2]).sum()),
+        "sum_abs_im": float(np.abs(data[:, 3]).sum()),
+    }
+
+
+def _file_record(path, out):
+    text = path.read_text()
+    if path.suffix == ".csv":
+        lines = text.splitlines()
+        meta = [line for line in lines if line.startswith("#")]
+        table = [line for line in lines if not line.startswith("#")]
+        return {"meta": meta, "header": table[0], "rows": [[_cell(c) for c in r.split(",")] for r in table[1:]]}
+    if path.suffix == ".json":
+        return json.loads(text)
+    if path.parent.name == "operators":
+        return _operator_dump(text)
+    return _text_lines(text)
+
+
+def cli_outputs(case, tmp):
+    """Run one golden case through `main` in process; record what it wrote."""
+    import contextlib
+    import io
+
+    config, args = CLI_CASES[case]
+    tmp = Path(tmp)
+    out = tmp / "out"
+    argv = ["--out", str(out)]
+    if config is not None:
+        cfg_path = tmp / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["--config", str(cfg_path)] + argv
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + args)
+    files = {
+        path.relative_to(out).as_posix(): _file_record(path, out)
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+    return {
+        "exit_code": code,
+        "stdout": _text_lines(stdout.getvalue().replace(str(out), "<out>")),
+        "files": files,
+    }
+
+
+def assert_same(got, want, where):
+    """Same structure and strings; numbers to GOLDEN_REL relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys {sorted(got)} != {sorted(want)}"
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), f"{where}: {got!r} is not a number"
+        if math.isnan(want):
+            assert math.isnan(got), f"{where}: {got!r} != nan"
+            return
+        assert got == pytest.approx(want, rel=GOLDEN_REL, abs=0.0), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+def _pop_residuals(files):
+    """Take the `residual` column out of every CSV record: {file: column}."""
+    columns = {}
+    for name, record in files.items():
+        if name.endswith(".csv") and "residual" in record["header"].split(","):
+            i = record["header"].split(",").index("residual")
+            columns[name] = [row.pop(i) for row in record["rows"]]
+    return columns
+
+
+@pytest.fixture(scope="module")
+def golden_cli():
+    return json.loads(GOLDEN_CLI.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_outputs_match_golden(case, golden_cli, tmp_path):
+    got, want = cli_outputs(case, tmp_path), json.loads(json.dumps(golden_cli[case]))
+    got_residuals, want_residuals = _pop_residuals(got["files"]), _pop_residuals(want["files"])
+    assert_same(got, want, case)
+    assert got_residuals.keys() == want_residuals.keys()
+    for name, column in want_residuals.items():
+        assert np.allclose(got_residuals[name], column, rtol=0.0, atol=RESIDUAL_ABS), name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    names = sys.argv[1:] or list(CLI_CASES)
+    unknown = sorted(set(names) - set(CLI_CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases {unknown}; choose from {list(CLI_CASES)}")
+    values = json.loads(GOLDEN_CLI.read_text()) if GOLDEN_CLI.exists() else {}
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            values[name] = cli_outputs(name, tmp)
+    GOLDEN_CLI.parent.mkdir(exist_ok=True)
+    GOLDEN_CLI.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n", newline="\n")
+    print(f"wrote {', '.join(names)} to {GOLDEN_CLI}")
