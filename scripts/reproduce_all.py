@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate every bundled figure dataset into ./out/figures.
+"""Regenerate every bundled figure dataset and its SVG plot into ./out/figures.
 
-Runs the CLI `reproduce` subcommand for each bundled configuration.
+Runs the CLI `reproduce --plot` subcommand for each bundled configuration.
 The spectrum and pulse figures run master-equation solves and take a
-few minutes each; pass figure ids as arguments to run a subset. Plots
-are drawn when matplotlib is installed; without it the data files are
-still written.
+few minutes each; pass figure ids as arguments to run a subset.
 """
 
 import sys
@@ -15,27 +13,12 @@ from ioncavity.cli import REPRODUCE_COMMAND, main
 FIGURES = list(REPRODUCE_COMMAND)
 
 
-def run(figures, out="out/figures", plot=None):
-    """Reproduce ``figures`` into ``out``; return {figure: exit code} of the failed ones.
-
-    ``plot=None`` plots exactly when matplotlib imports.
-    """
-    if plot is None:
-        try:
-            import matplotlib  # noqa: F401
-        except ImportError:
-            print("matplotlib is not installed: writing data files without plots")
-            plot = False
-        else:
-            plot = True
+def run(figures, out="out/figures"):
+    """Reproduce ``figures`` into ``out``; return {figure: exit code} of the failed ones."""
     failures = {}
     for figure in figures:
-        argv = ["--out", str(out)]
-        if plot:
-            argv.append("--plot")
-        argv += ["reproduce", figure]
         print(f"=== {figure} ===")
-        code = main(argv)
+        code = main(["--out", str(out), "--plot", "reproduce", figure])
         if code != 0:
             failures[figure] = code
     return failures

@@ -2,8 +2,9 @@
 
 Subcommands: plan, spectrum, sidebands, pulse, overlap, entangle, map,
 rabi, ramsey, localize {fit,visibility,coupling,scan}, cavity {waist,g0},
-reproduce {fig3a,...,fig10}. Exit codes: 0 success, 2 configuration
-error (also --plot without matplotlib), 3 solver failure.
+reproduce {fig3a,...,fig10}. Each handler returns one `Result`, and
+`write_result` writes its files. Exit codes: 0 success, 2 configuration
+error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -358,72 +360,100 @@ def _line_by_label(lines, label):
     raise ConfigError(f"no Raman line leads from S1/2,-1/2 to state {label!r}")
 
 
+# -- result records and the one writer ---------------------------------------
+
+
+@dataclass
+class Result:
+    """Everything one command produced; `write_result` serializes it.
+
+    ``message`` is the stdout line, with ``{out}`` standing for the output
+    directory. ``tables`` maps CSV file names to (columns, rows),
+    ``summaries`` JSON file names to payloads and ``texts`` text file names
+    to their content. ``plot`` is (SVG file name, curves, x label, y label),
+    drawn only with --plot. ``meta`` holds the keys written next to the
+    config hash, and ``operators`` the Liouvillian that --dump-operators dumps.
+    """
+
+    message: str
+    tables: dict = field(default_factory=dict)
+    summaries: dict = field(default_factory=dict)
+    texts: dict = field(default_factory=dict)
+    plot: tuple | None = None
+    meta: dict = field(default_factory=dict)
+    operators: object = None
+
+
+def write_result(result: Result, cfg, out: Path, plot: bool):
+    """Write every file of ``result`` into ``out`` with one meta, then print its message."""
+    out.mkdir(parents=True, exist_ok=True)
+    meta = {"config_sha256": config_hash(cfg), **result.meta}
+    for name, (columns, rows) in result.tables.items():
+        write_csv(out / name, columns, rows, meta)
+    for name, payload in result.summaries.items():
+        write_json(out / name, payload, meta)
+    for name, text in result.texts.items():
+        (out / name).write_text(text, newline="\n")
+    if plot and result.plot:
+        name, curves, xlabel, ylabel = result.plot
+        write_svg_plot(out / name, curves, xlabel, ylabel, meta=meta)
+    if result.operators is not None:
+        result.operators.dump_operators(out / "operators")
+    print(result.message.replace("{out}", str(out)))
+
+
+def _single_row(name, message, **values):
+    """One value set, written as one JSON object and one CSV row."""
+    return Result(
+        message,
+        tables={f"{name}.csv": (list(values), [tuple(values.values())])},
+        summaries={f"{name}.json": values},
+    )
+
+
 # -- subcommand handlers -----------------------------------------------------
 
+DETUNING = "drive detuning / 2pi [MHz]"
+RATE = "count rate [1/s]"
+# thermal occupations (axial, radial, radial) after Doppler cooling alone
+DOPPLER_NBAR = (10.0, 5.0, 5.0)
 
-def cmd_plan(cfg, out, args):
+
+def cmd_plan(cfg, args):
     setting = raman_setting_from_config(cfg)
-    lines = enumerate_paths(setting)
-    meta = {"config_sha256": config_hash(cfg)}
     rows = [
-        (
-            ln.initial.label,
-            ln.final.label,
-            ln.channel,
-            max(p.alpha for p in ln.paths),
-            max(p.beta for p in ln.paths),
-            ln.amplitude,
-            to_mhz(ln.detuning),
-        )
-        for ln in lines
+        (ln.initial.label, ln.final.label, ln.channel, max(p.alpha for p in ln.paths),
+         max(p.beta for p in ln.paths), ln.amplitude, to_mhz(ln.detuning))
+        for ln in enumerate_paths(setting)
     ]
-    write_csv(
-        out / "plan.csv",
-        ["initial", "final", "channel", "alpha", "beta", "alpha_beta", "detuning_2pi_mhz"],
-        rows,
-        meta,
-    )
     header = f"{'initial':>12} {'final':>12} {'ch':>3} {'alpha':>7} {'beta':>7} {'a*b':>7} {'detuning/2pi [MHz]':>20}"
     table = [header, "-" * len(header)]
     for r in rows:
         table.append(f"{r[0]:>12} {r[1]:>12} {r[2]:>3} {r[3]:7.4f} {r[4]:7.4f} {r[5]:7.4f} {r[6]:20.4f}")
-    pairs = select_optimal_pair(setting)
-    table.append("")
-    table.append("ranked orthogonal-channel pairs (same initial state):")
-    for a, b in pairs[:4]:
+    table += ["", "ranked orthogonal-channel pairs (same initial state):"]
+    for a, b in select_optimal_pair(setting)[:4]:
         table.append(
             f"  {a.initial.label}: {a.final.label}({a.channel}) {a.amplitude:.4f}"
             f"  &  {b.final.label}({b.channel}) {b.amplitude:.4f}"
         )
-    (out / "plan.txt").write_text("\n".join(table) + "\n", newline="\n")
-    print("\n".join(table))
     g0 = max_coupling(geometry_from_config(cfg), gamma_pd_amplitude(setting.atom))
     omega_eff = effective_coupling(1.0, 1.0, setting.drive_rabi, -mhz(400.0), g0)
     gamma_eff = effective_decay(setting.drive_rabi, -mhz(400.0), setting.atom["P3/2"].decay_rate)
-    write_json(
-        out / "plan.json",
-        {
-            "lines": [
-                {
-                    "initial": r[0],
-                    "final": r[1],
-                    "channel": r[2],
-                    "alpha": r[3],
-                    "beta": r[4],
-                    "strength": r[5],
-                    "detuning_2pi_mhz": r[6],
-                }
-                for r in rows
-            ],
+    columns = ["initial", "final", "channel", "alpha", "beta", "alpha_beta", "detuning_2pi_mhz"]
+    keys = columns[:5] + ["strength", "detuning_2pi_mhz"]
+    return Result(
+        "\n".join(table),
+        tables={"plan.csv": (columns, rows)},
+        summaries={"plan.json": {
+            "lines": [dict(zip(keys, r)) for r in rows],
             "effective_coupling_unit_2pi_mhz": to_mhz(omega_eff),
             "effective_decay_2pi_mhz": to_mhz(gamma_eff),
-        },
-        meta,
+        }},
+        texts={"plan.txt": "\n".join(table) + "\n"},
     )
-    return {"lines": rows}
 
 
-def _spectrum_scan(cfg, args, model=None):
+def _spectrum_scan(cfg, args):
     from .experiments import raman_spectrum, spectrum_grid
 
     setting = raman_setting_from_config(cfg)
@@ -435,7 +465,7 @@ def _spectrum_scan(cfg, args, model=None):
         points_per_line=spec_cfg["points_per_line"],
         baseline_points=spec_cfg["baseline_points"],
     )
-    model = model or model_from_config(cfg, drive_detuning=float(grid[0]))
+    model = model_from_config(cfg, drive_detuning=float(grid[0]))
     scan = raman_spectrum(
         model,
         grid,
@@ -447,74 +477,41 @@ def _spectrum_scan(cfg, args, model=None):
     return setting, lines, scan
 
 
-def cmd_spectrum(cfg, out, args):
+def cmd_spectrum(cfg, args):
     from .experiments import annotate_peaks, find_peaks
 
-    setting, lines, scan = _spectrum_scan(cfg, args)
-    meta = {
-        "config_sha256": config_hash(cfg),
-        "n_max": cfg["solver"]["n_max"],
-        "rtol": cfg["solver"]["rtol"],
-    }
-    rows = [
-        (to_mhz(d), rh, rv, int(c), res)
-        for d, rh, rv, c, res in zip(
-            scan.detunings, scan.rates[0], scan.rates[1], scan.converged, scan.residuals
-        )
-    ]
-    write_csv(
-        out / "spectrum.csv",
-        ["detuning_2pi_mhz", "rate_h_hz", "rate_v_hz", "converged", "residual"],
-        rows,
-        meta,
-    )
+    _, lines, scan = _spectrum_scan(cfg, args)
+    det = to_mhz(scan.detunings)
+    rows = [(d, rh, rv, int(c), res) for d, rh, rv, c, res in zip(det, *scan.rates, scan.converged, scan.residuals)]
     peaks = annotate_peaks(find_peaks(scan), lines)
-    write_json(
-        out / "spectrum.json",
-        {
-            "peaks": [
-                {
-                    "detuning_2pi_mhz": to_mhz(p.detuning),
-                    "height_hz": p.height,
-                    "channel": p.channel,
-                    "fwhm_2pi_mhz": to_mhz(p.fwhm) if np.isfinite(p.fwhm) else None,
-                    "label": p.label,
-                }
-                for p in peaks
-            ],
-            "n_peaks": len(peaks),
-        },
-        meta,
-    )
-    if args.plot:
-        write_svg_plot(
-            out / "spectrum.svg",
-            [
-                (to_mhz(scan.detunings), scan.rates[0], "H channel"),
-                (to_mhz(scan.detunings), scan.rates[1], "V channel"),
-            ],
-            "drive detuning / 2pi [MHz]",
-            "count rate [1/s]",
-            meta=meta,
-        )
+    operators = None
     if args.dump_operators:
         from .hilbert import HilbertLayout
         from .lindblad import build_liouvillian
 
         model = model_from_config(cfg, drive_detuning=float(scan.detunings[0]))
-        layout = HilbertLayout(atom=model.atom, n_max=cfg["solver"]["n_max"])
-        build_liouvillian(model, layout).dump_operators(out / "operators")
-    print(f"spectrum: {len(scan.detunings)} points, {len(peaks)} peaks -> {out}")
-    return {"n_peaks": len(peaks)}
+        operators = build_liouvillian(model, HilbertLayout(atom=model.atom, n_max=cfg["solver"]["n_max"]))
+    summary = [
+        {"detuning_2pi_mhz": to_mhz(p.detuning), "height_hz": p.height, "channel": p.channel,
+         "fwhm_2pi_mhz": to_mhz(p.fwhm) if np.isfinite(p.fwhm) else None, "label": p.label}
+        for p in peaks
+    ]
+    return Result(
+        f"spectrum: {len(scan.detunings)} points, {len(peaks)} peaks -> {{out}}",
+        tables={"spectrum.csv": (["detuning_2pi_mhz", "rate_h_hz", "rate_v_hz", "converged", "residual"], rows)},
+        summaries={"spectrum.json": {"peaks": summary, "n_peaks": len(peaks)}},
+        plot=("spectrum.svg", [(det, scan.rates[0], "H channel"), (det, scan.rates[1], "V channel")], DETUNING, RATE),
+        meta={"n_max": cfg["solver"]["n_max"], "rtol": cfg["solver"]["rtol"]},
+        operators=operators,
+    )
 
 
-def cmd_sidebands(cfg, out, args):
-    from .experiments import TrapMotion, raman_spectrum, sideband_overlay
+def _sideband_scan(cfg, args):
+    """Grid around the target line, its motion-free spectrum and the configured trap motion."""
+    from .experiments import TrapMotion, raman_spectrum
 
     sb = cfg["sidebands"]
-    setting = raman_setting_from_config(cfg)
-    lines = enumerate_paths(setting)
-    line = _line_by_label(lines, sb["target_line"])
+    line = _line_by_label(enumerate_paths(raman_setting_from_config(cfg)), sb["target_line"])
     window = mhz(sb["window_2pi_mhz"])
     grid = np.linspace(line.detuning - window, line.detuning + window, sb["points"])
     model = model_from_config(cfg, drive_detuning=float(grid[0]))
@@ -528,231 +525,152 @@ def cmd_sidebands(cfg, out, args):
         micromotion_frequency=mhz(sb["micromotion_freq_mhz"]),
         micromotion_index=sb["micromotion_index"],
     )
+    return grid, base, trap
+
+
+def cmd_sidebands(cfg, args):
+    from .experiments import sideband_overlay
+
+    sb = cfg["sidebands"]
+    grid, base, trap = _sideband_scan(cfg, args)
     if sb["micromotion_index"] != 0.0:
-        out_grid = np.unique(
-            np.concatenate(
-                [grid, grid - trap.micromotion_frequency, grid + trap.micromotion_frequency]
-            )
-        )
-    else:
-        out_grid = grid
-    overlay = sideband_overlay(base, trap, out_detunings=out_grid)
-    meta = {"config_sha256": config_hash(cfg)}
-    write_csv(
-        out / "sidebands.csv",
-        ["detuning_2pi_mhz", "rate_h_hz", "rate_v_hz"],
-        [(to_mhz(d), rh, rv) for d, rh, rv in zip(overlay.detunings, overlay.rates[0], overlay.rates[1])],
-        meta,
-    )
-    write_json(
-        out / "sidebands.json",
-        {
+        grid = np.unique(np.concatenate([grid, grid - trap.micromotion_frequency, grid + trap.micromotion_frequency]))
+    overlay = sideband_overlay(base, trap, out_detunings=grid)
+    det = to_mhz(overlay.detunings)
+    return Result(
+        f"sidebands: {len(overlay.detunings)} points -> {{out}}",
+        tables={"sidebands.csv": (["detuning_2pi_mhz", "rate_h_hz", "rate_v_hz"], list(zip(det, *overlay.rates)))},
+        summaries={"sidebands.json": {
             "target_line": sb["target_line"],
             "nbar": sb["nbar"],
-            "lamb_dicke": [sb["eta_axial"], sb["eta_radial"], sb["eta_radial"]],
+            "lamb_dicke": list(trap.lamb_dicke),
             "micromotion_index": sb["micromotion_index"],
             "n_points": int(len(overlay.detunings)),
-        },
-        meta,
+        }},
+        plot=("sidebands.svg", [(det, overlay.rates[0], "H"), (det, overlay.rates[1], "V")], DETUNING, RATE),
     )
-    if args.plot:
-        write_svg_plot(
-            out / "sidebands.svg",
-            [
-                (to_mhz(overlay.detunings), overlay.rates[0], "H"),
-                (to_mhz(overlay.detunings), overlay.rates[1], "V"),
-            ],
-            "drive detuning / 2pi [MHz]",
-            "count rate [1/s]",
-            meta=meta,
-        )
-    print(f"sidebands: {len(overlay.detunings)} points -> {out}")
-    return {}
 
 
-def _pulse_for_line(cfg, label, rabi_mhz_value, duration, bin_width, rtol, max_steps=20_000_000):
+def cmd_cooling_comparison(cfg, args):
+    """Fig. 6a: the target line's H spectrum after Doppler and after sideband cooling."""
+    from .experiments import sideband_overlay
+
+    _, base, trap = _sideband_scan(cfg, args)
+    doppler = sideband_overlay(base, replace(trap, nbar=DOPPLER_NBAR))
+    cooled = sideband_overlay(base, trap)
+    det = to_mhz(doppler.detunings)
+    return Result(
+        "cooling comparison -> {out}",
+        tables={"cooling_comparison.csv": (
+            ["detuning_2pi_mhz", "doppler_h_hz", "cooled_h_hz"], list(zip(det, doppler.rates[0], cooled.rates[0]))
+        )},
+        plot=("cooling_comparison.svg", [(det, doppler.rates[0], "Doppler cooled"),
+                                         (det, cooled.rates[0], "sideband cooled")], DETUNING, RATE),
+    )
+
+
+def _pulse(cfg, label, rabi, duration, bin_width, detuning_offset=0.0):
+    """Photon pulse driven by sigma-minus light on the line from S1/2,-1/2 to ``label``.
+
+    ``rabi`` and ``detuning_offset`` (from the line) are in 2pi x MHz; the
+    tolerance and step budget come from ``cfg["solver"]``. Returns (line, shape).
+    """
     from .experiments import photon_pulse
 
-    setting = raman_setting_from_config(
-        cfg, rabi_override=rabi_mhz_value, polarization=beam_b_polarization
-    )
+    setting = raman_setting_from_config(cfg, rabi_override=rabi, polarization=beam_b_polarization)
     line = _line_by_label(enumerate_paths(setting), label)
-    channel = line.channel
-    model = model_from_config(
-        cfg,
-        drive_detuning=line.detuning,
-        drive_rabi=rabi_mhz_value,
-        polarization=beam_b_polarization,
-        repumps=False,
-    )
-    shape = photon_pulse(
-        model, duration, bin_width=bin_width, designated_channel=channel, rtol=rtol,
-        max_steps=max_steps,
-    )
+    model = model_from_config(cfg, drive_detuning=line.detuning + mhz(detuning_offset), drive_rabi=rabi,
+                              polarization=beam_b_polarization, repumps=False)
+    shape = photon_pulse(model, duration, bin_width=bin_width, designated_channel=line.channel,
+                         rtol=cfg["solver"]["rtol"], max_steps=cfg["solver"]["max_steps"])
     return line, shape
 
 
-def cmd_pulse(cfg, out, args):
+def _pulse_table(shape):
+    return ["time_us", "prob_h", "prob_v"], list(zip(shape.bin_centers * 1e6, *shape.probabilities))
+
+
+def cmd_pulse(cfg, args):
     p = cfg["pulse"]
-    line, shape = _pulse_for_line(
-        cfg,
-        p["target_line"],
-        p["rabi_2pi_mhz"],
-        p["duration_us"] * 1e-6,
-        p["bin_ns"] * 1e-9,
-        cfg["solver"]["rtol"],
-        max_steps=cfg["solver"]["max_steps"],
-    )
-    meta = {
-        "config_sha256": config_hash(cfg),
-        "rtol": cfg["solver"]["rtol"],
-        "bin_ns": p["bin_ns"],
-    }
-    write_csv(
-        out / "pulse.csv",
-        ["time_us", "prob_h", "prob_v"],
-        [
-            (t * 1e6, ph, pv)
-            for t, ph, pv in zip(shape.bin_centers, shape.probabilities[0], shape.probabilities[1])
-        ],
-        meta,
-    )
-    write_json(
-        out / "pulse.json",
-        {
+    line, shape = _pulse(cfg, p["target_line"], p["rabi_2pi_mhz"], p["duration_us"] * 1e-6, p["bin_ns"] * 1e-9)
+    t_us = shape.bin_centers * 1e6
+    return Result(
+        f"pulse: total efficiency {shape.total_efficiency*100:.2f}%, "
+        f"leak {shape.leak_fraction*100:.2f}% -> {{out}}",
+        tables={"pulse.csv": _pulse_table(shape)},
+        summaries={"pulse.json": {
             "target_line": p["target_line"],
             "designated_channel": shape.designated_channel,
             "total_efficiency": shape.total_efficiency,
             "leak_fraction": shape.leak_fraction,
             "detuning_2pi_mhz": to_mhz(line.detuning),
-        },
-        meta,
+        }},
+        plot=("pulse.svg", [(t_us, shape.probabilities[0], "H"), (t_us, shape.probabilities[1], "V")],
+              "time [us]", "detection probability per bin"),
+        meta={"rtol": cfg["solver"]["rtol"], "bin_ns": p["bin_ns"]},
     )
-    if args.plot:
-        write_svg_plot(
-            out / "pulse.svg",
-            [
-                (shape.bin_centers * 1e6, shape.probabilities[0], "H"),
-                (shape.bin_centers * 1e6, shape.probabilities[1], "V"),
-            ],
-            "time [us]",
-            "detection probability per bin",
-            meta=meta,
-        )
-    print(
-        f"pulse: total efficiency {shape.total_efficiency*100:.2f}%, "
-        f"leak {shape.leak_fraction*100:.2f}% -> {out}"
-    )
-    return {"total_efficiency": shape.total_efficiency}
 
 
-def cmd_overlap(cfg, out, args):
+def cmd_both_pulses(cfg, args):
+    """Fig. 8: the H pulse on D5/2,-5/2 and the V pulse on D5/2,-3/2."""
+    p = cfg["pulse"]
+    tables, results, curves = {}, {}, []
+    for label in ("D5/2,-5/2", "D5/2,-3/2"):
+        _, shape = _pulse(cfg, label, p["rabi_2pi_mhz"], p["duration_us"] * 1e-6, p["bin_ns"] * 1e-9)
+        tables[f"pulse_{label.replace('/', '').replace(',', '_')}.csv"] = _pulse_table(shape)
+        results[label] = {
+            "channel": shape.designated_channel,
+            "total_efficiency": shape.total_efficiency,
+            "leak_fraction": shape.leak_fraction,
+        }
+        idx = 0 if shape.designated_channel == "H" else 1
+        curves.append((shape.bin_centers * 1e6, shape.probabilities[idx], label))
+    return Result("pulse shapes -> {out}", tables=tables, summaries={"pulse.json": results},
+                  plot=("pulse.svg", curves, "time [us]", "detection probability per bin"))
+
+
+def cmd_overlap(cfg, args):
     from .experiments import pulse_overlap
 
     o = cfg["overlap"]
-    duration = o["duration_us"] * 1e-6
-    bin_width = o["bin_ns"] * 1e-9
-    rtol = cfg["solver"]["rtol"]
-    meta = {"config_sha256": config_hash(cfg)}
-    _, ref = _pulse_for_line(cfg, "D5/2,-5/2", o["rabi_2pi_mhz"], duration, bin_width, rtol)
+    duration, bin_width = o["duration_us"] * 1e-6, o["bin_ns"] * 1e-9
+    _, ref = _pulse(cfg, "D5/2,-5/2", o["rabi_2pi_mhz"], duration, bin_width)
     rows = []
-    best = None
     for scale in o["rabi_scale_grid"]:
         for doff in o["detuning_offset_2pi_mhz"]:
-            setting = raman_setting_from_config(
-                cfg, rabi_override=o["rabi_2pi_mhz"] * scale, polarization=beam_b_polarization
-            )
-            line = _line_by_label(enumerate_paths(setting), "D5/2,-3/2")
-            from .experiments import photon_pulse
-
-            model = model_from_config(
-                cfg,
-                drive_detuning=line.detuning + mhz(doff),
-                drive_rabi=o["rabi_2pi_mhz"] * scale,
-                polarization=beam_b_polarization,
-                repumps=False,
-            )
-            shape = photon_pulse(model, duration, bin_width=bin_width, designated_channel="V", rtol=rtol)
-            value = pulse_overlap(ref, shape)
-            rows.append((scale, doff, value, shape.total_efficiency))
-            if best is None or value > best[2]:
-                best = rows[-1]
-    write_csv(
-        out / "overlap.csv",
-        ["rabi_scale", "detuning_offset_2pi_mhz", "overlap", "total_efficiency"],
-        rows,
-        meta,
+            _, shape = _pulse(cfg, "D5/2,-3/2", o["rabi_2pi_mhz"] * scale, duration, bin_width, doff)
+            rows.append((scale, doff, pulse_overlap(ref, shape), shape.total_efficiency))
+    best = max(rows, key=lambda row: row[2])
+    return Result(
+        f"overlap: best {best[2]:.4f} at scale {best[0]}, offset {best[1]} MHz -> {{out}}",
+        tables={"overlap.csv": (["rabi_scale", "detuning_offset_2pi_mhz", "overlap", "total_efficiency"], rows)},
+        summaries={"overlap.json": {
+            "best": {"rabi_scale": best[0], "detuning_offset_2pi_mhz": best[1], "overlap": best[2]}
+        }},
     )
-    write_json(
-        out / "overlap.json",
-        {"best": {"rabi_scale": best[0], "detuning_offset_2pi_mhz": best[1], "overlap": best[2]}},
-        meta,
-    )
-    print(f"overlap: best {best[2]:.4f} at scale {best[0]}, offset {best[1]} MHz -> {out}")
-    return {"best_overlap": best[2]}
 
 
-def cmd_entangle(cfg, out, args):
-    from .experiments import entangle_bichromatic
-
-    e = cfg["entangle"]
-    report = entangle_bichromatic(
-        rabi_tone1=mhz(e["rabi_2pi_mhz"]),
-        duration=e["duration_us"] * 1e-6,
-        relative_phase=e["relative_phase_rad"],
+def _two_tone_options(cfg, section):
+    """Keyword options of the two-tone driver from ``cfg[section]``."""
+    s = cfg[section]
+    return dict(
+        rabi_tone1=mhz(s["rabi_2pi_mhz"]),
+        duration=s["duration_us"] * 1e-6,
         b_gauss=cfg["b_field"]["gauss"],
         delta_cav=mhz(cfg["cavity"]["detuning_2pi_mhz"]),
         rtol=cfg["solver"]["rtol"],
-        t_points=e["t_points"],
-        calibrate=e["calibrate"],
-        check_overlap=e["check_overlap"],
+        t_points=s["t_points"],
+        calibrate=s["calibrate"],
     )
-    _write_joint_report(report, cfg, out, "entangle")
-    print(
-        f"entangle: emission {report.emission_probability:.3f}, "
-        f"fidelity(max) {report.fidelity_max:.4f} -> {out}"
-    )
-    return {"fidelity_max": report.fidelity_max}
 
 
-def cmd_map(cfg, out, args):
-    from .experiments import map_state
-
-    m = cfg["map"]
-    report = map_state(
-        m["alpha_rad"],
-        m["phi_rad"],
-        rabi_tone1=mhz(m["rabi_2pi_mhz"]),
-        duration=m["duration_us"] * 1e-6,
-        b_gauss=cfg["b_field"]["gauss"],
-        delta_cav=mhz(cfg["cavity"]["detuning_2pi_mhz"]),
-        rtol=cfg["solver"]["rtol"],
-        t_points=m["t_points"],
-        calibrate=m["calibrate"],
-    )
-    _write_joint_report(report, cfg, out, "map")
-    print(
-        f"map: emission {report.emission_probability:.3f}, fidelity {report.fidelity:.4f} -> {out}"
-    )
-    return {"fidelity": report.fidelity}
-
-
-def _write_joint_report(report, cfg, out, name):
-    meta = {"config_sha256": config_hash(cfg)}
-    n = report.joint.shape[0]
-    write_csv(
-        out / f"{name}_state.csv",
-        ["row", "col", "re", "im"],
-        [
-            (i, j, report.joint[i, j].real, report.joint[i, j].imag)
-            for i in range(n)
-            for j in range(n)
-        ],
-        meta,
-    )
-    write_json(
-        out / f"{name}.json",
-        {
+def _joint_result(report, name, message):
+    joint = report.joint
+    rows = [(i, j, joint[i, j].real, joint[i, j].imag) for i in range(joint.shape[0]) for j in range(joint.shape[1])]
+    return Result(
+        message,
+        tables={f"{name}_state.csv": (["row", "col", "re", "im"], rows)},
+        summaries={f"{name}.json": {
             "basis": list(report.basis),
             "emission_probability": report.emission_probability,
             "channel_probabilities": report.channel_probabilities,
@@ -762,163 +680,122 @@ def _write_joint_report(report, cfg, out, name):
             "target_phase_rad": report.target_phase,
             "calibration": report.calibration,
             "warnings": report.warnings,
-        },
-        meta,
+        }},
     )
 
 
-def cmd_rabi(cfg, out, args):
+def cmd_entangle(cfg, args):
+    from .experiments import entangle_bichromatic
+
+    e = cfg["entangle"]
+    report = entangle_bichromatic(relative_phase=e["relative_phase_rad"], check_overlap=e["check_overlap"],
+                                  **_two_tone_options(cfg, "entangle"))
+    return _joint_result(
+        report, "entangle",
+        f"entangle: emission {report.emission_probability:.3f}, fidelity(max) {report.fidelity_max:.4f} -> {{out}}",
+    )
+
+
+def cmd_map(cfg, args):
+    from .experiments import map_state
+
+    m = cfg["map"]
+    report = map_state(m["alpha_rad"], m["phi_rad"], **_two_tone_options(cfg, "map"))
+    return _joint_result(
+        report, "map", f"map: emission {report.emission_probability:.3f}, fidelity {report.fidelity:.4f} -> {{out}}"
+    )
+
+
+def _rabi_grid(cfg):
+    """Carrier Rabi frequency [rad/s] and the pulse-length grid [s]."""
+    r = cfg["rabi"]
+    return TWO_PI * r["rabi_2pi_khz"] * 1e3, np.linspace(0.0, r["t_max_us"] * 1e-6, r["points"])
+
+
+def cmd_rabi(cfg, args):
     from .experiments import thermal_rabi
 
     r = cfg["rabi"]
-    rabi0 = TWO_PI * r["rabi_2pi_khz"] * 1e3
-    t = np.linspace(0.0, r["t_max_us"] * 1e-6, r["points"])
+    rabi0, t = _rabi_grid(cfg)
     prob = thermal_rabi(rabi0, r["eta"], r["nbar"], t)
-    meta = {"config_sha256": config_hash(cfg)}
-    write_csv(out / "rabi.csv", ["time_us", "excitation"], list(zip(t * 1e6, prob)), meta)
-    write_json(
-        out / "rabi.json",
-        {"rabi_2pi_khz": r["rabi_2pi_khz"], "eta": r["eta"], "nbar": r["nbar"],
-         "max_excitation": float(np.max(prob))},
-        meta,
+    return Result(
+        f"rabi: {len(t)} points -> {{out}}",
+        tables={"rabi.csv": (["time_us", "excitation"], list(zip(t * 1e6, prob)))},
+        summaries={"rabi.json": {"rabi_2pi_khz": r["rabi_2pi_khz"], "eta": r["eta"], "nbar": r["nbar"],
+                                 "max_excitation": float(np.max(prob))}},
+        plot=("rabi.svg", [(t * 1e6, prob, "")], "pulse length [us]", "D excitation"),
     )
-    if args.plot:
-        write_svg_plot(
-            out / "rabi.svg", [(t * 1e6, prob, "")], "pulse length [us]", "D excitation", meta=meta
-        )
-    print(f"rabi: {len(t)} points -> {out}")
-    return {}
 
 
-def cmd_ramsey(cfg, out, args):
+def cmd_rabi_pair(cfg, args):
+    """Fig. 9: carrier Rabi flops after Doppler and after sideband cooling."""
+    from .experiments import thermal_rabi
+
+    r = cfg["rabi"]
+    rabi0, t = _rabi_grid(cfg)
+    doppler = thermal_rabi(rabi0, r["eta"], DOPPLER_NBAR, t)
+    cooled = thermal_rabi(rabi0, r["eta"], tuple(r["nbar"]), t)
+    return Result(
+        "rabi pair -> {out}",
+        tables={"rabi.csv": (["time_us", "doppler", "sideband_cooled"], list(zip(t * 1e6, doppler, cooled)))},
+        plot=("rabi.svg", [(t * 1e6, doppler, "Doppler"), (t * 1e6, cooled, "sideband cooled")],
+              "pulse length [us]", "D excitation"),
+    )
+
+
+def cmd_ramsey(cfg, args):
     from .experiments import ramsey_coherence, ramsey_fringe
 
     r = cfg["ramsey"]
     rng = np.random.default_rng(args.seed)
     t_wait = np.asarray(r["t_wait_us"], dtype=float) * 1e-6
     phases = np.linspace(0.0, 2 * math.pi, r["n_phases"], endpoint=False)
-    result = ramsey_coherence(
-        t_wait, phases, r["tau_us"] * 1e-6, r["amplitude0"], noise=r["noise"], rng=rng
-    )
-    meta = {"config_sha256": config_hash(cfg)}
-    write_csv(
-        out / "ramsey_amplitudes.csv",
-        ["t_wait_us", "amplitude"],
-        list(zip(t_wait * 1e6, result.amplitudes)),
-        meta,
-    )
+    result = ramsey_coherence(t_wait, phases, r["tau_us"] * 1e-6, r["amplitude0"], noise=r["noise"], rng=rng)
     fringe = ramsey_fringe(phases, 50e-6, r["amplitude0"], r["tau_us"] * 1e-6)
-    write_csv(
-        out / "ramsey_fringe_50us.csv", ["phase_rad", "excitation"], list(zip(phases, fringe)), meta
-    )
-    write_json(
-        out / "ramsey.json",
-        {
+    return Result(
+        f"ramsey: tau = {result.coherence_time*1e6:.1f} us, A0 = {result.amplitude0:.3f} -> {{out}}",
+        tables={
+            "ramsey_amplitudes.csv": (["t_wait_us", "amplitude"], list(zip(t_wait * 1e6, result.amplitudes))),
+            "ramsey_fringe_50us.csv": (["phase_rad", "excitation"], list(zip(phases, fringe))),
+        },
+        summaries={"ramsey.json": {
             "amplitude0": result.amplitude0,
             "coherence_time_us": result.coherence_time * 1e6,
             "stderr": result.stderr,
             "gaussian_cost": result.gaussian_cost,
             "exponential_params": result.exponential_params,
             "exponential_cost": result.exponential_cost,
-        },
-        meta,
+        }},
+        plot=("ramsey.svg", [(t_wait * 1e6, result.amplitudes, "fringe amplitude")],
+              "waiting time [us]", "amplitude"),
     )
-    if args.plot:
-        write_svg_plot(
-            out / "ramsey.svg",
-            [(t_wait * 1e6, result.amplitudes, "fringe amplitude")],
-            "waiting time [us]",
-            "amplitude",
-            meta=meta,
-        )
-    print(
-        f"ramsey: tau = {result.coherence_time*1e6:.1f} us, A0 = {result.amplitude0:.3f} -> {out}"
-    )
-    return {"coherence_time_us": result.coherence_time * 1e6}
 
 
-def cmd_localize(cfg, out, args):
-    meta = {"config_sha256": config_hash(cfg)}
-    action = args.action
-    loc = cfg["localize"]
-    if action == "visibility":
-        v = loc["visibility"]["value"]
-        lam = loc["visibility"]["wavelength_nm"] * 1e-9
-        sigma = localization.visibility_to_sigma(v, lam)
-        write_json(
-            out / "visibility.json",
-            {"visibility": v, "wavelength_nm": lam * 1e9, "sigma_z_nm": sigma * 1e9},
-            meta,
-        )
-        write_csv(
-            out / "visibility.csv",
-            ["visibility", "wavelength_nm", "sigma_z_nm"],
-            [(v, lam * 1e9, sigma * 1e9)],
-            meta,
-        )
-        print(f"visibility {v} -> sigma_z = {sigma*1e9:.2f} nm")
-        return {"sigma_z_nm": sigma * 1e9}
-    if action == "coupling":
-        sx = loc["coupling"]["sigma_x_um"] * 1e-6
-        w0 = loc["coupling"]["waist_um"]
-        waist = w0 * 1e-6 if w0 is not None else mode_waist(geometry_from_config(cfg))
-        factor = localization.coupling_reduction(sx, waist)
-        write_json(
-            out / "coupling.json",
-            {"sigma_x_um": sx * 1e6, "waist_um": waist * 1e6, "g_obs_over_g0": factor},
-            meta,
-        )
-        write_csv(
-            out / "coupling.csv",
-            ["sigma_x_um", "waist_um", "g_obs_over_g0"],
-            [(sx * 1e6, waist * 1e6, factor)],
-            meta,
-        )
-        print(f"coupling reduction g_obs/g0 = {factor:.4f}")
-        return {"g_obs_over_g0": factor}
-    if action == "scan":
-        return _localize_axial_scan(cfg, out, args)
-    # fit
-    f = loc["fit"]
+def cmd_localize_fit(cfg, args):
+    """Fit the transverse waist scan: the configured CSV, or a synthetic one."""
+    f = cfg["localize"]["fit"]
     lam = f["wavelength_nm"] * 1e-9
     theta = math.radians(f["theta_deg"])
     waist = f["waist_um"] * 1e-6
+    tables = {}
     if f["csv"]:
         data = localization.ScanDataset.from_csv(f["csv"])
     else:
         rng = np.random.default_rng(args.seed)
         x = np.linspace(-f["span_um"] / 2, f["span_um"] / 2, f["points"]) * 1e-6
         truth = localization.waist_scan_model(
-            [f["sigma_x_um"] * 1e-6, f["sigma_z_nm"] * 1e-9, 1000.0, 0.0, 30.0],
-            x,
-            lam,
-            waist,
-            theta,
+            [f["sigma_x_um"] * 1e-6, f["sigma_z_nm"] * 1e-9, 1000.0, 0.0, 30.0], x, lam, waist, theta
         )
         counts = truth * (1 + f["noise"] * rng.standard_normal(len(x))) if f["noise"] else truth
         data = localization.ScanDataset(position=x, counts=counts)
-        write_csv(
-            out / "localize_scan.csv",
-            ["position_um", "counts"],
-            list(zip(x * 1e6, counts)),
-            meta,
-        )
+        tables["localize_scan.csv"] = (["position_um", "counts"], list(zip(x * 1e6, counts)))
     result = localization.fit_waist_scan(data, lam, theta, waist)
-    if args.plot:
-        fitted = localization.waist_scan_model(result.params, data.position, lam, waist, theta)
-        write_svg_plot(
-            out / "localize_fit.svg",
-            [
-                (data.position * 1e6, data.counts, "data"),
-                (data.position * 1e6, fitted, "fit"),
-            ],
-            "position [um]",
-            "counts",
-            meta=meta,
-        )
-    write_json(
-        out / "localize_fit.json",
-        {
+    fitted = localization.waist_scan_model(result.params, data.position, lam, waist, theta)
+    x_um = data.position * 1e6
+    return Result(
+        f"fit: sigma_x = {result.params[0]*1e6:.3f} um, sigma_z = {result.params[1]*1e9:.2f} nm",
+        tables=tables,
+        summaries={"localize_fit.json": {
             "sigma_x_um": result.params[0] * 1e6,
             "sigma_z_nm": result.params[1] * 1e9,
             "amplitude": result.params[2],
@@ -927,30 +804,87 @@ def cmd_localize(cfg, out, args):
             "stderr": result.stderr,
             "cost": result.cost,
             "n_iterations": result.n_iterations,
-        },
-        meta,
+        }},
+        plot=("localize_fit.svg", [(x_um, data.counts, "data"), (x_um, fitted, "fit")], "position [um]", "counts"),
     )
-    print(
-        f"fit: sigma_x = {result.params[0]*1e6:.3f} um, sigma_z = {result.params[1]*1e9:.2f} nm"
-    )
-    return {"sigma_x_um": result.params[0] * 1e6}
 
 
-def cmd_cavity(cfg, out, args):
+def cmd_localize_visibility(cfg, args):
+    v = cfg["localize"]["visibility"]["value"]
+    lam = cfg["localize"]["visibility"]["wavelength_nm"] * 1e-9
+    sigma = localization.visibility_to_sigma(v, lam)
+    return _single_row("visibility", f"visibility {v} -> sigma_z = {sigma*1e9:.2f} nm",
+                       visibility=v, wavelength_nm=lam * 1e9, sigma_z_nm=sigma * 1e9)
+
+
+def cmd_localize_coupling(cfg, args):
+    c = cfg["localize"]["coupling"]
+    sx = c["sigma_x_um"] * 1e-6
+    waist = c["waist_um"] * 1e-6 if c["waist_um"] is not None else mode_waist(geometry_from_config(cfg))
+    factor = localization.coupling_reduction(sx, waist)
+    return _single_row("coupling", f"coupling reduction g_obs/g0 = {factor:.4f}",
+                       sigma_x_um=sx * 1e6, waist_um=waist * 1e6, g_obs_over_g0=factor)
+
+
+def cmd_localize_scan(cfg, args):
+    """Count rate across one standing-wave period of the cavity mode."""
+    sc = cfg["localize"]["scan"]
+    lam = sc["wavelength_nm"] * 1e-9
+    z = np.linspace(0.0, lam, sc["points"])
+    rate = localization.axial_scan_rate(z, sc["amplitude_hz"], sc["visibility"], lam, background=sc["background_hz"])
+    sigma = localization.visibility_to_sigma(sc["visibility"], lam)
+    return Result(
+        f"axial scan: visibility {sc['visibility']} -> sigma_z {sigma*1e9:.1f} nm",
+        tables={"axial_scan.csv": (["position_nm", "rate_hz"], list(zip(z * 1e9, rate)))},
+        summaries={"axial_scan.json": {"visibility": sc["visibility"], "sigma_z_nm": sigma * 1e9}},
+        plot=("axial_scan.svg", [(z * 1e9, rate, "")], "standing-wave position [nm]", "rate [1/s]"),
+    )
+
+
+def cmd_cavity_waist(cfg, args):
     geom = geometry_from_config(cfg)
-    meta = {"config_sha256": config_hash(cfg)}
+    w0 = mode_waist(geom)
+    return _single_row("waist", f"mode waist = {w0*1e6:.4f} um",
+                       waist_um=w0 * 1e6, rayleigh_um=geom.rayleigh_range * 1e6)
+
+
+def cmd_cavity_g0(cfg, args):
     atom = load_atom(cfg["atom"]["overrides"] or None)
-    if args.action == "waist":
-        w0 = mode_waist(geom)
-        write_json(out / "waist.json", {"waist_um": w0 * 1e6, "rayleigh_um": geom.rayleigh_range * 1e6}, meta)
-        write_csv(out / "waist.csv", ["waist_um", "rayleigh_um"], [(w0 * 1e6, geom.rayleigh_range * 1e6)], meta)
-        print(f"mode waist = {w0*1e6:.4f} um")
-        return {"waist_um": w0 * 1e6}
-    g0 = max_coupling(geom, gamma_pd_amplitude(atom))
-    write_json(out / "g0.json", {"g0_2pi_mhz": to_mhz(g0)}, meta)
-    write_csv(out / "g0.csv", ["g0_2pi_mhz"], [(to_mhz(g0),)], meta)
-    print(f"g0 = 2pi x {to_mhz(g0):.4f} MHz")
-    return {"g0_2pi_mhz": to_mhz(g0)}
+    g0 = to_mhz(max_coupling(geometry_from_config(cfg), gamma_pd_amplitude(atom)))
+    return _single_row("g0", f"g0 = 2pi x {g0:.4f} MHz", g0_2pi_mhz=g0)
+
+
+# (command, action) -> handler; the action is None for commands without one
+COMMANDS = {
+    ("plan", None): cmd_plan,
+    ("spectrum", None): cmd_spectrum,
+    ("sidebands", None): cmd_sidebands,
+    ("pulse", None): cmd_pulse,
+    ("overlap", None): cmd_overlap,
+    ("entangle", None): cmd_entangle,
+    ("map", None): cmd_map,
+    ("rabi", None): cmd_rabi,
+    ("ramsey", None): cmd_ramsey,
+    ("localize", "fit"): cmd_localize_fit,
+    ("localize", "visibility"): cmd_localize_visibility,
+    ("localize", "coupling"): cmd_localize_coupling,
+    ("localize", "scan"): cmd_localize_scan,
+    ("cavity", "waist"): cmd_cavity_waist,
+    ("cavity", "g0"): cmd_cavity_g0,
+}
+
+# figure id -> handler, run on the bundled configs/<figure>.json
+REPRODUCE_COMMAND = {
+    "fig3a": cmd_localize_scan,
+    "fig3b": cmd_localize_fit,
+    "fig4": cmd_spectrum,
+    "fig5": cmd_spectrum,
+    "fig6a": cmd_cooling_comparison,
+    "fig6b": cmd_sidebands,
+    "fig8": cmd_both_pulses,
+    "fig9": cmd_rabi_pair,
+    "fig10": cmd_ramsey,
+}
 
 
 def _bundled_config(figure):
@@ -958,192 +892,6 @@ def _bundled_config(figure):
     if not path.is_file():
         raise ConfigError(f"unknown figure id {figure!r}")
     return json.loads(path.read_text())
-
-
-REPRODUCE_COMMAND = {
-    "fig3a": ("localize", "scan"),
-    "fig3b": ("localize", "fit"),
-    "fig4": ("spectrum", None),
-    "fig5": ("spectrum", None),
-    "fig6a": ("sidebands", None),
-    "fig6b": ("sidebands", None),
-    "fig8": ("pulse", None),
-    "fig9": ("rabi", None),
-    "fig10": ("ramsey", None),
-}
-
-
-def cmd_reproduce(args):
-    figure = args.figure
-    if figure not in REPRODUCE_COMMAND:
-        raise ConfigError(
-            f"unknown figure id {figure!r}",
-            problems=[f"choose one of {sorted(REPRODUCE_COMMAND)}"],
-        )
-    cfg = merge_config(_bundled_config(figure))
-    out = Path(args.out) / figure
-    out.mkdir(parents=True, exist_ok=True)
-    command, action = REPRODUCE_COMMAND[figure]
-    if figure == "fig6a":
-        return _reproduce_cooling_comparison(cfg, out, args)
-    if figure == "fig8":
-        return _reproduce_both_pulses(cfg, out, args)
-    if figure == "fig9":
-        return _reproduce_rabi_pair(cfg, out, args)
-    handler = COMMANDS[command]
-    if action:
-        args.action = action
-    return handler(cfg, out, args)
-
-
-def _localize_axial_scan(cfg, out, args):
-    """Count rate across one standing-wave period of the cavity mode."""
-    sc = cfg["localize"]["scan"]
-    lam = sc["wavelength_nm"] * 1e-9
-    z = np.linspace(0.0, lam, sc["points"])
-    rate = localization.axial_scan_rate(
-        z, sc["amplitude_hz"], sc["visibility"], lam, background=sc["background_hz"]
-    )
-    meta = {"config_sha256": config_hash(cfg)}
-    write_csv(out / "axial_scan.csv", ["position_nm", "rate_hz"], list(zip(z * 1e9, rate)), meta)
-    sigma = localization.visibility_to_sigma(sc["visibility"], lam)
-    write_json(
-        out / "axial_scan.json",
-        {"visibility": sc["visibility"], "sigma_z_nm": sigma * 1e9},
-        meta,
-    )
-    if args.plot:
-        write_svg_plot(
-            out / "axial_scan.svg", [(z * 1e9, rate, "")], "standing-wave position [nm]", "rate [1/s]", meta=meta
-        )
-    print(f"axial scan: visibility {sc['visibility']} -> sigma_z {sigma*1e9:.1f} nm")
-    return {}
-
-
-def _reproduce_cooling_comparison(cfg, out, args):
-    from .experiments import TrapMotion, raman_spectrum, sideband_overlay
-
-    sb = cfg["sidebands"]
-    setting = raman_setting_from_config(cfg)
-    lines = enumerate_paths(setting)
-    line = _line_by_label(lines, sb["target_line"])
-    window = mhz(sb["window_2pi_mhz"])
-    grid = np.linspace(line.detuning - window, line.detuning + window, sb["points"])
-    model = model_from_config(cfg, drive_detuning=float(grid[0]))
-    base = raman_spectrum(model, grid, n_max=cfg["solver"]["n_max"], jobs=args.jobs,
-                          check_unique_first=cfg["solver"]["check_unique"])
-    nu_r = sb["nu_radial_2pi_mhz"]
-    common = dict(
-        frequencies=(mhz(sb["nu_axial_2pi_mhz"]), mhz(nu_r[0]), mhz(nu_r[1])),
-        lamb_dicke=(sb["eta_axial"], sb["eta_radial"], sb["eta_radial"]),
-        micromotion_frequency=mhz(sb["micromotion_freq_mhz"]),
-        micromotion_index=sb["micromotion_index"],
-    )
-    doppler = sideband_overlay(base, TrapMotion(nbar=(10.0, 5.0, 5.0), **common))
-    cooled = sideband_overlay(base, TrapMotion(nbar=tuple(sb["nbar"]), **common))
-    meta = {"config_sha256": config_hash(cfg)}
-    write_csv(
-        out / "cooling_comparison.csv",
-        ["detuning_2pi_mhz", "doppler_h_hz", "cooled_h_hz"],
-        [
-            (to_mhz(d), rd, rc)
-            for d, rd, rc in zip(doppler.detunings, doppler.rates[0], cooled.rates[0])
-        ],
-        meta,
-    )
-    if args.plot:
-        write_svg_plot(
-            out / "cooling_comparison.svg",
-            [
-                (to_mhz(doppler.detunings), doppler.rates[0], "Doppler cooled"),
-                (to_mhz(cooled.detunings), cooled.rates[0], "sideband cooled"),
-            ],
-            "drive detuning / 2pi [MHz]",
-            "count rate [1/s]",
-            meta=meta,
-        )
-    print(f"cooling comparison -> {out}")
-    return {}
-
-
-def _reproduce_both_pulses(cfg, out, args):
-    p = cfg["pulse"]
-    meta = {"config_sha256": config_hash(cfg)}
-    results = {}
-    curves = []
-    for label in ("D5/2,-5/2", "D5/2,-3/2"):
-        line, shape = _pulse_for_line(
-            cfg, label, p["rabi_2pi_mhz"], p["duration_us"] * 1e-6, p["bin_ns"] * 1e-9,
-            cfg["solver"]["rtol"],
-        )
-        tag = label.replace("/", "").replace(",", "_")
-        write_csv(
-            out / f"pulse_{tag}.csv",
-            ["time_us", "prob_h", "prob_v"],
-            [
-                (t * 1e6, ph, pv)
-                for t, ph, pv in zip(
-                    shape.bin_centers, shape.probabilities[0], shape.probabilities[1]
-                )
-            ],
-            meta,
-        )
-        results[label] = {
-            "channel": shape.designated_channel,
-            "total_efficiency": shape.total_efficiency,
-            "leak_fraction": shape.leak_fraction,
-        }
-        idx = 0 if shape.designated_channel == "H" else 1
-        curves.append((shape.bin_centers * 1e6, shape.probabilities[idx], label))
-    write_json(out / "pulse.json", results, meta)
-    if args.plot:
-        write_svg_plot(
-            out / "pulse.svg", curves, "time [us]", "detection probability per bin", meta=meta
-        )
-    print(f"pulse shapes -> {out}")
-    return results
-
-
-def _reproduce_rabi_pair(cfg, out, args):
-    from .experiments import thermal_rabi
-
-    r = cfg["rabi"]
-    rabi0 = TWO_PI * r["rabi_2pi_khz"] * 1e3
-    t = np.linspace(0.0, r["t_max_us"] * 1e-6, r["points"])
-    doppler = thermal_rabi(rabi0, r["eta"], (10.0, 5.0, 5.0), t)
-    cooled = thermal_rabi(rabi0, r["eta"], tuple(r["nbar"]), t)
-    meta = {"config_sha256": config_hash(cfg)}
-    write_csv(
-        out / "rabi.csv",
-        ["time_us", "doppler", "sideband_cooled"],
-        list(zip(t * 1e6, doppler, cooled)),
-        meta,
-    )
-    if args.plot:
-        write_svg_plot(
-            out / "rabi.svg",
-            [(t * 1e6, doppler, "Doppler"), (t * 1e6, cooled, "sideband cooled")],
-            "pulse length [us]",
-            "D excitation",
-            meta=meta,
-        )
-    print(f"rabi pair -> {out}")
-    return {}
-
-
-COMMANDS = {
-    "plan": cmd_plan,
-    "spectrum": cmd_spectrum,
-    "sidebands": cmd_sidebands,
-    "pulse": cmd_pulse,
-    "overlap": cmd_overlap,
-    "entangle": cmd_entangle,
-    "map": cmd_map,
-    "rabi": cmd_rabi,
-    "ramsey": cmd_ramsey,
-    "localize": cmd_localize,
-    "cavity": cmd_cavity,
-}
 
 
 def build_parser():
@@ -1157,11 +905,11 @@ def build_parser():
     parser.add_argument("--dump-operators", action="store_true",
                         help="dump Hamiltonian/collapse operators as sparse triplets")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in dict.fromkeys(command for command, _ in COMMANDS):
         p = sub.add_parser(name)
-        if name in ("localize", "cavity"):
-            choices = ["fit", "visibility", "coupling", "scan"] if name == "localize" else ["waist", "g0"]
-            p.add_argument("action", choices=choices)
+        actions = [action for command, action in COMMANDS if command == name and action]
+        if actions:
+            p.add_argument("action", choices=actions)
     rep = sub.add_parser("reproduce")
     rep.add_argument("figure")
     return parser
@@ -1171,13 +919,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = Path(args.out)
         if args.command == "reproduce":
-            cmd_reproduce(args)
+            if args.figure not in REPRODUCE_COMMAND:
+                raise ConfigError(
+                    f"unknown figure id {args.figure!r}",
+                    problems=[f"choose one of {sorted(REPRODUCE_COMMAND)}"],
+                )
+            handler = REPRODUCE_COMMAND[args.figure]
+            cfg = merge_config(_bundled_config(args.figure))
+            out = out / args.figure
         else:
+            handler = COMMANDS[args.command, getattr(args, "action", None)]
             cfg = load_config(args.config)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            COMMANDS[args.command](cfg, out, args)
+        write_result(handler(cfg, args), cfg, out, args.plot)
         return 0
     except ConfigError as exc:
         _report_error(args, exc, kind="config")

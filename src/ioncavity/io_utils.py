@@ -11,8 +11,6 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import ConfigError
-
 
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -70,28 +68,53 @@ def _json_default(obj):
 
 
 def write_svg_plot(path, curves, xlabel, ylabel, title="", meta: dict | None = None):
-    """Simple line plot as SVG; curves = [(x, y, label), ...]."""
-    try:
-        import matplotlib
+    """Line plot as a standalone SVG; curves = [(x, y, label), ...].
 
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ConfigError(
-            "--plot requires matplotlib (install the 'plot' extra)"
-        ) from exc
+    One polyline per curve (non-finite points dropped), the axis labels with
+    the x and y ranges at the axis ends, a legend of the labelled curves and
+    the meta in <desc>. Written with LF endings, so equal input gives equal bytes.
+    """
+    from html import escape
+
+    import numpy as np
+
+    w, h, left, right, top, bottom = 640, 400, 70, 20, 30, 50
+    data = []
+    for x, y, label in curves:
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        ok = np.isfinite(x) & np.isfinite(y)
+        data.append((x[ok], y[ok], label))
+
+    def extent(values):
+        values = np.concatenate(values) if values else np.zeros(0)
+        lo, hi = (values.min(), values.max()) if values.size else (0.0, 1.0)
+        return (lo, hi) if hi > lo else (lo - 0.5, hi + 0.5)
+
+    (x0, x1), (y0, y1) = extent([d[0] for d in data]), extent([d[1] for d in data])
+    sx, sy = (w - left - right) / (x1 - x0), (h - top - bottom) / (y1 - y0)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" font-size="12">',
+        f"<desc>{escape(str(sorted((meta or {}).items())))}</desc>",
+        f'<text x="{w / 2}" y="20" text-anchor="middle">{escape(title)}</text>',
+        f'<rect x="{left}" y="{top}" width="{w - left - right}" height="{h - top - bottom}" '
+        'fill="none" stroke="black"/>',
+        f'<text x="{left}" y="{h - bottom + 16}">{x0:.4g}</text>',
+        f'<text x="{w - right}" y="{h - bottom + 16}" text-anchor="end">{x1:.4g}</text>',
+        f'<text x="{(left + w - right) / 2}" y="{h - 10}" text-anchor="middle">{escape(xlabel)}</text>',
+        f'<text x="{left - 4}" y="{h - bottom}" text-anchor="end">{y0:.4g}</text>',
+        f'<text x="{left - 4}" y="{top + 10}" text-anchor="end">{y1:.4g}</text>',
+        f'<text transform="translate(16 {(top + h - bottom) / 2}) rotate(-90)" text-anchor="middle">'
+        f"{escape(ylabel)}</text>",
+    ]
+    colours = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+    for i, (x, y, label) in enumerate(data):
+        colour = colours[i % len(colours)]
+        points = " ".join(f"{left + (a - x0) * sx:.2f},{h - bottom - (b - y0) * sy:.2f}" for a, b in zip(x, y))
+        parts.append(f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" points="{points}"/>')
+        if label:
+            parts.append(f'<text x="{w - right - 8}" y="{top + 16 * (i + 1)}" text-anchor="end" fill="{colour}">'
+                         f"{escape(label)}</text>")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fig, ax = plt.subplots(figsize=(7, 4.2))
-    for x, y, label in curves:
-        ax.plot(x, y, label=label)
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel(ylabel)
-    if title:
-        ax.set_title(title)
-    if any(label for *_, label in curves):
-        ax.legend(fontsize=8)
-    fig.tight_layout()
-    fig.savefig(path, format="svg", metadata={"Description": str(sorted((meta or {}).items()))})
-    plt.close(fig)
+    path.write_text("\n".join(parts) + "\n</svg>\n", newline="\n")
     return path

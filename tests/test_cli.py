@@ -289,22 +289,27 @@ def test_pulse_line_is_taken_from_the_driven_polarization(tmp_path):
     assert payload["detuning_2pi_mhz"] == pytest.approx(-406.32, abs=0.005)
 
 
-def test_plot_without_matplotlib_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib now fails
-    assert main(["--plot", "--out", str(tmp_path), "reproduce", "fig3a"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["config error: --plot requires matplotlib (install the 'plot' extra)"]
+def test_plot_writes_one_polyline_per_curve(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    for figure, svg, n_curves in (("fig3a", "axial_scan.svg", 1), ("fig3b", "localize_fit.svg", 2)):
+        assert main(["--plot", "--out", str(tmp_path), "reproduce", figure]) == 0
+        root = ET.parse(tmp_path / figure / svg).getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == n_curves
+        assert "config_sha256" in root.find("{http://www.w3.org/2000/svg}desc").text
 
 
-def test_solver_failure_exits_3(tmp_path, capsys):
-    code = run_cli(["--json-errors", "pulse"], tmp_path, config={"solver": {"max_steps": 10}})
+@pytest.mark.parametrize("command", ["pulse", "overlap"])
+def test_solver_failure_exits_3(command, tmp_path, capsys):
+    """Every pulse-driven command spends at most solver.max_steps DP5 steps."""
+    code = run_cli(["--json-errors", command], tmp_path, config={"solver": {"max_steps": 10}})
     assert code == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "StiffnessError"
     assert payload["kind"] == "solver"
 
 
-def test_reproduce_all_writes_data_without_matplotlib(tmp_path, capsys, monkeypatch):
+def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
     import importlib.util
 
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
@@ -313,8 +318,8 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, capsys, monkeypa
     spec.loader.exec_module(reproduce_all)
     monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib now fails
     assert reproduce_all.run(["fig3a"], out=tmp_path) == {}
-    assert capsys.readouterr().out.count("without plots") == 1
-    assert (tmp_path / "fig3a").is_dir()
+    for name in ("axial_scan.csv", "axial_scan.json", "axial_scan.svg"):
+        assert (tmp_path / "fig3a" / name).is_file()
 
 
 # -- golden CLI outputs --------------------------------------------------------
