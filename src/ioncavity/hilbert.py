@@ -70,20 +70,6 @@ class HilbertLayout:
         eye = sp.identity(self.mode_dim**2, format="csr")
         return sp.kron(sp.csr_matrix(op18), eye, format="csr")
 
-    def projector(self, state: ZeemanState) -> sp.csr_matrix:
-        op = sp.csr_matrix(
-            ([1.0], ([self.atom_index(state)], [self.atom_index(state)])), shape=(18, 18)
-        )
-        return self.atom_operator(op)
-
-    def transition(self, to_state: ZeemanState, from_state: ZeemanState) -> sp.csr_matrix:
-        """|to><from| on the atom, identity on the modes."""
-        op = sp.csr_matrix(
-            ([1.0], ([self.atom_index(to_state)], [self.atom_index(from_state)])),
-            shape=(18, 18),
-        )
-        return self.atom_operator(op)
-
     def destroy(self, channel: str) -> sp.csr_matrix:
         """Annihilation operator of one cavity mode."""
         nd = self.mode_dim

@@ -35,21 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 from .atom import decay_channels, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
-from .hilbert import (
-    HilbertLayout,
-    commutator_superoperator,
-    dissipator_superoperator,
-    unvec,
-    vec,
-)
+from .hilbert import HilbertLayout, commutator_superoperator, unvec, vec
 from .polarization import spherical_unit_vector
 from .system import SystemModel
 
@@ -111,12 +107,26 @@ class HamiltonianParts:
         return (self.static + self.drive_coupling).tocsr()
 
 
+def _lift(layout, to_index, from_index, values) -> sp.csr_matrix:
+    """Sum of v |to><from| on the atom (x) identity on the modes.
+
+    Takes one (to, from, v) triplet per atomic transition, by atomic index.
+    """
+    m = layout.mode_dim**2
+    modes = np.arange(m)
+    rows = (np.asarray(to_index, dtype=int)[:, None] * m + modes).ravel()
+    cols = (np.asarray(from_index, dtype=int)[:, None] * m + modes).ravel()
+    return sp.csr_matrix(
+        (np.repeat(values, m), (rows, cols)), shape=(layout.dim, layout.dim)
+    )
+
+
 def _coupling_operator(layout, lower_label, upper_label, polarization, amplitude):
     """Sum over Zeeman paths of (amplitude/2) c_q cg |upper><lower|."""
     atom = layout.atom
-    op = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
     from .atom import ZeemanState, cg_coefficient
 
+    to, frm, values = [], [], []
     for lo in atom[lower_label].sublevels():
         for q in (-1, 0, 1):
             c = polarization.component(q)
@@ -129,8 +139,10 @@ def _coupling_operator(layout, lower_label, upper_label, polarization, amplitude
             cg = cg_coefficient(lo, up, q)
             if cg == 0.0:
                 continue
-            op = op + (amplitude / 2.0) * c * cg * layout.transition(up, lo)
-    return op.tocsr()
+            to.append(layout.atom_index(up))
+            frm.append(layout.atom_index(lo))
+            values.append((amplitude / 2.0) * c * cg)
+    return _lift(layout, to, frm, np.array(values, dtype=complex))
 
 
 def _cavity_coupling(model: SystemModel, layout: HilbertLayout) -> sp.csr_matrix:
@@ -143,8 +155,8 @@ def _cavity_coupling(model: SystemModel, layout: HilbertLayout) -> sp.csr_matrix
     if model.cavity.g == 0.0:
         return op
     for channel in ("H", "V"):
-        a_mode = layout.destroy(channel)
         mode_vec = basis.mode_vector(channel)
+        to, frm, values = [], [], []
         for d in atom["D5/2"].sublevels():
             for q in (-1, 0, 1):
                 proj = np.vdot(mode_vec, spherical_unit_vector(q))
@@ -157,9 +169,11 @@ def _cavity_coupling(model: SystemModel, layout: HilbertLayout) -> sp.csr_matrix
                 cg = cg_coefficient(d, p, q)
                 if cg == 0.0:
                     continue
-                raise_op = layout.transition(p, d) @ a_mode
-                coup = model.cavity.g * proj * cg
-                op = op + coup * raise_op + np.conj(coup) * raise_op.conj().T
+                to.append(layout.atom_index(p))
+                frm.append(layout.atom_index(d))
+                values.append(model.cavity.g * proj * cg)
+        raise_op = _lift(layout, to, frm, np.array(values, dtype=complex)) @ layout.destroy(channel)
+        op = op + raise_op + raise_op.conj().T
     return op.tocsr()
 
 
@@ -238,13 +252,51 @@ def collapse_operators(model: SystemModel, layout: HilbertLayout):
     for upper_label in ("P3/2", "P1/2", "D5/2", "D3/2"):
         for up, lo, q, rate in decay_channels(layout.atom, upper_label):
             label = f"spont:{up.label}->{lo.label},q={q:+d}"
-            ops.append((label, math.sqrt(rate) * layout.transition(lo, up)))
+            c_op = _lift(
+                layout, [layout.atom_index(lo)], [layout.atom_index(up)], [math.sqrt(rate)]
+            )
+            ops.append((label, c_op))
     if model.cavity.kappa > 0:
         for channel in ("H", "V"):
             ops.append(
                 (f"cavity:{channel}", math.sqrt(2 * model.cavity.kappa) * layout.destroy(channel))
             )
     return ops
+
+
+class _Rhs:
+    """v -> L(t) v by direct CSR matvecs, accumulated into a caller's buffer.
+
+    One matvec of the static part, then one of all time-dependent terms
+    side by side in a single CSR [T_1 T_2 ...], applied to the stacked
+    [c_1(t) v; c_2(t) v; ...]. The native kernel checks no sizes or types:
+    ``v`` and ``out`` must be contiguous complex arrays of length ``n``.
+    """
+
+    def __init__(self, liouv: Liouvillian):
+        self.n = liouv.static_part.shape[0]
+        self.static = _csr_arrays(liouv.static_part)
+        self.coefficients = [f for _, f in liouv.td_terms]
+        self.scaled = np.empty((len(liouv.td_terms), self.n), dtype=complex)
+        self.scaled_flat = self.scaled.reshape(-1)
+        if liouv.td_terms:
+            self.stacked = _csr_arrays(sp.hstack([op for op, _ in liouv.td_terms]))
+
+    def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        csr_matvec(self.n, self.n, *self.static, v, out)
+        if self.coefficients:
+            c = [f(t) for f in self.coefficients]
+            if any(c):
+                np.multiply(np.array(c)[:, None], v, out=self.scaled)
+                csr_matvec(self.n, self.scaled_flat.size, *self.stacked, self.scaled_flat, out)
+        return out
+
+
+def _csr_arrays(op):
+    """(indptr, indices, complex data) of ``op`` as CSR, for ``csr_matvec``."""
+    op = sp.csr_matrix(op)
+    return op.indptr, op.indices, np.ascontiguousarray(op.data, dtype=complex)
 
 
 @dataclass
@@ -272,12 +324,15 @@ class Liouvillian:
         return self.static_part
 
     def apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        out = self.static_part @ v
-        for superop, f in self.td_terms:
-            c = f(t)
-            if c != 0.0:
-                out = out + c * (superop @ v)
-        return out
+        """L(t) v, through the same kernel as :func:`evolve`."""
+        v = np.ascontiguousarray(v, dtype=complex)
+        if v.shape != (self._rhs.n,):
+            raise ValueError(f"vector of shape {v.shape} does not match L of size {self._rhs.n}")
+        return self._rhs(t, v, np.empty_like(v))
+
+    @cached_property
+    def _rhs(self) -> _Rhs:
+        return _Rhs(self)
 
     def restrict(self, seed) -> tuple[np.ndarray, Liouvillian]:
         """The block of L reachable from the vectorized entries ``seed``.
@@ -342,26 +397,41 @@ class Liouvillian:
 def build_liouvillian(
     model: SystemModel, layout: HilbertLayout, extra_hamiltonian: sp.spmatrix | None = None
 ) -> Liouvillian:
-    """Assemble L(rho) = -i[H, rho] + sum_c D[c] rho in vectorized form."""
+    """Assemble L(rho) = -i[H, rho] + sum_c D[c] rho in vectorized form.
+
+    The static part is summed in one pass from one set of COO triplets,
+
+        kron(1, G) + kron(conj(G), 1) + sum_c kron(conj(c), c),
+        G = -iH - (1/2) sum_c c^dag c,
+
+    which is the commutator plus every dissipator under column stacking
+    for a Hermitian H (conj(H) = H^T). A drive of constant envelope is part
+    of H; a pulsed drive and every further tone stay time-dependent terms.
+    """
     parts = build_hamiltonian(model, layout)
     collapses = collapse_operators(model, layout)
-
-    h_static = parts.static
-    if extra_hamiltonian is not None:
-        h_static = (h_static + extra_hamiltonian).tocsr()
-    static = commutator_superoperator(h_static)
-    for _, c_op in collapses:
-        static = static + dissipator_superoperator(c_op)
-
-    td_terms = []
     env = parts.envelope
     env_const = getattr(env, "is_constant", False)
-    if parts.drive_coupling is not None:
+
+    h = parts.static
+    if extra_hamiltonian is not None:
+        h = h + extra_hamiltonian
+    if parts.drive_coupling is not None and env_const:
+        h = h + parts.drive_coupling
+    n = layout.dim
+    jumps = sp.vstack([c for _, c in collapses] or [sp.csr_matrix((n, n))])
+    g = -1j * h - 0.5 * (jumps.conj().T @ jumps)
+    eye = sp.identity(n)
+    triplets = [_kron_triplets(eye, g), _kron_triplets(g.conj(), eye)]
+    triplets += [_kron_triplets(c.conj(), c) for _, c in collapses]
+    rows, cols, values = (np.concatenate(x) for x in zip(*triplets))
+    static = sp.csr_matrix((values, (rows, cols)), shape=(n * n, n * n))
+    static.eliminate_zeros()
+
+    td_terms = []
+    if parts.drive_coupling is not None and not env_const:
         drive_super = commutator_superoperator(parts.drive_coupling)
-        if env_const:
-            static = static + drive_super
-        else:
-            td_terms.append((drive_super, lambda t, e=env: e(t)))
+        td_terms.append((drive_super, lambda t, e=env: e(t)))
     for a_op, freq in parts.beat_operators:
         m_super = commutator_superoperator_nonherm(a_op)
         n_super = commutator_superoperator_nonherm(a_op.conj().T.tocsr())
@@ -376,9 +446,17 @@ def build_liouvillian(
         layout=layout,
         parts=parts,
         collapses=collapses,
-        static_part=static.tocsr(),
+        static_part=static,
         td_terms=td_terms,
     )
+
+
+def _kron_triplets(a, b):
+    """Rows, columns and values of kron(a, b), duplicates not summed."""
+    a, b = a.tocoo(), b.tocoo()
+    rows = (a.row[:, None] * b.shape[0] + b.row).ravel()
+    cols = (a.col[:, None] * b.shape[1] + b.col).ravel()
+    return rows, cols, (a.data[:, None] * b.data).ravel()
 
 
 def commutator_superoperator_nonherm(a: sp.spmatrix) -> sp.csr_matrix:
@@ -395,11 +473,12 @@ def drive_detuning_shift_superoperator(layout: HilbertLayout) -> sp.csr_matrix:
     diagonal offsets, so a detuning scan is L(d) = L(d0) - (d - d0) * S
     with S this fixed sparse superoperator.
     """
-    proj = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
-    for label in ("P3/2", "D5/2"):
-        for state in layout.atom[label].sublevels():
-            proj = proj + layout.projector(state)
-    return commutator_superoperator(proj.tocsr())
+    index = [
+        layout.atom_index(state)
+        for label in ("P3/2", "D5/2")
+        for state in layout.atom[label].sublevels()
+    ]
+    return commutator_superoperator(_lift(layout, index, index, np.ones(len(index))))
 
 
 # -- steady state ------------------------------------------------------------
@@ -628,7 +707,7 @@ def _check_uniqueness(L, scale, known_null, iterations=40):
 
 # -- time evolution ----------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau: Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.zeros((7, 7))
 _DP_A[1, :1] = [1 / 5]
@@ -636,11 +715,15 @@ _DP_A[2, :2] = [3 / 40, 9 / 40]
 _DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
 _DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
 _DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]  # = b5 (FSAL)
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# Over the rows (y, k0, ..., k6): the inputs of stages 1-6, then the error
+# estimate. The input of stage 6 is the fifth-order solution y_new.
+_DP_ROWS = np.zeros((7, 8))
+_DP_ROWS[:6, 1:] = _DP_A[1:]
+_DP_ROWS[6, 1:] = _DP_ERR
 
 
 @dataclass
@@ -697,15 +780,33 @@ def evolve(
     n2 = y_full.size
     t = float(t_grid[0])
 
-    rhs = block.apply if block.td_terms else (lambda _t, v: block.static_part @ v)
+    rhs = block._rhs
 
     states = [DensityMatrix(matrix=rho0_mat.copy(), time=t)]
     trace0 = float(np.trace(rho0_mat).real)
     max_drift = 0.0
 
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = rhs(t, y)
-    h = _initial_step(y, k[0], rtol, atol, n2)
+    # Preallocated rows: y, then the stages k0..k6. Each stage input is one
+    # dot of the h-scaled tableau with the real view of these rows.
+    stack = np.empty((8, y.size), dtype=complex)
+    stack[0] = y
+    stack_re = stack.view(float)
+    stage_in = np.empty((6, y.size), dtype=complex)
+    stage_in_re = stage_in.view(float)
+    y, y_new = stack[0], stage_in[5]
+    h_rows = np.empty_like(_DP_ROWS)
+    # stage i: (tableau row, rows it combines, input (real view), c_i, input, k_i)
+    stages = [
+        (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in_re[i - 1], _DP_C[i],
+         stage_in[i - 1], stack[i + 1])
+        for i in range(1, 7)
+    ]
+    err_vec = np.empty(2 * y.size)  # the error estimate as (re, im) pairs, then / scale
+    scale = np.empty(y.size)
+    err_pairs, scale_col = err_vec.reshape(-1, 2), scale[:, None]
+
+    rhs(t, y, stack[1])
+    h = _initial_step(y, stack[1], rtol, atol, n2)
     t_end = float(t_grid[-1])
     next_out = 1
     n_steps = n_rejected = 0
@@ -730,18 +831,22 @@ def evolve(
                 fastest_timescale=_fastest_timescale(liouv),
             )
 
-        for i in range(1, 7):
-            yi = y + h_try * (_DP_A[i, :i] @ k[:i])
-            k[i] = rhs(t + _DP_C[i] * h_try, yi)
-        y_new = y + h_try * (_DP_B5 @ k)
-        err_vec = h_try * (_DP_ERR @ k)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / sc, n2)
+        np.multiply(_DP_ROWS, h_try, out=h_rows)
+        h_rows[:6, 0] = 1.0
+        for row, combined, y_i_re, c_i, y_i, k_i in stages:
+            np.dot(row, combined, out=y_i_re)
+            rhs(t + c_i * h_try, y_i, k_i)
+        np.dot(h_rows[6, 1:], stack_re[1:], out=err_vec)
+        np.maximum(np.abs(y, out=scale), np.abs(y_new), out=scale)
+        scale *= rtol
+        scale += atol
+        err_pairs /= scale_col
+        err = math.sqrt(float(np.dot(err_vec, err_vec)) / n2)
 
         if err <= 1.0:
             t = t_grid[next_out] if clamped else t + h_try
-            y = y_new
-            k[0] = k[6]  # FSAL
+            y[:] = y_new
+            stack[1] = stack[7]  # FSAL
             n_steps += 1
             if clamped:
                 y_full = np.zeros(n2, dtype=complex)
@@ -752,7 +857,7 @@ def evolve(
                 max_drift = max(max_drift, drift)
                 next_out += 1
         else:
-            n_rejected += 1  # FSAL stage k[0] still holds f(t, y)
+            n_rejected += 1  # FSAL stage k0 still holds f(t, y)
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h = h_try * min(5.0, max(0.2, factor))
 

@@ -331,6 +331,10 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 # exception is the spectrum's `residual` column: it is the round-off of the LU
 # solve (~1e-7 against a convergence check at 1e-10 * scale ~ 0.8) and moves in
 # its third digit with the BLAS thread count, so it is held to RESIDUAL_ABS.
+# The `re`/`im` columns of the joint-state matrices in JOINT_STATES are held to
+# GOLDEN_REL x the largest |entry| of that file's matrix, as test_golden holds
+# the joint matrix: a relative check per entry would pin the round-off imaginary
+# part of a real diagonal entry (5e-17 against 0.64) to its own digits.
 # Plots are not covered. Regenerate only when an output is meant to change; name the
 # cases to rewrite, the others are left as they are:
 #
@@ -339,6 +343,7 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
 GOLDEN_REL = 1e-9
 RESIDUAL_ABS = 1e-6
+JOINT_STATES = ("entangle_state.csv", "map_state.csv")
 
 _SIGMA_MINUS = {"lasers": {"drive": {"polarization": "sigma_minus"}}}
 _SMOKE_SPECTRUM = {
@@ -501,6 +506,24 @@ def _pop_residuals(files):
     return columns
 
 
+def _pop_joint_states(files):
+    """Take the `re` and `im` columns out of each joint-state CSV: {file: complex entries}."""
+    entries = {}
+    for name in JOINT_STATES:
+        if name in files:
+            rows = files[name]["rows"]
+            entries[name] = np.array([complex(row.pop(2), row.pop(2)) for row in rows])
+    return entries
+
+
+def assert_joint_states_match(got, want):
+    assert got.keys() == want.keys()
+    for name, entries in want.items():
+        bound = GOLDEN_REL * np.max(np.abs(entries))
+        for part in (np.real, np.imag):
+            assert np.allclose(part(got[name]), part(entries), rtol=0.0, atol=bound), name
+
+
 @pytest.fixture(scope="module")
 def golden_cli():
     return json.loads(GOLDEN_CLI.read_text())
@@ -510,7 +533,9 @@ def golden_cli():
 def test_cli_outputs_match_golden(case, golden_cli, tmp_path):
     got, want = cli_outputs(case, tmp_path), json.loads(json.dumps(golden_cli[case]))
     got_residuals, want_residuals = _pop_residuals(got["files"]), _pop_residuals(want["files"])
+    got_states, want_states = _pop_joint_states(got["files"]), _pop_joint_states(want["files"])
     assert_same(got, want, case)
+    assert_joint_states_match(got_states, want_states)
     assert got_residuals.keys() == want_residuals.keys()
     for name, column in want_residuals.items():
         assert np.allclose(got_residuals[name], column, rtol=0.0, atol=RESIDUAL_ABS), name

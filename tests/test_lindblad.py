@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,8 +248,6 @@ def test_vacuum_coupling_exchange(atom_no_decay):
     )
     # the decay-free atom carries no partial rate to derive g from, and the
     # exchange needs a lossless mode: set both explicitly
-    from dataclasses import replace
-
     model = replace(model, cavity=replace(model.cavity, g=mhz(1.43), kappa=0.0))
     layout = HilbertLayout(atom=atom_no_decay, n_max=1)
     liouv = build_liouvillian(model, layout)
@@ -609,3 +608,240 @@ def test_block_probe_matches_full_space(atom, layout, data):
     static_model, _ = data.draw(random_models(atom))
     reduced, full = _uniqueness_verdicts(build_liouvillian(static_model, layout))
     assert reduced == full
+
+
+# -- one-pass assembly against the kron-by-kron reference ----------------------
+#
+# `kron_by_kron_liouvillian` is the assembly as it stood before the static part
+# was summed from one set of COO triplets: one `kron` and one sparse add per
+# Zeeman path, per collapse operator and per superoperator.
+
+
+def _ref_transition(layout, to_state, from_state):
+    op = sp.csr_matrix(
+        ([1.0], ([layout.atom_index(to_state)], [layout.atom_index(from_state)])), shape=(18, 18)
+    )
+    return layout.atom_operator(op)
+
+
+def _ref_coupling_operator(layout, lower_label, upper_label, polarization, amplitude):
+    from ioncavity.atom import ZeemanState, cg_coefficient
+
+    atom = layout.atom
+    op = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
+    for lo in atom[lower_label].sublevels():
+        for q in (-1, 0, 1):
+            c = polarization.component(q)
+            if abs(c) < 1e-15:
+                continue
+            two_m_up = lo.two_m + 2 * q
+            if abs(two_m_up) > atom[upper_label].two_j:
+                continue
+            up = ZeemanState(atom[upper_label], two_m_up)
+            cg = cg_coefficient(lo, up, q)
+            if cg == 0.0:
+                continue
+            op = op + (amplitude / 2.0) * c * cg * _ref_transition(layout, up, lo)
+    return op.tocsr()
+
+
+def _ref_cavity_coupling(model, layout):
+    from ioncavity.atom import ZeemanState, cg_coefficient
+    from ioncavity.polarization import spherical_unit_vector
+
+    atom = layout.atom
+    op = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
+    if model.cavity.g == 0.0:
+        return op
+    for channel in ("H", "V"):
+        a_mode = layout.destroy(channel)
+        mode_vec = model.mode_basis.mode_vector(channel)
+        for d in atom["D5/2"].sublevels():
+            for q in (-1, 0, 1):
+                proj = np.vdot(mode_vec, spherical_unit_vector(q))
+                if abs(proj) < 1e-15:
+                    continue
+                two_m_p = d.two_m + 2 * q
+                if abs(two_m_p) > atom["P3/2"].two_j:
+                    continue
+                p = ZeemanState(atom["P3/2"], two_m_p)
+                cg = cg_coefficient(d, p, q)
+                if cg == 0.0:
+                    continue
+                raise_op = _ref_transition(layout, p, d) @ a_mode
+                coup = model.cavity.g * proj * cg
+                op = op + coup * raise_op + np.conj(coup) * raise_op.conj().T
+    return op.tocsr()
+
+
+def kron_by_kron_liouvillian(model, layout):
+    """(static part, [time-dependent superoperators]) summed term by term."""
+    from ioncavity.atom import decay_channels, zeeman_shift
+    from ioncavity.hilbert import dissipator_superoperator
+    from ioncavity.lindblad import TRANSITION_MANIFOLDS, frame_offsets
+
+    offsets = frame_offsets(model)
+    nd = layout.mode_dim
+    diag = np.zeros(layout.dim)
+    for state in layout.atom.all_states():
+        base = layout.atom_index(state) * nd * nd
+        diag[base : base + nd * nd] += zeeman_shift(state, model.b_gauss) + offsets[state.manifold.label]
+    h_static = sp.diags(diag).tocsr() + offsets["photon"] * (layout.number("H") + layout.number("V"))
+    for role in ("repump_854", "repump_866"):
+        laser = model.laser(role)
+        if laser is not None:
+            a_op = _ref_coupling_operator(layout, *TRANSITION_MANIFOLDS[role], laser.polarization, laser.tones[0].amplitude)
+            h_static = h_static + a_op + a_op.conj().T
+    h_static = (h_static + _ref_cavity_coupling(model, layout)).tocsr()
+
+    collapses = []
+    for upper_label in ("P3/2", "P1/2", "D5/2", "D3/2"):
+        for up, lo, _, rate in decay_channels(layout.atom, upper_label):
+            collapses.append(math.sqrt(rate) * _ref_transition(layout, lo, up))
+    if model.cavity.kappa > 0:
+        collapses += [math.sqrt(2 * model.cavity.kappa) * layout.destroy(ch) for ch in ("H", "V")]
+
+    static = commutator_superoperator(h_static)
+    for c_op in collapses:
+        static = static + dissipator_superoperator(c_op)
+    td = []
+    drive = model.laser("drive")
+    if drive is not None:
+        lower, upper = TRANSITION_MANIFOLDS["drive"]
+        a1 = _ref_coupling_operator(layout, lower, upper, drive.polarization, drive.tones[0].amplitude)
+        drive_super = commutator_superoperator((a1 + a1.conj().T).tocsr())
+        if drive.envelope.is_constant:
+            static = static + drive_super
+        else:
+            td.append(drive_super)
+        for tone in drive.tones[1:]:
+            a_k = _ref_coupling_operator(layout, lower, upper, drive.polarization, tone.amplitude)
+            td += [commutator_superoperator(a_k), commutator_superoperator(a_k.conj().T.tocsr())]
+    return static.tocsr(), td
+
+
+def assert_assembly_matches_reference(model, layout):
+    liouv = build_liouvillian(model, layout)
+    static, td = kron_by_kron_liouvillian(model, layout)
+    scale = abs(static).max()
+    assert abs(liouv.static_part - static).max() <= 1e-13 * scale
+    assert len(liouv.td_terms) == len(td)
+    for (op, _), ref in zip(liouv.td_terms, td):
+        assert abs(op - ref).max() <= 1e-13 * scale
+    # same reachable blocks, so the same entries are stepped and solved
+    seed = np.flatnonzero(vec(layout.basis_state(layout.atom.state("S1/2", -0.5))))
+    ref_liouv = replace(liouv, static_part=static, td_terms=[(op, None) for op in td])
+    assert np.array_equal(liouv.restrict(seed)[0], ref_liouv.restrict(seed)[0])
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_one_pass_assembly_matches_kron_by_kron(atom, layout, data):
+    for model in data.draw(random_models(atom)):
+        assert_assembly_matches_reference(model, layout)
+
+
+def test_one_pass_assembly_matches_kron_by_kron_at_n_max_2(atom):
+    model = standard_model(drive_rabi=mhz(99.0), drive_detuning=-mhz(407.0),
+                           drive_polarization=beam_b_polarization(), atom=atom)
+    assert_assembly_matches_reference(model, HilbertLayout(atom=atom, n_max=2))
+
+
+# -- the DP5 kernel against the step it replaced -------------------------------
+
+
+def test_csr_matvec_matches_sparse_product():
+    """`evolve` accumulates y += A x through scipy's CSR kernel; pin it to `A @ x`."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    rng = np.random.default_rng(5)
+    for n_row, n_col, density in ((40, 40, 0.2), (70, 25, 0.1), (9, 1, 0.5), (12, 12, 0.0)):
+        a = sp.random(n_row, n_col, density=density, format="csr", random_state=rng)
+        a = a + 1j * sp.random(n_row, n_col, density=density, format="csr", random_state=rng)
+        a = (sp.diags((np.arange(n_row) % 3 != 1).astype(float)) @ a).tocsr()  # every third row empty
+        a.eliminate_zeros()
+        assert np.all(np.diff(a.indptr)[1::3] == 0)
+        x = rng.standard_normal(n_col) + 1j * rng.standard_normal(n_col)
+        y = rng.standard_normal(n_row) + 1j * rng.standard_normal(n_row)
+        expected = y + a @ x
+        csr_matvec(n_row, n_col, a.indptr, a.indices, a.data.astype(complex), x, y)
+        assert np.allclose(y, expected, rtol=1e-14, atol=1e-14)
+
+
+def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
+    """The DP5 loop of `evolve` as it stood before its buffer-reusing step.
+
+    Verbatim but for the checks, which the kernel under test keeps; the
+    right-hand side is the sparse product per term that `Liouvillian.apply`
+    then was.
+    """
+    from ioncavity.lindblad import _DP_A, _DP_C, _DP_ERR, _initial_step, _rms
+
+    _DP_B5 = np.append(_DP_A[6, :6], 0.0)
+    t_grid = np.asarray(t_grid, dtype=float)
+    y_full = vec(rho0).astype(complex)
+    keep, block = liouv.restrict(np.flatnonzero(y_full))
+    y = y_full[keep]
+    n2 = y_full.size
+    t = float(t_grid[0])
+
+    def apply(t, v):
+        out = block.static_part @ v
+        for superop, f in block.td_terms:
+            c = f(t)
+            if c != 0.0:
+                out = out + c * (superop @ v)
+        return out
+
+    rhs = apply if block.td_terms else (lambda _t, v: block.static_part @ v)
+    states = [rho0.copy()]
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = rhs(t, y)
+    h = _initial_step(y, k[0], rtol, atol, n2)
+    t_end = float(t_grid[-1])
+    next_out = 1
+    n_steps = n_rejected = 0
+    while t < t_end:
+        clamped = False
+        if t + h >= t_grid[next_out]:
+            h_try = t_grid[next_out] - t
+            clamped = True
+        else:
+            h_try = h
+        for i in range(1, 7):
+            yi = y + h_try * (_DP_A[i, :i] @ k[:i])
+            k[i] = rhs(t + _DP_C[i] * h_try, yi)
+        y_new = y + h_try * (_DP_B5 @ k)
+        err_vec = h_try * (_DP_ERR @ k)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(err_vec / sc, n2)
+        if err <= 1.0:
+            t = t_grid[next_out] if clamped else t + h_try
+            y = y_new
+            k[0] = k[6]  # FSAL
+            n_steps += 1
+            if clamped:
+                y_full = np.zeros(n2, dtype=complex)
+                y_full[keep] = y
+                states.append(unvec(y_full, liouv.dim))
+                next_out += 1
+        else:
+            n_rejected += 1  # FSAL stage k[0] still holds f(t, y)
+        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        h = h_try * min(5.0, max(0.2, factor))
+    return states, n_steps, n_rejected
+
+
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_evolve_repeats_the_reference_dp5_loop(atom, layout, data):
+    """Static and beat models: the same steps and rejections, the same states to 1e-12."""
+    rho0 = layout.basis_state(atom.state("S1/2", -0.5))
+    t_grid = np.linspace(0.0, 0.3e-6, 4)
+    for model in data.draw(random_models(atom)):
+        liouv = build_liouvillian(model, layout)
+        traj = evolve(liouv, rho0, t_grid, rtol=1e-6)
+        states, n_steps, n_rejected = reference_evolve(liouv, rho0, t_grid, rtol=1e-6)
+        assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
+        for got, want in zip(traj.states, states):
+            assert np.max(np.abs(got.matrix - want)) <= 1e-12
