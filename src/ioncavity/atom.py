@@ -105,6 +105,7 @@ class AtomData:
         n_states = sum(m.multiplicity for m in self.manifolds.values())
         if n_states != 18:
             raise ValueError(f"expected 18 sub-states, got {n_states}")
+        self._dipole_pairs = {}  # (lower label, upper label) -> dipole_pairs result
 
     def __getitem__(self, label: str) -> LevelManifold:
         return self.manifolds[label]
@@ -253,12 +254,36 @@ def cg_coefficient(lower: ZeemanState, upper: ZeemanState, q: int) -> float:
     )
 
 
+def dipole_pairs(atom: AtomData, lower_label: str, upper_label: str):
+    """Every dipole-coupled ``(lower, upper, q, cg)`` between two manifolds.
+
+    ``cg = cg_coefficient(lower, upper, q)`` is nonzero; the pairs are
+    ordered by lower sub-state (m ascending), then by q = -1, 0, +1. The
+    tuple is computed once per atom and manifold pair.
+    """
+    key = (lower_label, upper_label)
+    if key not in atom._dipole_pairs:
+        upper = atom[upper_label]
+        pairs = []
+        for lo in atom[lower_label].sublevels():
+            for q in (-1, 0, 1):
+                if abs(lo.two_m + 2 * q) > upper.two_j:
+                    continue
+                up = ZeemanState(upper, lo.two_m + 2 * q)
+                cg = cg_coefficient(lo, up, q)
+                if cg != 0.0:
+                    pairs.append((lo, up, q, cg))
+        atom._dipole_pairs[key] = tuple(pairs)
+    return atom._dipole_pairs[key]
+
+
 def decay_channels(atom: AtomData, upper_label: str):
     """Spontaneous-emission sub-channels of a manifold.
 
     Yields ``(upper_state, lower_state, q, rate)`` with
     ``rate = Gamma_total * branching * cg**2`` so that the rates out of
-    every upper sub-state sum to the manifold's total decay rate.
+    every upper sub-state sum to the manifold's total decay rate. Within
+    each lower manifold the channels run by upper m, then by q.
     """
     upper_manifold = atom[upper_label]
     if upper_manifold.decay_rate == 0.0:
@@ -266,14 +291,7 @@ def decay_channels(atom: AtomData, upper_label: str):
     channels = []
     for lower_label, fraction in upper_manifold.branching.items():
         branch_rate = upper_manifold.decay_rate * fraction
-        for up in upper_manifold.sublevels():
-            for q in (-1, 0, 1):
-                two_m_lo = up.two_m - 2 * q
-                if abs(two_m_lo) > atom[lower_label].two_j:
-                    continue
-                lo = ZeemanState(atom[lower_label], two_m_lo)
-                amp = cg_coefficient(lo, up, q)
-                if amp == 0.0:
-                    continue
-                channels.append((up, lo, q, branch_rate * amp * amp))
+        pairs = dipole_pairs(atom, lower_label, upper_label)
+        for lo, up, q, cg in sorted(pairs, key=lambda pair: (pair[1].two_m, pair[2])):
+            channels.append((up, lo, q, branch_rate * cg * cg))
     return channels

@@ -21,7 +21,6 @@ from .hilbert import HilbertLayout
 from .lindblad import (
     _ReducedSteadyState,
     build_liouvillian,
-    detected_mode_numbers,
     drive_detuning_shift_superoperator,
     evolve,
     photon_flux,
@@ -376,11 +375,8 @@ def photon_pulse(
     traj = evolve(liouv, rho0, t_grid, rtol=rtol, max_steps=max_steps)
 
     kappa = model.cavity.kappa
-    from .cavity import channel_efficiency
-
-    eff = np.array(channel_efficiency(model.detection))
     flux = np.array(
-        [2 * kappa * detected_mode_numbers(st, layout, model.detection) * eff for st in traj.states]
+        [photon_flux(st, layout, kappa, model.detection, include_dark=False) for st in traj.states]
     )  # (T, 2)
 
     probs = np.zeros((2, n_bins))
@@ -457,7 +453,7 @@ def _accumulate_joint(kappa, layout, traj, channel_rotations, atom_states):
     matrix and the de-rotated integrand for drift diagnostics.
     """
     nd2, n_atom = layout.mode_dim**2, len(atom_states)
-    idx = np.concatenate([layout.atom_index(s) * nd2 + np.arange(nd2) for s in atom_states])
+    idx = np.r_[tuple(layout.block(s) for s in atom_states)]
     times = np.array([st.time for st in traj.states])
     blocks = np.stack([st.matrix[np.ix_(idx, idx)] for st in traj.states])
     blocks = blocks.reshape(len(times), n_atom, nd2, n_atom, nd2)

@@ -12,6 +12,7 @@ density matrices use column stacking: vec(A rho B) = (B^T kron A) vec(rho).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +51,11 @@ class HilbertLayout:
     def atom_index(self, state: ZeemanState) -> int:
         return self._state_index[(state.manifold.label, state.two_m)]
 
+    def block(self, state: ZeemanState) -> slice:
+        """The indices of the (n_max+1)**2 mode states of one atomic state."""
+        start = self.atom_index(state) * self.mode_dim**2
+        return slice(start, start + self.mode_dim**2)
+
     def index(self, state: ZeemanState, n_h: int, n_v: int) -> int:
         nd = self.mode_dim
         if not (0 <= n_h < nd and 0 <= n_v < nd):
@@ -85,6 +91,12 @@ class HilbertLayout:
     def number(self, channel: str) -> sp.csr_matrix:
         a = self.destroy(channel)
         return (a.conj().T @ a).tocsr()
+
+    @cached_property
+    def mode_flux_operators(self) -> tuple:
+        """(a_H^dag a_H, a_V^dag a_V, a_H^dag a_V), the operators of the detected flux."""
+        a_h, a_v = self.destroy("H"), self.destroy("V")
+        return tuple((x.conj().T @ y).tocsr() for x, y in ((a_h, a_h), (a_v, a_v), (a_h, a_v)))
 
     def basis_state(self, state: ZeemanState, n_h: int = 0, n_v: int = 0) -> np.ndarray:
         """Pure-state density matrix |state, n_h, n_v><...|."""

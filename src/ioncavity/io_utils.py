@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 
@@ -43,28 +44,34 @@ def write_csv(path, columns, rows, meta: dict | None = None):
 
 
 def write_json(path, payload: dict, meta: dict | None = None):
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     document = dict(payload)
     if meta:
         document["_meta"] = dict(sorted(meta.items()))
     path.write_text(
-        json.dumps(document, sort_keys=True, indent=2, default=_json_default) + "\n",
+        json.dumps(_jsonable(document), sort_keys=True, indent=2, allow_nan=False) + "\n",
         newline="\n",
     )
     return path
 
 
-def _json_default(obj):
+def _jsonable(obj):
+    """``obj`` with numpy values as Python ones and NaN or infinity as None."""
     import numpy as np
 
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        return _jsonable(obj.tolist())
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_svg_plot(path, curves, xlabel, ylabel, title="", meta: dict | None = None):

@@ -43,10 +43,9 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
-from .atom import decay_channels, zeeman_shift
+from .atom import decay_channels, dipole_pairs, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
 from .hilbert import HilbertLayout, commutator_superoperator, unvec, vec
-from .polarization import spherical_unit_vector
 from .system import SystemModel
 
 TRANSITION_MANIFOLDS = {
@@ -121,58 +120,33 @@ def _lift(layout, to_index, from_index, values) -> sp.csr_matrix:
     )
 
 
-def _coupling_operator(layout, lower_label, upper_label, polarization, amplitude):
-    """Sum over Zeeman paths of (amplitude/2) c_q cg |upper><lower|."""
-    atom = layout.atom
-    from .atom import ZeemanState, cg_coefficient
+def _coupling_operator(layout, lower_label, upper_label, weights, scale):
+    """Sum over dipole pairs of scale * weights[q] * cg |upper><lower|."""
+    pairs = dipole_pairs(layout.atom, lower_label, upper_label)
+    pairs = [pair for pair in pairs if abs(weights[pair[2]]) >= 1e-15]
+    return _lift(
+        layout,
+        [layout.atom_index(up) for _, up, _, _ in pairs],
+        [layout.atom_index(lo) for lo, _, _, _ in pairs],
+        np.array([scale * weights[q] * cg for _, _, q, cg in pairs], dtype=complex),
+    )
 
-    to, frm, values = [], [], []
-    for lo in atom[lower_label].sublevels():
-        for q in (-1, 0, 1):
-            c = polarization.component(q)
-            if abs(c) < 1e-15:
-                continue
-            two_m_up = lo.two_m + 2 * q
-            if abs(two_m_up) > atom[upper_label].two_j:
-                continue
-            up = ZeemanState(atom[upper_label], two_m_up)
-            cg = cg_coefficient(lo, up, q)
-            if cg == 0.0:
-                continue
-            to.append(layout.atom_index(up))
-            frm.append(layout.atom_index(lo))
-            values.append((amplitude / 2.0) * c * cg)
-    return _lift(layout, to, frm, np.array(values, dtype=complex))
+
+def _laser_coupling(layout, role, polarization, amplitude):
+    """(amplitude/2) c_q cg |upper><lower| over the Zeeman paths of a laser."""
+    c = {q: polarization.component(q) for q in (-1, 0, 1)}
+    return _coupling_operator(layout, *TRANSITION_MANIFOLDS[role], c, amplitude / 2.0)
 
 
 def _cavity_coupling(model: SystemModel, layout: HilbertLayout) -> sp.csr_matrix:
     """g-weighted P3/2 <-> D5/2 couplings to both polarization modes."""
-    atom = layout.atom
-    basis = model.mode_basis
-    from .atom import ZeemanState, cg_coefficient
-
     op = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
     if model.cavity.g == 0.0:
         return op
     for channel in ("H", "V"):
-        mode_vec = basis.mode_vector(channel)
-        to, frm, values = [], [], []
-        for d in atom["D5/2"].sublevels():
-            for q in (-1, 0, 1):
-                proj = np.vdot(mode_vec, spherical_unit_vector(q))
-                if abs(proj) < 1e-15:
-                    continue
-                two_m_p = d.two_m + 2 * q
-                if abs(two_m_p) > atom["P3/2"].two_j:
-                    continue
-                p = ZeemanState(atom["P3/2"], two_m_p)
-                cg = cg_coefficient(d, p, q)
-                if cg == 0.0:
-                    continue
-                to.append(layout.atom_index(p))
-                frm.append(layout.atom_index(d))
-                values.append(model.cavity.g * proj * cg)
-        raise_op = _lift(layout, to, frm, np.array(values, dtype=complex)) @ layout.destroy(channel)
+        proj = {q: model.mode_basis.emission_projection(channel, q) for q in (-1, 0, 1)}
+        emit = _coupling_operator(layout, "D5/2", "P3/2", proj, model.cavity.g)
+        raise_op = emit @ layout.destroy(channel)
         op = op + raise_op + raise_op.conj().T
     return op.tocsr()
 
@@ -200,10 +174,7 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
     diag = np.zeros(layout.dim)
     for state in layout.atom.all_states():
         energy = zeeman_shift(state, model.b_gauss) + offsets[state.manifold.label]
-        nd = layout.mode_dim
-        base = layout.atom_index(state) * nd * nd
-        for rem in range(nd * nd):
-            diag[base + rem] += energy
+        diag[layout.block(state)] += energy
     n_total = layout.number("H") + layout.number("V")
     h_static = sp.diags(diag).tocsr() + offsets["photon"] * n_total
 
@@ -211,10 +182,7 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
         laser = model.laser(role)
         if laser is None:
             continue
-        lower, upper = TRANSITION_MANIFOLDS[role]
-        a_op = _coupling_operator(
-            layout, lower, upper, laser.polarization, laser.tones[0].amplitude
-        )
+        a_op = _laser_coupling(layout, role, laser.polarization, laser.tones[0].amplitude)
         h_static = h_static + a_op + a_op.conj().T
 
     h_static = (h_static + _cavity_coupling(model, layout)).tocsr()
@@ -226,13 +194,10 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
     beats = []
     envelope = drive.envelope if drive else Envelope()
     if drive is not None:
-        lower, upper = TRANSITION_MANIFOLDS["drive"]
-        a1 = _coupling_operator(
-            layout, lower, upper, drive.polarization, drive.tones[0].amplitude
-        )
+        a1 = _laser_coupling(layout, "drive", drive.polarization, drive.tones[0].amplitude)
         drive_coupling = (a1 + a1.conj().T).tocsr()
         for tone in drive.tones[1:]:
-            a_k = _coupling_operator(layout, lower, upper, drive.polarization, tone.amplitude)
+            a_k = _laser_coupling(layout, "drive", drive.polarization, tone.amplitude)
             beats.append((a_k.tocsr(), tone.detuning - drive.tones[0].detuning))
 
     parts = HamiltonianParts(
@@ -918,25 +883,9 @@ def expectation(rho: DensityMatrix | np.ndarray, operator) -> complex:
     return complex(np.sum(operator.T * m))
 
 
-_MODE_FLUX_OPERATORS = {}  # n_max -> (a_H^dag a_H, a_V^dag a_V, a_H^dag a_V)
-
-
-def _mode_flux_operators(layout: HilbertLayout):
-    """The three mode operators of the detected flux, built once per cutoff.
-
-    They depend on the cutoff alone: the atomic factor is the identity.
-    """
-    ops = _MODE_FLUX_OPERATORS.get(layout.n_max)
-    if ops is None:
-        a_h, a_v = layout.destroy("H"), layout.destroy("V")
-        ops = tuple((x.conj().T @ y).tocsr() for x, y in ((a_h, a_h), (a_v, a_v), (a_h, a_v)))
-        _MODE_FLUX_OPERATORS[layout.n_max] = ops
-    return ops
-
-
 def detected_mode_numbers(rho, layout: HilbertLayout, chain) -> np.ndarray:
     """Photon-number expectations of the two detected (analysis-basis) modes."""
-    num_h, num_v, hv = _mode_flux_operators(layout)
+    num_h, num_v, hv = layout.mode_flux_operators
     n_h = expectation(rho, num_h).real
     n_v = expectation(rho, num_v).real
     cross = expectation(rho, hv)
@@ -969,13 +918,11 @@ def photon_flux(
 def manifold_populations(rho, layout: HilbertLayout) -> dict[str, float]:
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     diag = np.real(np.diag(m))
-    nd = layout.mode_dim
     out = {}
     for label in ("S1/2", "D3/2", "D5/2", "P1/2", "P3/2"):
         total = 0.0
         for state in layout.atom[label].sublevels():
-            base = layout.atom_index(state) * nd * nd
-            total += float(np.sum(diag[base : base + nd * nd]))
+            total += float(np.sum(diag[layout.block(state)]))
         out[label] = total
     return out
 
@@ -983,6 +930,4 @@ def manifold_populations(rho, layout: HilbertLayout) -> dict[str, float]:
 def state_population(rho, layout: HilbertLayout, state) -> float:
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     diag = np.real(np.diag(m))
-    nd = layout.mode_dim
-    base = layout.atom_index(state) * nd * nd
-    return float(np.sum(diag[base : base + nd * nd]))
+    return float(np.sum(diag[layout.block(state)]))

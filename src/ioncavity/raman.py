@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atom import AtomData, ZeemanState, cg_coefficient, load_atom, zeeman_shift
+from .atom import AtomData, ZeemanState, dipole_pairs, load_atom, zeeman_shift
 from .errors import PolarizationError, SelectionRuleError
 from .polarization import CavityModeBasis, Polarization
 
@@ -103,41 +103,32 @@ def enumerate_paths(setting: RamanSetting) -> list[RamanLine]:
     basis = setting.mode_basis
     c = {q: pol.component(q) for q in (-1, 0, 1)}
 
+    emitters = {}  # P3/2 2m -> [(D5/2 state, q_emit, cg)], D5/2 m ascending
+    for d, p, q_emit, cg_pd in dipole_pairs(atom, "D5/2", "P3/2"):
+        emitters.setdefault(p.two_m, []).append((d, q_emit, cg_pd))
+    proj = {(ch, q): basis.emission_projection(ch, q) for ch in ("H", "V") for q in (-1, 0, 1)}
+
     paths = []
-    for s in atom["S1/2"].sublevels():
-        for q_drv in (-1, 0, 1):
-            if abs(c[q_drv]) < 1e-15:
-                continue
-            two_m_p = s.two_m + 2 * q_drv
-            if abs(two_m_p) > atom["P3/2"].two_j:
-                continue
-            p = ZeemanState(atom["P3/2"], two_m_p)
-            amp_drive = c[q_drv] * cg_coefficient(s, p, q_drv)
-            if amp_drive == 0.0:
-                continue
-            for d in atom["D5/2"].sublevels():
-                q_emit = (p.two_m - d.two_m) // 2
-                if abs(q_emit) > 1 or p.two_m - d.two_m != 2 * q_emit:
+    for s, p, q_drv, cg_sp in dipole_pairs(atom, "S1/2", "P3/2"):
+        if abs(c[q_drv]) < 1e-15:
+            continue
+        amp_drive = c[q_drv] * cg_sp
+        for d, q_emit, cg_pd in emitters.get(p.two_m, ()):
+            for channel in ("H", "V"):
+                if abs(proj[channel, q_emit]) < 1e-15:
                     continue
-                cg_pd = cg_coefficient(d, p, q_emit)
-                if cg_pd == 0.0:
-                    continue
-                for channel in ("H", "V"):
-                    proj = basis.emission_projection(channel, q_emit)
-                    if abs(proj) < 1e-15:
-                        continue
-                    paths.append(
-                        RamanPath(
-                            initial=s,
-                            intermediate=p,
-                            final=d,
-                            q_drive=q_drv,
-                            q_emit=q_emit,
-                            channel=channel,
-                            amp_drive=amp_drive,
-                            amp_emit=proj * cg_pd,
-                        )
+                paths.append(
+                    RamanPath(
+                        initial=s,
+                        intermediate=p,
+                        final=d,
+                        q_drive=q_drv,
+                        q_emit=q_emit,
+                        channel=channel,
+                        amp_drive=amp_drive,
+                        amp_emit=proj[channel, q_emit] * cg_pd,
                     )
+                )
     return merge_lines(paths, setting)
 
 
@@ -236,20 +227,15 @@ def stark_shift_ground(state: ZeemanState, setting: RamanSetting, delta_drv: flo
     paths, each with its own Zeeman-corrected detuning. D-state shifts
     from the vacuum-level cavity field are neglected.
     """
-    atom = setting.atom
     pol = setting.drive_polarization
     total = 0.0
-    for q in (-1, 0, 1):
+    for lo, p, q, cg in dipole_pairs(setting.atom, state.manifold.label, "P3/2"):
+        if lo.two_m != state.two_m:
+            continue
         c = pol.component(q)
         if abs(c) < 1e-15:
             continue
-        two_m_p = state.two_m + 2 * q
-        if abs(two_m_p) > atom["P3/2"].two_j:
-            continue
-        p = ZeemanState(atom["P3/2"], two_m_p)
-        amp = abs(c) * cg_coefficient(state, p, q)
-        if amp == 0.0:
-            continue
+        amp = abs(c) * cg
         delta_i = delta_drv - (
             zeeman_shift(p, setting.b_gauss) - zeeman_shift(state, setting.b_gauss)
         )

@@ -9,6 +9,7 @@ from ioncavity.atom import (
     cg_coefficient,
     clebsch_gordan,
     decay_channels,
+    dipole_pairs,
     lande_g,
     load_atom,
     zeeman_shift,
@@ -152,6 +153,31 @@ def test_decay_channel_rates_sum_to_manifold_rate(atom):
         for up in atom[label].sublevels():
             total = sum(rate for u, _, _, rate in channels if u == up)
             assert total == pytest.approx(atom[label].decay_rate, rel=1e-12)
+
+
+def test_dipole_pairs_match_brute_force_scan(atom):
+    """Every nonzero cg between two manifolds, by lower m then q; none where L differs by 2."""
+    for lower_label in MANIFOLD_LABELS:
+        for upper_label in MANIFOLD_LABELS:
+            if lower_label == upper_label:
+                continue
+            want = [
+                (lo.label, up.label, q, cg_coefficient(lo, up, q))
+                for lo in atom[lower_label].sublevels()
+                for q in (-1, 0, 1)
+                for up in atom[upper_label].sublevels()
+                if cg_coefficient(lo, up, q) != 0.0
+            ]
+            got = dipole_pairs(atom, lower_label, upper_label)
+            assert isinstance(got, tuple)
+            assert [(lo.label, up.label, q, cg) for lo, up, q, cg in got] == want
+            assert dipole_pairs(atom, lower_label, upper_label) is got  # memoized
+    assert dipole_pairs(atom, "S1/2", "D5/2") == ()
+    assert len(dipole_pairs(atom, "S1/2", "P3/2")) == 6
+    with pytest.raises(SelectionRuleError):
+        dipole_pairs(atom, "D5/2", "D5/2")
+    other = load_atom()  # the memo lives on the atom, not in the module
+    assert dipole_pairs(other, "D5/2", "P3/2") is not dipole_pairs(atom, "D5/2", "P3/2")
 
 
 def test_emission_branching_from_p_minus_3_2(atom):

@@ -335,6 +335,7 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 # GOLDEN_REL x the largest |entry| of that file's matrix, as test_golden holds
 # the joint matrix: a relative check per entry would pin the round-off imaginary
 # part of a real diagonal entry (5e-17 against 0.64) to its own digits.
+# JSON outputs are parsed strictly: NaN or Infinity in one fails the case.
 # Plots are not covered. Regenerate only when an output is meant to change; name the
 # cases to rewrite, the others are left as they are:
 #
@@ -434,6 +435,10 @@ def _operator_dump(text):
     }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def _file_record(path, out):
     text = path.read_text()
     if path.suffix == ".csv":
@@ -442,7 +447,7 @@ def _file_record(path, out):
         table = [line for line in lines if not line.startswith("#")]
         return {"meta": meta, "header": table[0], "rows": [[_cell(c) for c in r.split(",")] for r in table[1:]]}
     if path.suffix == ".json":
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     if path.parent.name == "operators":
         return _operator_dump(text)
     return _text_lines(text)

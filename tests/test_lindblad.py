@@ -72,6 +72,8 @@ def test_index_round_trip(atom):
                 seen.add(idx)
                 back_state, back_h, back_v = layout.unindex(idx)
                 assert (back_state, back_h, back_v) == (state, n_h, n_v)
+        block = range(layout.dim)[layout.block(state)]
+        assert list(block) == sorted(layout.index(state, h, v) for h in range(3) for v in range(3))
     assert seen == set(range(layout.dim))
 
 

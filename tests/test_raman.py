@@ -341,3 +341,44 @@ def test_emission_completeness_under_basis_rotation(atom):
 def test_merged_lines_count_constant_under_rabi():
     for rabi in (mhz(10.0), mhz(50.0), mhz(88.0)):
         assert len(enumerate_paths(beam_a_setting(rabi=rabi))) == 10
+
+
+def test_raman_paths_read_the_hamiltonian_amplitudes(atom):
+    """Each beam-B path's drive and cavity amplitudes are the entries of H.
+
+    (Omega/2) amp_drive is <P,0,0|A|S,0,0> of the drive coupling and
+    g amp_emit is <P,0,0|H_static|D,1_ch> of the cavity coupling.
+    """
+    from ioncavity.hilbert import HilbertLayout
+    from ioncavity.lindblad import build_hamiltonian
+    from ioncavity.system import beam_b_polarization, standard_model
+
+    rabi = mhz(99.0)
+    model = standard_model(
+        drive_rabi=rabi,
+        drive_detuning=-mhz(400.0),
+        drive_polarization=beam_b_polarization(),
+        delta_cav=-mhz(400.0),
+        b_gauss=4.77,
+        orientation="perpendicular",
+        atom=atom,
+    )
+    setting = RamanSetting(
+        b_gauss=4.77,
+        orientation="perpendicular",
+        drive_polarization=beam_b_polarization(),
+        drive_rabi=rabi,
+        delta_cav=-mhz(400.0),
+        atom=atom,
+    )
+    layout = HilbertLayout(atom=atom, n_max=1)
+    parts = build_hamiltonian(model, layout)
+    drive, static = parts.drive_coupling.toarray(), parts.static.toarray()
+    paths = [path for line in enumerate_paths(setting) for path in line.paths]
+    assert {path.channel for path in paths} == {"H", "V"}
+    for path in paths:
+        i_s = layout.index(path.initial, 0, 0)
+        i_p = layout.index(path.intermediate, 0, 0)
+        i_d = layout.index(path.final, *((1, 0) if path.channel == "H" else (0, 1)))
+        assert drive[i_p, i_s] == pytest.approx(rabi / 2 * path.amp_drive, rel=1e-12)
+        assert static[i_p, i_d] == pytest.approx(model.cavity.g * path.amp_emit, rel=1e-12)
