@@ -68,10 +68,11 @@ class LevelManifold:
 
 @dataclass(frozen=True, order=True)
 class ZeemanState:
-    """A single |L_J, m_J> sub-state."""
+    """A single |L_J, m_J> sub-state, equal, hashed and ordered by (manifold label, m)."""
 
     manifold: LevelManifold = field(compare=False)
-    two_m: int = 0
+    two_m: int = field(default=0, compare=False)
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if abs(self.two_m) > self.manifold.two_j:
@@ -80,6 +81,7 @@ class ZeemanState:
             )
         if (self.two_m - self.manifold.two_j) % 2 != 0:
             raise ValueError("m must differ from J by an integer")
+        object.__setattr__(self, "key", (self.manifold.label, self.two_m))
 
     @property
     def m(self) -> float:

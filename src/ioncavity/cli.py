@@ -370,9 +370,9 @@ class Result:
     ``message`` is the stdout line, with ``{out}`` standing for the output
     directory. ``tables`` maps CSV file names to (columns, rows),
     ``summaries`` JSON file names to payloads and ``texts`` text file names
-    to their content. ``plot`` is (SVG file name, curves, x label, y label),
-    drawn only with --plot. ``meta`` holds the keys written next to the
-    config hash, and ``operators`` the Liouvillian that --dump-operators dumps.
+    (``operators/...`` for --dump-operators) to their content. ``plot`` is
+    (SVG file name, curves, x label, y label), drawn only with --plot.
+    ``meta`` holds the keys written next to the config hash.
     """
 
     message: str
@@ -381,7 +381,6 @@ class Result:
     texts: dict = field(default_factory=dict)
     plot: tuple | None = None
     meta: dict = field(default_factory=dict)
-    operators: object = None
 
 
 def write_result(result: Result, cfg, out: Path, plot: bool):
@@ -393,12 +392,11 @@ def write_result(result: Result, cfg, out: Path, plot: bool):
     for name, payload in result.summaries.items():
         write_json(out / name, payload, meta)
     for name, text in result.texts.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text, newline="\n")
     if plot and result.plot:
         name, curves, xlabel, ylabel = result.plot
         write_svg_plot(out / name, curves, xlabel, ylabel, meta=meta)
-    if result.operators is not None:
-        result.operators.dump_operators(out / "operators")
     print(result.message.replace("{out}", str(out)))
 
 
@@ -484,13 +482,14 @@ def cmd_spectrum(cfg, args):
     det = to_mhz(scan.detunings)
     rows = [(d, rh, rv, int(c), res) for d, rh, rv, c, res in zip(det, *scan.rates, scan.converged, scan.residuals)]
     peaks = annotate_peaks(find_peaks(scan), lines)
-    operators = None
+    texts = {}
     if args.dump_operators:
         from .hilbert import HilbertLayout
-        from .lindblad import build_liouvillian
+        from .lindblad import operator_dump
 
         model = model_from_config(cfg, drive_detuning=float(scan.detunings[0]))
-        operators = build_liouvillian(model, HilbertLayout(atom=model.atom, n_max=cfg["solver"]["n_max"]))
+        layout = HilbertLayout(atom=model.atom, n_max=cfg["solver"]["n_max"])
+        texts = {f"operators/{name}": text for name, text in operator_dump(model, layout).items()}
     summary = [
         {"detuning_2pi_mhz": to_mhz(p.detuning), "height_hz": p.height, "channel": p.channel,
          "fwhm_2pi_mhz": to_mhz(p.fwhm) if np.isfinite(p.fwhm) else None, "label": p.label}
@@ -501,8 +500,8 @@ def cmd_spectrum(cfg, args):
         tables={"spectrum.csv": (["detuning_2pi_mhz", "rate_h_hz", "rate_v_hz", "converged", "residual"], rows)},
         summaries={"spectrum.json": {"peaks": summary, "n_peaks": len(peaks)}},
         plot=("spectrum.svg", [(det, scan.rates[0], "H channel"), (det, scan.rates[1], "V channel")], DETUNING, RATE),
+        texts=texts,
         meta={"n_max": cfg["solver"]["n_max"], "rtol": cfg["solver"]["rtol"]},
-        operators=operators,
     )
 
 

@@ -32,9 +32,7 @@ class HilbertLayout:
         if self.n_max < 1:
             raise ValueError("photon cutoff n_max must be at least 1")
         states = self.atom.all_states()
-        object.__setattr__(
-            self, "_state_index", {(s.manifold.label, s.two_m): i for i, s in enumerate(states)}
-        )
+        object.__setattr__(self, "_state_index", {s: i for i, s in enumerate(states)})
 
     @property
     def atom_dim(self) -> int:
@@ -49,7 +47,7 @@ class HilbertLayout:
         return self.atom_dim * self.mode_dim**2
 
     def atom_index(self, state: ZeemanState) -> int:
-        return self._state_index[(state.manifold.label, state.two_m)]
+        return self._state_index[state]
 
     def block(self, state: ZeemanState) -> slice:
         """The indices of the (n_max+1)**2 mode states of one atomic state."""

@@ -46,7 +46,7 @@ from scipy.sparse.csgraph import connected_components
 from .atom import decay_channels, dipole_pairs, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
 from .hilbert import HilbertLayout, commutator_superoperator, unvec, vec
-from .system import SystemModel
+from .system import Envelope, SystemModel
 
 TRANSITION_MANIFOLDS = {
     "drive": ("S1/2", "P3/2"),
@@ -74,10 +74,6 @@ class DensityMatrix:
         if min_eig < -eig_tol:
             raise ValueError(f"negative eigenvalue {min_eig:.2e}")
         return self
-
-    @property
-    def trace(self) -> complex:
-        return np.trace(self.matrix)
 
     def min_eigenvalue(self) -> float:
         m = 0.5 * (self.matrix + self.matrix.conj().T)
@@ -187,8 +183,6 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
 
     h_static = (h_static + _cavity_coupling(model, layout)).tocsr()
 
-    from .system import Envelope
-
     drive = model.laser("drive")
     drive_coupling = None
     beats = []
@@ -229,6 +223,22 @@ def collapse_operators(model: SystemModel, layout: HilbertLayout):
     return ops
 
 
+def operator_dump(model: SystemModel, layout: HilbertLayout) -> dict[str, str]:
+    """Sparse-triplet texts (row, col, re, im) of H and the collapse operators, by file name."""
+    parts = build_hamiltonian(model, layout)
+    ops = {"hamiltonian_static": parts.static, "hamiltonian_drive": parts.drive_coupling}
+    for i, (label, op) in enumerate(collapse_operators(model, layout)):
+        safe = label.replace("/", "").replace(":", "_").replace(">", "").replace("<", "")
+        ops[f"collapse_{i:02d}_{safe}"] = op
+    coos = {name: sp.csr_matrix(op).tocoo() for name, op in ops.items() if op is not None}
+    return {
+        f"{name}.txt": "".join(
+            f"{r} {c} {x.real:.17g} {x.imag:.17g}\n" for r, c, x in zip(a.row, a.col, a.data)
+        )
+        for name, a in coos.items()
+    }
+
+
 class _Rhs:
     """v -> L(t) v by direct CSR matvecs, accumulated into a caller's buffer.
 
@@ -266,13 +276,11 @@ def _csr_arrays(op):
 
 @dataclass
 class Liouvillian:
-    """Sparse superoperator plus its components, over vectorized states."""
+    """The generator L(t) = static_part + sum_k f_k(t) T_k over vectorized states."""
 
     layout: HilbertLayout
-    parts: HamiltonianParts
-    collapses: list
     static_part: sp.csr_matrix
-    td_terms: list = field(default_factory=list)  # [(superop, f(t))]
+    td_terms: list = field(default_factory=list)  # [(superop T_k, f_k(t))]
 
     @property
     def dim(self) -> int:
@@ -281,12 +289,6 @@ class Liouvillian:
     @property
     def is_static(self) -> bool:
         return not self.td_terms
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        if not self.is_static:
-            raise ValueError("Liouvillian has explicit time dependence")
-        return self.static_part
 
     def apply(self, t: float, v: np.ndarray) -> np.ndarray:
         """L(t) v, through the same kernel as :func:`evolve`."""
@@ -311,8 +313,7 @@ class Liouvillian:
 
         Returns ``(keep, block)``: the sorted kept indices, and a copy of
         this Liouvillian whose static part and time-dependent terms act on
-        ``v[keep]``. Its ``layout``, ``parts`` and ``collapses`` still
-        describe the full space.
+        ``v[keep]``; only its ``layout`` still describes the full space.
         """
         graph = abs(self.static_part)
         for superop, _ in self.td_terms:
@@ -337,26 +338,6 @@ class Liouvillian:
         for superop, _ in self.td_terms:
             worst = max(worst, np.max(np.abs(superop.conj().T @ ident)))
         return float(worst)
-
-    def dump_operators(self, directory):
-        """Sparse-triplet text dump (row, col, re, im) of H and collapse operators."""
-        import pathlib
-
-        directory = pathlib.Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-
-        def write(name, op):
-            coo = sp.csr_matrix(op).tocoo()
-            with open(directory / f"{name}.txt", "w", newline="\n") as fh:
-                for r, c, x in zip(coo.row, coo.col, coo.data):
-                    fh.write(f"{r} {c} {x.real:.17g} {x.imag:.17g}\n")
-
-        write("hamiltonian_static", self.parts.static)
-        if self.parts.drive_coupling is not None:
-            write("hamiltonian_drive", self.parts.drive_coupling)
-        for i, (label, op) in enumerate(self.collapses):
-            safe = label.replace("/", "").replace(":", "_").replace(">", "").replace("<", "")
-            write(f"collapse_{i:02d}_{safe}", op)
 
 
 def build_liouvillian(
@@ -407,13 +388,7 @@ def build_liouvillian(
             (n_super, lambda t, f=freq, e=env: e(t) * np.exp(+1j * f * t))
         )
 
-    return Liouvillian(
-        layout=layout,
-        parts=parts,
-        collapses=collapses,
-        static_part=static,
-        td_terms=td_terms,
-    )
+    return Liouvillian(layout=layout, static_part=static, td_terms=td_terms)
 
 
 def _kron_triplets(a, b):
@@ -468,17 +443,18 @@ def steady_state(
     Direct sparse solve of the vectorized system, restricted to the
     entries reachable from the populations (:meth:`Liouvillian.restrict`),
     with one row replaced by the trace constraint; falls back to shifted
-    inverse iteration on the full operator if the factorization fails. The
-    residual ||L rho|| must come out below 1e-10 * ||L||. With
+    inverse iteration on the same block if the factorization fails. The
+    residual ||L rho|| must come out below 1e-10 * ||L||, both on the block
+    (no entry couples it to the rest, so the full residual is the same). With
     ``check_unique`` the reduced block is probed for a second near-zero
     eigenvalue, which would mean the stationary state is not unique (see
     :func:`_check_uniqueness`).
 
     With ``return_info`` a dict comes back too: ``residual`` and
-    ``residual_scale`` (||L rho|| and ||L||), ``reduced_dim`` (size of the
-    block), ``lu_fill`` (nonzeros of its L and U factors; None if it could
-    not be factored) and ``path`` (``"lu"``, or ``"inverse_iteration"``
-    when the fallback gave the answer).
+    ``residual_scale`` (||L rho|| and max |L|, on the block), ``reduced_dim``
+    (size of the block), ``lu_fill`` (nonzeros of its L and U factors; None
+    if it could not be factored) and ``path`` (``"lu"``, or
+    ``"inverse_iteration"`` when the fallback gave the answer).
     """
     if not liouv.is_static:
         raise SteadyStateError("steady state requires a time-independent Liouvillian")
@@ -504,8 +480,6 @@ class _ReducedSteadyState:
         n = liouv.dim
         diagonal = np.arange(n) * (n + 1)
         self.n = n
-        self.static_part = liouv.static_part
-        self.shift = shift
         self.keep, block = liouv.restrict(diagonal)
         k = self.keep.size
         self.block = block.static_part
@@ -538,44 +512,42 @@ class _ReducedSteadyState:
     def solve(self, x: float = 0.0, check_unique: bool = False):
         """``(DensityMatrix, info)`` at L(x); see :func:`steady_state`.
 
-        The scale, the residual check and the inverse-iteration fallback use
-        the full operator L(x).
+        The scale, the residual check, the inverse-iteration fallback and the
+        uniqueness probe all use the block of L(x); only the final
+        normalization embeds its vector in the full space.
         """
-        n = self.n
-        L = self.static_part
+        L = self.block
         if x:
-            L = (L + x * self.shift).tocsr()
+            L = (L + x * sp.diags(self.shift_diagonal)).tocsr()
         scale = float(abs(L).max())
         if scale == 0.0:
             raise SteadyStateError("Liouvillian is identically zero")
 
         rhs = np.zeros(self.keep.size, dtype=complex)
         rhs[0] = scale
-        rho_vec, fill, path = None, None, "lu"
+        fill, path = None, "lu"
         try:
             lu = _splu(self.constrained_block(x, scale))
             fill = lu.L.nnz + lu.U.nnz
-            rho_vec = np.zeros(n * n, dtype=complex)
-            rho_vec[self.keep] = lu.solve(rhs)
+            v = lu.solve(rhs)
         except RuntimeError:
-            rho_vec = None
-        if rho_vec is None or not np.all(np.isfinite(rho_vec)):
-            rho_vec, path = _inverse_iteration(L, scale, n), "inverse_iteration"
+            v = None
+        if v is None or not np.all(np.isfinite(v)):
+            v, path = _inverse_iteration(L, scale), "inverse_iteration"
 
-        rho = _hermitian_unit_trace(rho_vec, n)
-        residual = float(np.linalg.norm(L @ vec(rho)))
+        rho, v = self._hermitian_unit_trace(v)
+        residual = float(np.linalg.norm(L @ v))
         if residual > 1e-10 * scale:
-            rho_vec = _inverse_iteration(L, scale, n, start=vec(rho))
-            rho, path = _hermitian_unit_trace(rho_vec, n), "inverse_iteration"
-            residual = float(np.linalg.norm(L @ vec(rho)))
+            rho, v = self._hermitian_unit_trace(_inverse_iteration(L, scale, start=v))
+            path = "inverse_iteration"
+            residual = float(np.linalg.norm(L @ v))
             if residual > 1e-10 * scale:
                 raise SteadyStateError(
                     f"steady-state residual {residual:.2e} exceeds {1e-10 * scale:.2e}"
                 )
 
         if check_unique:
-            block = self.block + x * sp.diags(self.shift_diagonal)
-            _check_uniqueness(block, scale, vec(rho)[self.keep])
+            _check_uniqueness(L, scale, v)
 
         info = {
             "residual": residual,
@@ -586,11 +558,15 @@ class _ReducedSteadyState:
         }
         return DensityMatrix(matrix=rho, time=math.inf), info
 
-
-def _hermitian_unit_trace(rho_vec, n):
-    rho = unvec(rho_vec, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    def _hermitian_unit_trace(self, v):
+        """Block vector -> (Hermitian unit-trace rho, its block vector); the
+        kept entries are closed under rho -> rho^dag."""
+        rho_vec = np.zeros(self.n * self.n, dtype=complex)
+        rho_vec[self.keep] = v
+        rho = unvec(rho_vec, self.n)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        return rho, vec(rho)[self.keep]
 
 
 def _shifted_lu(L, scale, what):
@@ -602,10 +578,10 @@ def _shifted_lu(L, scale, what):
         raise SteadyStateError(f"{what} factorization failed: {exc}") from exc
 
 
-def _inverse_iteration(L, scale, n, start=None, iterations=50):
+def _inverse_iteration(L, scale, start=None, iterations=50):
     lu = _shifted_lu(L, scale, "inverse-iteration")
     rng = np.random.default_rng(7)
-    v = start if start is not None else rng.standard_normal(n * n) + 0j
+    v = start if start is not None else rng.standard_normal(L.shape[0]) + 0j
     v /= np.linalg.norm(v)
     for _ in range(iterations):
         v = lu.solve(v)
@@ -706,9 +682,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
-
-    def expectations(self, operator) -> np.ndarray:
-        return np.array([expectation(s, operator) for s in self.states])
 
     def min_eigenvalue(self) -> float:
         return min(s.min_eigenvalue() for s in self.states)
@@ -856,10 +829,8 @@ def _initial_step(y, f0, rtol, atol, n2):
 
 
 def _fastest_timescale(liouv: Liouvillian) -> float:
-    h = liouv.parts.static
-    fastest = float(np.max(np.abs(h.diagonal()))) if h.nnz else 0.0
-    for _, c in liouv.collapses:
-        fastest = max(fastest, float(abs(c).max()) ** 2)
+    """1 / max|L_static|: the inverse of the generator's fastest rate."""
+    fastest = float(abs(liouv.static_part).max())
     return 1.0 / fastest if fastest > 0 else math.inf
 
 

@@ -27,6 +27,16 @@ def test_manifold_inventory(atom):
             assert abs(sum(man.branching.values()) - 1.0) < 1e-12
 
 
+def test_zeeman_states_are_keyed_by_manifold_and_m(atom):
+    """Equal m in two manifolds is two states; equal states from two loads hash equal."""
+    s_up, p_up = atom.state("S1/2", 0.5), atom.state("P1/2", 0.5)
+    assert s_up != p_up
+    assert len({s_up, p_up}) == 2
+    a, b = load_atom().state("D5/2", -1.5), load_atom().state("D5/2", -1.5)
+    assert a == b and hash(a) == hash(b)
+    assert len(set(atom.all_states())) == 18
+
+
 def test_lande_factors(atom):
     assert lande_g(atom["S1/2"]) == pytest.approx(2.0, abs=1e-15)
     assert lande_g(atom["D5/2"]) == pytest.approx(1.2, abs=1e-12)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ioncavity.constants import TWO_PI, mhz, to_mhz
 from ioncavity import experiments, lindblad
@@ -23,7 +24,7 @@ from ioncavity.experiments import (
     spectrum_grid,
     thermal_rabi,
 )
-from ioncavity.hilbert import HilbertLayout
+from ioncavity.hilbert import HilbertLayout, vec
 from ioncavity.lindblad import build_liouvillian, photon_flux, steady_state
 from ioncavity.polarization import Polarization
 from ioncavity.raman import RamanSetting, enumerate_paths
@@ -449,6 +450,27 @@ def test_scan_reduces_once_and_matches_direct_solves(atom, monkeypatch):
         ss = steady_state(liouv, check_unique=False)
         direct = photon_flux(ss, layout, model.cavity.kappa, model.detection)
         assert scan.rates[:, i] == pytest.approx(direct, rel=1e-10)
+
+
+def test_block_fallback_on_a_driven_model(atom, monkeypatch):
+    """A failed block LU hands the solve to the block's inverse iteration,
+    which finds the LU answer and leaves every dropped entry at zero."""
+    model, _ = _fig4_line_model(atom)
+    liouv = build_liouvillian(model, HilbertLayout(atom=atom, n_max=1))
+    want, _ = lindblad._ReducedSteadyState(liouv).solve()
+
+    def zero_block(self, x, scale):
+        k = self.keep.size
+        return sp.csc_matrix((k, k), dtype=complex)
+
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "constrained_block", zero_block)
+    solver = lindblad._ReducedSteadyState(liouv)
+    got, info = solver.solve()
+    assert (info["path"], info["lu_fill"]) == ("inverse_iteration", None)
+    assert np.abs(got.matrix - want.matrix).max() < 1e-9
+    dropped = np.ones(liouv.dim**2, dtype=bool)
+    dropped[solver.keep] = False
+    assert not vec(got.matrix)[dropped].any()
 
 
 def test_scan_failures_keep_their_reason(atom, monkeypatch):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from ioncavity.constants import khz, mhz
-from ioncavity.errors import FrameConsistencyError, SteadyStateError
+from ioncavity.errors import FrameConsistencyError, SteadyStateError, StiffnessError
 from ioncavity.hilbert import HilbertLayout, commutator_superoperator, unvec, vec
 from ioncavity.lindblad import (
     _check_uniqueness,
@@ -15,11 +15,13 @@ from ioncavity.lindblad import (
     Liouvillian,
     build_hamiltonian,
     build_liouvillian,
+    collapse_operators,
     detected_mode_numbers,
     drive_detuning_shift_superoperator,
     evolve,
     expectation,
     manifold_populations,
+    operator_dump,
     photon_flux,
     state_population,
     steady_state,
@@ -295,13 +297,7 @@ def _two_level_liouvillian(rabi, delta, gamma):
     from ioncavity.hilbert import dissipator_superoperator
 
     static = commutator_superoperator(h) + dissipator_superoperator(c)
-    parts = SimpleNamespace(static=h, is_static=True)
-    return Liouvillian(
-        layout=SimpleNamespace(dim=2),
-        parts=parts,
-        collapses=[("decay", c)],
-        static_part=static.tocsr(),
-    )
+    return Liouvillian(layout=SimpleNamespace(dim=2), static_part=static.tocsr())
 
 
 def test_steady_state_matches_dense_null_space():
@@ -399,6 +395,19 @@ def test_positivity_along_trajectory(atom):
     assert traj.max_trace_drift < 1e-7
 
 
+def test_stiffness_error_carries_the_fastest_timescale(atom, layout):
+    """An exhausted step budget reports 1 / max|L_static| as its timescale."""
+    model = standard_model(drive_rabi=mhz(99.0), drive_detuning=-mhz(407.0),
+                           drive_polarization=beam_b_polarization(), atom=atom)
+    liouv = build_liouvillian(model, layout)
+    rho0 = layout.basis_state(atom.state("S1/2", -0.5))
+    with pytest.raises(StiffnessError, match="step budget 2 exhausted") as caught:
+        evolve(liouv, rho0, np.linspace(0.0, 1e-6, 3), max_steps=2)
+    timescale = caught.value.fastest_timescale
+    assert math.isfinite(timescale) and timescale > 0
+    assert timescale == 1.0 / abs(liouv.static_part).max()
+
+
 # -- observables ---------------------------------------------------------------
 
 
@@ -448,15 +457,14 @@ def test_density_matrix_validation():
         DensityMatrix(matrix=bad).validate()
 
 
-def test_operator_dump(tmp_path, atom):
+def test_operator_dump(atom):
     model = standard_model(drive_rabi=mhz(10.0), drive_detuning=-mhz(400.0), atom=atom)
     layout = HilbertLayout(atom=atom, n_max=1)
-    liouv = build_liouvillian(model, layout)
-    liouv.dump_operators(tmp_path / "ops")
-    files = sorted((tmp_path / "ops").glob("*.txt"))
-    assert any(f.name.startswith("hamiltonian_static") for f in files)
-    assert sum(1 for f in files if f.name.startswith("collapse_")) == len(liouv.collapses)
-    row, col, re, im = (tmp_path / "ops" / "hamiltonian_static.txt").read_text().splitlines()[0].split()
+    texts = operator_dump(model, layout)
+    assert "hamiltonian_static.txt" in texts and "hamiltonian_drive.txt" in texts
+    collapses = collapse_operators(model, layout)
+    assert sum(1 for name in texts if name.startswith("collapse_")) == len(collapses)
+    row, col, re, im = texts["hamiltonian_static.txt"].splitlines()[0].split()
     int(row), int(col), float(re), float(im)
 
 
@@ -575,7 +583,7 @@ def test_steady_state_reports_its_path(atom, layout):
     _, info = steady_state(build_liouvillian(driven, layout), check_unique=False, return_info=True)
     assert (info["reduced_dim"], info["path"]) == (1296, "lu")
     assert info["lu_fill"] > info["reduced_dim"]
-    # no drive: the block is singular, so the full-space inverse iteration answers
+    # no drive: the block is singular, so the block's inverse iteration answers
     dark = standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom)
     _, info = steady_state(build_liouvillian(dark, layout), check_unique=False, return_info=True)
     assert (info["path"], info["lu_fill"]) == ("inverse_iteration", None)

@@ -1,10 +1,11 @@
 """The benchmark's tracer still finds what it wraps and reads.
 
 `perfbench/tracing.py` wraps functions by (module, name) and reads
-`static_part`, `td_terms` and `n_steps` off the Liouvillian and trajectory
-of every `evolve` call. A function the solvers no longer call (the
-superoperator builders the one-pass assembly replaced) must stay importable
-for it. The tracer is imported, never changed.
+`dim`, `static_part` and `td_terms` off the Liouvillian of every
+`steady_state` and `evolve` call, and `n_steps` off each trajectory. A
+function the solvers no longer call (the superoperator builders the
+one-pass assembly replaced) must stay importable for it. The tracer is
+imported, never changed.
 """
 
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ioncavity.constants import mhz
-from ioncavity.lindblad import build_liouvillian, evolve
+from ioncavity.lindblad import build_liouvillian, evolve, steady_state
 from ioncavity.system import Envelope, Tone, beam_b_polarization, standard_model
 
 _spec = importlib.util.spec_from_file_location(
@@ -50,3 +51,9 @@ def test_evolve_counters_read_from_a_result(atom, layout):
         assert span["size"]["liouville_dim"] == layout.dim**2
         nnz = liouv.static_part.nnz + sum(op.nnz for op, _ in liouv.td_terms)
         assert span["size"]["liouvillian_nnz"] == nnz > 0
+
+    liouv = build_liouvillian(standard_model(**common), layout)
+    span = {"name": "lindblad.steady_state", "counters": {}}
+    tracing._count(span, (liouv,), {"check_unique": False}, steady_state(liouv, check_unique=False))
+    assert span["counters"] == {}
+    assert span["size"] == {"liouville_dim": layout.dim**2, "liouvillian_nnz": liouv.static_part.nnz}
