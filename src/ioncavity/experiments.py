@@ -371,13 +371,8 @@ def photon_pulse(
     edges = np.arange(n_bins + 1) * bin_width
     t_grid = np.linspace(0.0, duration, n_bins * samples_per_bin + 1)
 
-    liouv = build_liouvillian(model, layout)
-    traj = evolve(liouv, rho0, t_grid, rtol=rtol, max_steps=max_steps)
-
-    kappa = model.cavity.kappa
-    flux = np.array(
-        [photon_flux(st, layout, kappa, model.detection, include_dark=False) for st in traj.states]
-    )  # (T, 2)
+    traj = evolve(build_liouvillian(model, layout), rho0, t_grid, rtol=rtol, max_steps=max_steps)
+    flux = photon_flux(traj, layout, model.cavity.kappa, model.detection, include_dark=False)
 
     probs = np.zeros((2, n_bins))
     for b in range(n_bins):
@@ -445,7 +440,8 @@ def _accumulate_joint(kappa, layout, traj, channel_rotations, atom_states):
     a_p rho(t) a_p'^dagger on the (atomic state x channel) basis. As
     a_p = 1_atom (x) a_mode, each entry is the mode trace of a_p rho_ab
     a_p'^dagger over the mode block rho_ab between two reported atomic
-    states; the blocks of all times are gathered once. Each channel's
+    states; the blocks of all times are one gather from the trajectory's
+    block vectors (:meth:`Trajectory.submatrices`). Each channel's
     emitted amplitude rotates in the computation frame at
     ``channel_rotations[ch]``; the cross terms are de-rotated accordingly
     so the reported coherence is phase referenced to the drive tones.
@@ -454,9 +450,8 @@ def _accumulate_joint(kappa, layout, traj, channel_rotations, atom_states):
     """
     nd2, n_atom = layout.mode_dim**2, len(atom_states)
     idx = np.r_[tuple(layout.block(s) for s in atom_states)]
-    times = np.array([st.time for st in traj.states])
-    blocks = np.stack([st.matrix[np.ix_(idx, idx)] for st in traj.states])
-    blocks = blocks.reshape(len(times), n_atom, nd2, n_atom, nd2)
+    times = traj.times
+    blocks = traj.submatrices(idx).reshape(len(times), n_atom, nd2, n_atom, nd2)
     a = np.stack([layout.destroy(ch)[idx[:nd2]][:, idx[:nd2]].toarray() for ch in _CHANNELS])
     # Tr(a_p rho a_q^dagger) = sum_jk (a_q^dagger a_p)[k, j] rho[j, k]
     traced = np.einsum("tajbk,pqkj->tapbq", blocks, np.einsum("qik,pij->pqkj", a.conj(), a))

@@ -60,7 +60,6 @@ class DensityMatrix:
     """Trace-one Hermitian state on the truncated atom (x) cavity space."""
 
     matrix: np.ndarray
-    time: float = 0.0
 
     def validate(self, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):
         m = self.matrix
@@ -74,10 +73,6 @@ class DensityMatrix:
         if min_eig < -eig_tol:
             raise ValueError(f"negative eigenvalue {min_eig:.2e}")
         return self
-
-    def min_eigenvalue(self) -> float:
-        m = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(m).min())
 
 
 @dataclass
@@ -311,9 +306,9 @@ class Liouvillian:
         supported on the kept entries never leaves them, and the dropped
         entries of a solution seeded there are exactly zero.
 
-        Returns ``(keep, block)``: the sorted kept indices, and a copy of
-        this Liouvillian whose static part and time-dependent terms act on
-        ``v[keep]``; only its ``layout`` still describes the full space.
+        Returns ``(keep, block)``: the sorted kept indices, and a copy of this
+        Liouvillian acting on ``v[keep]``; its ``layout`` and ``dim`` still describe
+        the full space, so it refuses :meth:`trace_preservation_defect`.
         """
         graph = abs(self.static_part)
         for superop, _ in self.td_terms:
@@ -332,12 +327,11 @@ class Liouvillian:
 
     def trace_preservation_defect(self) -> float:
         """sup-norm of the adjoint applied to the identity; 0 if trace-preserving."""
+        if self.static_part.shape[0] != self.dim**2:
+            raise ValueError("trace preservation is defined on the full Liouvillian, not a block")
         ident = vec(np.eye(self.dim, dtype=complex))
-        defect = self.static_part.conj().T @ ident
-        worst = np.max(np.abs(defect))
-        for superop, _ in self.td_terms:
-            worst = max(worst, np.max(np.abs(superop.conj().T @ ident)))
-        return float(worst)
+        ops = [self.static_part] + [superop for superop, _ in self.td_terms]
+        return float(max(np.max(np.abs(op.conj().T @ ident)) for op in ops))
 
 
 def build_liouvillian(
@@ -556,7 +550,7 @@ class _ReducedSteadyState:
             "lu_fill": fill,
             "path": path,
         }
-        return DensityMatrix(matrix=rho, time=math.inf), info
+        return DensityMatrix(matrix=rho), info
 
     def _hermitian_unit_trace(self, v):
         """Block vector -> (Hermitian unit-trace rho, its block vector); the
@@ -669,22 +663,50 @@ _DP_ROWS[6, 1:] = _DP_ERR
 
 @dataclass
 class Trajectory:
-    """Time-ordered density matrices plus integrator statistics."""
+    """A run of :func:`evolve`: ``vectors[i]`` is vec(rho(times[i]))[keep], the
+    block :meth:`Liouvillian.restrict` keeps; every other entry is exactly zero.
+    Readouts act on it: :meth:`submatrices` is one gather, :func:`expectation` one row.
+    """
 
     times: np.ndarray
-    states: list
+    keep: np.ndarray
+    dim: int
+    vectors: np.ndarray  # (len(times), keep.size)
     n_steps: int
     n_rejected: int
     max_trace_drift: float
 
-    def __iter__(self):
-        return iter(self.states)
+    def _entries(self, flat) -> np.ndarray:
+        """vec(rho)[flat] at every time, 0 outside ``keep``: shape (T, *flat.shape)."""
+        pos = np.minimum(np.searchsorted(self.keep, flat), self.keep.size - 1)
+        out = self.vectors.take(pos, axis=1)  # C order, so sums over the last axis go row by row
+        out[:, self.keep[pos] != flat] = 0.0
+        return out
 
-    def __len__(self):
-        return len(self.states)
+    def submatrices(self, idx) -> np.ndarray:
+        """rho[idx_i, idx_j] at every time, 0 outside ``keep``: shape (T, *idx.shape, m);
+        ``idx`` may stack index sets of one length m on leading axes."""
+        idx = np.asarray(idx)
+        return self._entries(idx[..., None, :] * self.dim + idx[..., :, None])
+
+    @property
+    def states(self) -> list:
+        """The full density matrix at every output time."""
+        return [DensityMatrix(matrix=m) for m in self.submatrices(np.arange(self.dim))]
 
     def min_eigenvalue(self) -> float:
-        return min(s.min_eigenvalue() for s in self.states)
+        """Smallest eigenvalue of rho over all times, from its diagonal blocks: the
+        connected components of the (row, col) pairs of ``keep``. A row with no
+        kept entry is a 1x1 block reading [0]."""
+        n = self.dim
+        edges = sp.coo_matrix((np.ones(self.keep.size), (self.keep % n, self.keep // n)), (n, n))
+        _, labels = connected_components(edges, directed=False)
+        sizes = np.bincount(labels)
+        worst = math.inf
+        for k in np.unique(sizes):
+            m = self.submatrices([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == k)])
+            worst = min(worst, np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).min())
+        return float(worst)
 
 
 def evolve(
@@ -704,32 +726,27 @@ def evolve(
     for a trace-preserving Liouvillian at these tolerances).
 
     Only the entries reachable from the support of ``rho0`` are stepped
-    (:meth:`Liouvillian.restrict`); the others stay exactly zero. The
-    error norm is the RMS over all ``dim**2`` entries, so the step
-    sequence is the one the full vector would take.
+    (:meth:`Liouvillian.restrict`) and returned, one block vector per output
+    time; the others stay exactly zero. The error norm is the RMS over all
+    ``dim**2`` entries, so the step sequence is the one the full vector would take.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be an increasing array of at least two times")
-    rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
-    y_full = vec(rho0_mat).astype(complex)
+    y_full = vec(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0).astype(complex)
     keep, block = liouv.restrict(np.flatnonzero(y_full))
-    y = y_full[keep]
     n2 = y_full.size
     t = float(t_grid[0])
 
     rhs = block._rhs
-
-    states = [DensityMatrix(matrix=rho0_mat.copy(), time=t)]
-    trace0 = float(np.trace(rho0_mat).real)
-    max_drift = 0.0
+    vectors = np.empty((t_grid.size, keep.size), dtype=complex)
 
     # Preallocated rows: y, then the stages k0..k6. Each stage input is one
     # dot of the h-scaled tableau with the real view of these rows.
-    stack = np.empty((8, y.size), dtype=complex)
-    stack[0] = y
+    stack = np.empty((8, keep.size), dtype=complex)
+    stack[0] = vectors[0] = y_full[keep]
     stack_re = stack.view(float)
-    stage_in = np.empty((6, y.size), dtype=complex)
+    stage_in = np.empty((6, keep.size), dtype=complex)
     stage_in_re = stage_in.view(float)
     y, y_new = stack[0], stage_in[5]
     h_rows = np.empty_like(_DP_ROWS)
@@ -787,18 +804,15 @@ def evolve(
             stack[1] = stack[7]  # FSAL
             n_steps += 1
             if clamped:
-                y_full = np.zeros(n2, dtype=complex)
-                y_full[keep] = y
-                rho = unvec(y_full, liouv.dim)
-                states.append(DensityMatrix(matrix=rho, time=t))
-                drift = abs(float(np.trace(rho).real) - trace0)
-                max_drift = max(max_drift, drift)
+                vectors[next_out] = y
                 next_out += 1
         else:
             n_rejected += 1  # FSAL stage k0 still holds f(t, y)
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h = h_try * min(5.0, max(0.2, factor))
 
+    traces = vectors.compress(keep % (liouv.dim + 1) == 0, axis=1).sum(axis=1).real
+    max_drift = float(np.max(np.abs(traces - traces[0])))
     if max_drift > 1e-7:
         raise StiffnessError(
             f"trace drifted by {max_drift:.2e} (> 1e-7); Liouvillian may not be "
@@ -807,7 +821,9 @@ def evolve(
         )
     return Trajectory(
         times=t_grid,
-        states=states,
+        keep=keep,
+        dim=liouv.dim,
+        vectors=vectors,
         n_steps=n_steps,
         n_rejected=n_rejected,
         max_trace_drift=max_drift,
@@ -837,68 +853,57 @@ def _fastest_timescale(liouv: Liouvillian) -> float:
 # -- observables -------------------------------------------------------------
 
 
-def expectation(rho: DensityMatrix | np.ndarray, operator) -> complex:
-    """Tr(rho O); raises on dimension mismatch."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if sp.issparse(operator):
-        if operator.shape[0] != m.shape[0]:
-            raise ValueError(
-                f"operator dimension {operator.shape} does not match state {m.shape}"
-            )
-        return complex((operator.T.multiply(m)).sum())
-    operator = np.asarray(operator)
-    if operator.shape != m.shape:
-        raise ValueError(
-            f"operator dimension {operator.shape} does not match state {m.shape}"
-        )
-    return complex(np.sum(operator.T * m))
+def expectation(rho: DensityMatrix | np.ndarray | Trajectory, operator) -> complex | np.ndarray:
+    """Tr(rho O), at every time for a :class:`Trajectory`; raises on dimension mismatch.
+
+    One product: O[r, c] sits at r n + c of O flattened row-major, which is
+    where vec(rho) holds rho[c, r]; only the nonzero entries of O are read."""
+    if isinstance(rho, Trajectory):
+        n, gather = rho.dim, rho._entries
+    else:
+        m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+        n, gather = m.shape[0], vec(m).__getitem__
+    coo = (operator if sp.issparse(operator) else sp.csr_matrix(np.asarray(operator))).tocoo()
+    if coo.shape != (n, n):
+        raise ValueError(f"operator dimension {coo.shape} does not match state {(n, n)}")
+    values = np.sum(coo.data * gather(coo.row * n + coo.col), axis=-1)
+    return values if isinstance(rho, Trajectory) else complex(values)
 
 
 def detected_mode_numbers(rho, layout: HilbertLayout, chain) -> np.ndarray:
-    """Photon-number expectations of the two detected (analysis-basis) modes."""
-    num_h, num_v, hv = layout.mode_flux_operators
-    n_h = expectation(rho, num_h).real
-    n_v = expectation(rho, num_v).real
-    cross = expectation(rho, hv)
+    """Photon numbers of the two detected (analysis-basis) modes; (T, 2) over a trajectory."""
+    n_h, n_v, cross = (
+        np.asarray(expectation(rho, op))[..., None] for op in layout.mode_flux_operators
+    )
     u = chain.analysis_basis
-    out = []
-    for i in range(2):
-        val = (
-            abs(u[i, 0]) ** 2 * n_h
-            + abs(u[i, 1]) ** 2 * n_v
-            + 2 * (np.conj(u[i, 0]) * u[i, 1] * cross).real
-        )
-        out.append(max(val, 0.0))
-    return np.array(out)
+    numbers = (
+        abs(u[:, 0]) ** 2 * n_h.real
+        + abs(u[:, 1]) ** 2 * n_v.real
+        + 2 * (np.conj(u[:, 0]) * u[:, 1] * cross).real
+    )
+    return np.maximum(numbers, 0.0)
 
 
 def photon_flux(
     rho, layout: HilbertLayout, kappa: float, chain, include_dark: bool = True
 ) -> np.ndarray:
-    """Detected count rate per channel: 2 kappa <n_det> x efficiency (+ dark)."""
+    """Detected rate per channel, 2 kappa <n_det> x efficiency (+ dark); (T, 2) for a trajectory."""
     from .cavity import channel_efficiency
 
     numbers = detected_mode_numbers(rho, layout, chain)
-    eff = channel_efficiency(chain)
-    flux = 2 * kappa * numbers * np.array(eff)
+    flux = 2 * kappa * numbers * np.array(channel_efficiency(chain))
     if include_dark:
         flux = flux + np.array(chain.dark_counts)
     return flux
 
 
 def manifold_populations(rho, layout: HilbertLayout) -> dict[str, float]:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    diag = np.real(np.diag(m))
-    out = {}
-    for label in ("S1/2", "D3/2", "D5/2", "P1/2", "P3/2"):
-        total = 0.0
-        for state in layout.atom[label].sublevels():
-            total += float(np.sum(diag[layout.block(state)]))
-        out[label] = total
-    return out
+    return {
+        label: sum(state_population(rho, layout, s) for s in layout.atom[label].sublevels())
+        for label in ("S1/2", "D3/2", "D5/2", "P1/2", "P3/2")
+    }
 
 
 def state_population(rho, layout: HilbertLayout, state) -> float:
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    diag = np.real(np.diag(m))
-    return float(np.sum(diag[layout.block(state)]))
+    return float(np.sum(np.real(np.diag(m))[layout.block(state)]))

@@ -612,7 +612,8 @@ def test_accumulate_joint_matches_the_dense_loop():
 
     from ioncavity.atom import load_atom
     from ioncavity.experiments import _accumulate_joint
-    from ioncavity.hilbert import HilbertLayout
+    from ioncavity.hilbert import HilbertLayout, vec
+    from ioncavity.lindblad import Trajectory
 
     atom = load_atom()
     layout = HilbertLayout(atom=atom, n_max=1)
@@ -625,9 +626,13 @@ def test_accumulate_joint_matches_the_dense_loop():
         re, im = rng.normal(size=(2, layout.dim, layout.dim))
         rho = (re + 1j * im) @ (re + 1j * im).conj().T
         states.append(SimpleNamespace(matrix=rho / np.trace(rho).real, time=t))
-    sigma, times, integrand = _accumulate_joint(
-        kappa, layout, SimpleNamespace(states=states), rotations, reported
+    n = layout.dim
+    traj = Trajectory(
+        times=np.array([st.time for st in states]), keep=np.arange(n * n), dim=n,
+        vectors=np.array([vec(st.matrix) for st in states]),
+        n_steps=0, n_rejected=0, max_trace_drift=0.0,
     )
+    sigma, times, integrand = _accumulate_joint(kappa, layout, traj, rotations, reported)
 
     nd2 = layout.mode_dim**2
     blocks = [layout.atom_index(s) * nd2 + np.arange(nd2) for s in reported]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from ioncavity.constants import khz, mhz
 from ioncavity.errors import FrameConsistencyError, SteadyStateError, StiffnessError
@@ -172,6 +173,15 @@ def test_trace_preservation(atom):
     layout = HilbertLayout(atom=atom, n_max=1)
     liouv = build_liouvillian(model, layout)
     assert liouv.trace_preservation_defect() < 1e-10 * abs(liouv.static_part).max()
+
+
+def test_restricted_block_refuses_trace_preservation(atom, layout):
+    """A block does not know its kept entries, so it cannot check trace preservation."""
+    model = standard_model(drive_rabi=mhz(10.0), drive_detuning=-mhz(400.0), atom=atom)
+    n = layout.dim
+    _, block = build_liouvillian(model, layout).restrict(np.arange(n) * (n + 1))
+    with pytest.raises(ValueError, match="defined on the full Liouvillian"):
+        block.trace_preservation_defect()
 
 
 def test_liouvillian_annihilates_nothing_but_steady_state(atom):
@@ -395,6 +405,64 @@ def test_positivity_along_trajectory(atom):
     assert traj.max_trace_drift < 1e-7
 
 
+def _block_sizes(keep, n):
+    """Sizes of the diagonal blocks of rho that the (row, col) pairs of ``keep`` join."""
+    edges = sp.coo_matrix((np.ones(keep.size), (keep % n, keep // n)), (n, n))
+    return np.bincount(connected_components(edges, directed=False)[1])
+
+
+def assert_min_eigenvalue_by_time(traj):
+    """The block-wise minimum eigenvalue of each output, and of the run, equals the
+    full matrices'."""
+    dense = [np.linalg.eigvalsh(s.matrix).min() for s in traj.states]
+    for i, want in enumerate(dense):
+        one = replace(traj, times=traj.times[i : i + 1], vectors=traj.vectors[i : i + 1])
+        assert abs(one.min_eigenvalue() - want) <= 1e-14
+    assert abs(traj.min_eigenvalue() - min(dense)) <= 1e-14
+
+
+def test_min_eigenvalue_by_block_on_the_sigma_minus_pulse(atom, layout):
+    """The 384 entries of a sigma-minus pulse from |S1/2,-1/2> are 32 whole diagonal
+    blocks of rho: four 9x9, four 3x3 and 24 1x1."""
+    model = standard_model(drive_rabi=mhz(106.0), drive_detuning=-mhz(406.0),
+                           drive_polarization=beam_b_polarization(),
+                           repump_854_rabi=0.0, repump_866_rabi=0.0, atom=atom)
+    rho0 = layout.basis_state(atom.state("S1/2", -0.5))
+    traj = evolve(build_liouvillian(model, layout), rho0, np.linspace(0.0, 1e-6, 11), rtol=1e-6)
+    sizes = _block_sizes(traj.keep, layout.dim)
+    assert sorted(zip(*np.unique(sizes, return_counts=True))) == [(1, 24), (3, 4), (9, 4)]
+    assert np.sum(sizes**2) == traj.keep.size == 384
+    assert_min_eigenvalue_by_time(traj)
+
+
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_min_eigenvalue_by_block_on_random_models(atom, layout, data):
+    _, driven = data.draw(random_models(atom))
+    rho0 = layout.basis_state(atom.state("S1/2", -0.5))
+    traj = evolve(build_liouvillian(driven, layout), rho0, np.linspace(0.0, 0.3e-6, 4), rtol=1e-6)
+    assert_min_eigenvalue_by_time(traj)
+
+
+def test_min_eigenvalue_counts_the_rows_a_run_never_touches(atom_no_decay):
+    """Without P decay, the P3/2 and P1/2 sublevels the sigma-minus drive misses hold no
+    kept entry; each is a 1x1 block reading [0], a zero eigenvalue of the full matrix."""
+    layout = HilbertLayout(atom=atom_no_decay, n_max=1)
+    rho0 = layout.basis_state(atom_no_decay.state("S1/2", -0.5))
+    liouv = build_liouvillian(tls_model(atom_no_decay), layout)
+    traj = evolve(liouv, rho0, np.linspace(0.0, 0.5e-6, 6), rtol=1e-8)
+    untouched = np.setdiff1d(np.arange(layout.dim), traj.keep % layout.dim)
+    assert untouched.size > 0
+    assert layout.index(atom_no_decay.state("P3/2", 1.5), 0, 0) in untouched
+    assert_min_eigenvalue_by_time(traj)
+    # every kept block positive definite: only the untouched rows give the 0
+    n = layout.dim
+    mixed = replace(traj, times=traj.times[:1], keep=np.array([0, n + 1]),
+                    vectors=np.full((1, 2), 0.5 + 0j))
+    assert mixed.min_eigenvalue() == 0.0
+    assert_min_eigenvalue_by_time(mixed)
+
+
 def test_stiffness_error_carries_the_fastest_timescale(atom, layout):
     """An exhausted step budget reports 1 / max|L_static| as its timescale."""
     model = standard_model(drive_rabi=mhz(99.0), drive_detuning=-mhz(407.0),
@@ -445,6 +513,34 @@ def test_rotated_analysis_basis_mixes_modes(atom, layout):
     numbers = detected_mode_numbers(rho, layout, chain)
     assert numbers[0] == pytest.approx(math.cos(math.radians(30.0)) ** 2, abs=1e-12)
     assert numbers[1] == pytest.approx(math.sin(math.radians(30.0)) ** 2, abs=1e-12)
+
+
+def test_trajectory_readouts_match_the_states(atom, layout):
+    """expectation and photon_flux over a trajectory are its per-state values."""
+    from ioncavity.cavity import DetectionChain
+
+    model = standard_model(drive_rabi=mhz(106.0), drive_detuning=-mhz(406.0),
+                           drive_polarization=beam_b_polarization(), atom=atom)
+    rho0 = layout.basis_state(atom.state("S1/2", -0.5))
+    traj = evolve(build_liouvillian(model, layout), rho0, np.linspace(0.0, 1e-6, 11), rtol=1e-6)
+    states = traj.states
+    rng = np.random.default_rng(3)
+    re, im = rng.normal(size=(2, layout.dim, layout.dim))
+    dense = re + 1j * im
+    for op in (*layout.mode_flux_operators, layout.number("V"), dense):
+        got = expectation(traj, op)
+        want = np.array([expectation(s, op) for s in states])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        direct = np.array([np.trace(s.matrix @ op) for s in states])
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+    chain, kappa = DetectionChain.rotated(math.radians(30.0)), model.cavity.kappa
+    for dark in (True, False):
+        got = photon_flux(traj, layout, kappa, chain, include_dark=dark)
+        want = np.array([photon_flux(s, layout, kappa, chain, include_dark=dark) for s in states])
+        assert got.shape == (len(traj.times), 2)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        expectation(traj, np.eye(3))
 
 
 def test_density_matrix_validation():
