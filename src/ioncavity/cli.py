@@ -23,7 +23,7 @@ from . import localization
 from .atom import load_atom
 from .cavity import CavityGeometry, DetectionChain, max_coupling, mode_waist
 from .constants import TWO_PI, mhz, to_mhz
-from .errors import ConfigError, IonCavityError
+from .errors import BinningMismatchError, ConfigError, IonCavityError
 from .io_utils import config_hash, write_csv, write_json, write_svg_plot
 from .polarization import Polarization
 from .raman import RamanSetting, effective_coupling, effective_decay, enumerate_paths, select_optimal_pair
@@ -225,9 +225,16 @@ def _validate(cfg, spec, path, problems):
                 )
 
 
+POLARIZATIONS = {
+    "sigma_minus": beam_b_polarization,
+    "sigma_plus": lambda: Polarization.sigma_plus(),
+    "pi": pi_drive_polarization,
+    "linear_perp_b": beam_a_polarization,
+}
+
 _ENUM_KEYS = {
     ("b_field", "orientation"): ("perpendicular", "parallel"),
-    ("lasers", "drive", "polarization"): ("sigma_minus", "sigma_plus", "pi", "linear_perp_b"),
+    ("lasers", "drive", "polarization"): tuple(POLARIZATIONS),
 }
 
 
@@ -280,13 +287,6 @@ def load_config(path: str | None) -> dict:
 
 # -- config -> physics objects -----------------------------------------------
 
-POLARIZATIONS = {
-    "sigma_minus": beam_b_polarization,
-    "sigma_plus": lambda: Polarization.sigma_plus(),
-    "pi": pi_drive_polarization,
-    "linear_perp_b": beam_a_polarization,
-}
-
 
 def geometry_from_config(cfg) -> CavityGeometry:
     cav = cfg["cavity"]
@@ -313,12 +313,6 @@ def detection_from_config(cfg) -> DetectionChain:
 
 def model_from_config(cfg, drive_detuning=None, drive_rabi=None, polarization=None, repumps=True):
     drv = cfg["lasers"]["drive"]
-    pol_name = drv["polarization"]
-    if pol_name not in POLARIZATIONS:
-        raise ConfigError(
-            f"unknown drive polarization {pol_name!r}",
-            problems=[f"choose one of {sorted(POLARIZATIONS)}"],
-        )
     rabi = mhz(drive_rabi if drive_rabi is not None else drv["rabi_2pi_mhz"])
     detuning = drive_detuning
     if detuning is None:
@@ -326,7 +320,7 @@ def model_from_config(cfg, drive_detuning=None, drive_rabi=None, polarization=No
     return standard_model(
         drive_rabi=rabi,
         drive_detuning=detuning,
-        drive_polarization=(polarization or POLARIZATIONS[pol_name])(),
+        drive_polarization=(polarization or POLARIZATIONS[drv["polarization"]])(),
         delta_cav=mhz(cfg["cavity"]["detuning_2pi_mhz"]),
         b_gauss=cfg["b_field"]["gauss"],
         orientation=cfg["b_field"]["orientation"],
@@ -568,11 +562,12 @@ def cmd_cooling_comparison(cfg, args):
     )
 
 
-def _pulse(cfg, label, rabi, duration, bin_width, detuning_offset=0.0):
+def _pulse(cfg, section, label, rabi, detuning_offset=0.0):
     """Photon pulse driven by sigma-minus light on the line from S1/2,-1/2 to ``label``.
 
-    ``rabi`` and ``detuning_offset`` (from the line) are in 2pi x MHz; the
-    tolerance and step budget come from ``cfg["solver"]``. Returns (line, shape).
+    ``rabi`` and ``detuning_offset`` (from the line) are in 2pi x MHz; the duration
+    and bins come from ``cfg[section]``, the tolerance and step budget from
+    ``cfg["solver"]``. Returns (line, shape).
     """
     from .experiments import photon_pulse
 
@@ -580,8 +575,13 @@ def _pulse(cfg, label, rabi, duration, bin_width, detuning_offset=0.0):
     line = _line_by_label(enumerate_paths(setting), label)
     model = model_from_config(cfg, drive_detuning=line.detuning + mhz(detuning_offset), drive_rabi=rabi,
                               polarization=beam_b_polarization, repumps=False)
-    shape = photon_pulse(model, duration, bin_width=bin_width, designated_channel=line.channel,
-                         rtol=cfg["solver"]["rtol"], max_steps=cfg["solver"]["max_steps"])
+    s = cfg[section]
+    try:
+        shape = photon_pulse(model, s["duration_us"] * 1e-6, bin_width=s["bin_ns"] * 1e-9,
+                             designated_channel=line.channel, rtol=cfg["solver"]["rtol"],
+                             max_steps=cfg["solver"]["max_steps"])
+    except BinningMismatchError as exc:
+        raise ConfigError(f"{section}.duration_us must be a whole multiple of {section}.bin_ns: {exc}") from exc
     return line, shape
 
 
@@ -591,7 +591,7 @@ def _pulse_table(shape):
 
 def cmd_pulse(cfg, args):
     p = cfg["pulse"]
-    line, shape = _pulse(cfg, p["target_line"], p["rabi_2pi_mhz"], p["duration_us"] * 1e-6, p["bin_ns"] * 1e-9)
+    line, shape = _pulse(cfg, "pulse", p["target_line"], p["rabi_2pi_mhz"])
     t_us = shape.bin_centers * 1e6
     return Result(
         f"pulse: total efficiency {shape.total_efficiency*100:.2f}%, "
@@ -615,7 +615,7 @@ def cmd_both_pulses(cfg, args):
     p = cfg["pulse"]
     tables, results, curves = {}, {}, []
     for label in ("D5/2,-5/2", "D5/2,-3/2"):
-        _, shape = _pulse(cfg, label, p["rabi_2pi_mhz"], p["duration_us"] * 1e-6, p["bin_ns"] * 1e-9)
+        _, shape = _pulse(cfg, "pulse", label, p["rabi_2pi_mhz"])
         tables[f"pulse_{label.replace('/', '').replace(',', '_')}.csv"] = _pulse_table(shape)
         results[label] = {
             "channel": shape.designated_channel,
@@ -632,12 +632,11 @@ def cmd_overlap(cfg, args):
     from .experiments import pulse_overlap
 
     o = cfg["overlap"]
-    duration, bin_width = o["duration_us"] * 1e-6, o["bin_ns"] * 1e-9
-    _, ref = _pulse(cfg, "D5/2,-5/2", o["rabi_2pi_mhz"], duration, bin_width)
+    _, ref = _pulse(cfg, "overlap", "D5/2,-5/2", o["rabi_2pi_mhz"])
     rows = []
     for scale in o["rabi_scale_grid"]:
         for doff in o["detuning_offset_2pi_mhz"]:
-            _, shape = _pulse(cfg, "D5/2,-3/2", o["rabi_2pi_mhz"] * scale, duration, bin_width, doff)
+            _, shape = _pulse(cfg, "overlap", "D5/2,-3/2", o["rabi_2pi_mhz"] * scale, doff)
             rows.append((scale, doff, pulse_overlap(ref, shape), shape.total_efficiency))
     best = max(rows, key=lambda row: row[2])
     return Result(

@@ -50,7 +50,7 @@ class FitNonConvergenceError(IonCavityError):
 
 
 class BinningMismatchError(IonCavityError):
-    """Two binned datasets do not share a common grid."""
+    """Two binned datasets do not share a common grid, or a duration is not whole bins."""
 
 
 class ConfigError(IonCavityError):

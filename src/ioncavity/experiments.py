@@ -361,13 +361,16 @@ def photon_pulse(
 
     The ion starts in |S1/2, -1/2> (optical pumping assumed complete
     unless ``initial_state`` overrides it). Dark counts are excluded;
-    probabilities are detected-photon probabilities per time bin.
+    probabilities are detected-photon probabilities per time bin. Raises
+    :class:`BinningMismatchError` unless ``duration`` is a whole number of bins.
     """
+    n_bins = int(round(duration / bin_width))
+    if n_bins < 1 or abs(n_bins * bin_width - duration) > 1e-9 * duration:
+        raise BinningMismatchError(f"duration {duration:.6g} s is not a whole number of {bin_width:.6g} s bins")
     layout = HilbertLayout(atom=model.atom, n_max=n_max)
     init = initial_state or model.atom.state("S1/2", -0.5)
     rho0 = layout.basis_state(init) if isinstance(init, ZeemanState) else init
 
-    n_bins = int(round(duration / bin_width))
     edges = np.arange(n_bins + 1) * bin_width
     t_grid = np.linspace(0.0, duration, n_bins * samples_per_bin + 1)
 

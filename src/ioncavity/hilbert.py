@@ -109,10 +109,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
 def commutator_superoperator(h: sp.spmatrix) -> sp.csr_matrix:
     """Superoperator of -i[H, .] under column stacking."""
     n = h.shape[0]

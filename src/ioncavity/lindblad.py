@@ -45,7 +45,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .atom import decay_channels, dipole_pairs, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
-from .hilbert import HilbertLayout, commutator_superoperator, unvec, vec
+from .hilbert import HilbertLayout, commutator_superoperator, vec
 from .system import Envelope, SystemModel
 
 TRANSITION_MANIFOLDS = {
@@ -57,19 +57,61 @@ TRANSITION_MANIFOLDS = {
 
 @dataclass
 class DensityMatrix:
-    """Trace-one Hermitian state on the truncated atom (x) cavity space."""
+    """Trace-one Hermitian state(s) on the atom (x) cavity space: ``vectors[..., i]`` is
+    vec(rho)[keep[i]], every other entry exactly zero, with leading axes for several states.
+    Readouts act on it: :meth:`submatrices` is one gather, :func:`expectation` one row."""
 
-    matrix: np.ndarray
+    keep: np.ndarray
+    dim: int
+    vectors: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, matrix) -> DensityMatrix:
+        """The state of a full ``dim x dim`` matrix, every entry kept."""
+        m = np.asarray(matrix, dtype=complex)
+        return cls(keep=np.arange(m.size), dim=m.shape[0], vectors=vec(m))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full density matrix, one per leading index of ``vectors``."""
+        return self.submatrices(np.arange(self.dim))
+
+    def _entries(self, flat) -> np.ndarray:
+        """vec(rho)[flat], 0 outside ``keep``: shape (*leading axes, *flat.shape)."""
+        pos = np.minimum(np.searchsorted(self.keep, flat), self.keep.size - 1)
+        out = self.vectors.take(pos, axis=-1)  # C order, so sums over the last axis go row by row
+        out[..., self.keep[pos] != flat] = 0.0
+        return out
+
+    def submatrices(self, idx) -> np.ndarray:
+        """rho[idx_i, idx_j], 0 outside ``keep``: shape (*leading axes, *idx.shape, m);
+        ``idx`` may stack index sets of one length m on leading axes."""
+        idx = np.asarray(idx)
+        return self._entries(idx[..., None, :] * self.dim + idx[..., :, None])
+
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of rho over every state, from its diagonal blocks: the
+        connected components of the (row, col) pairs of ``keep``. A row with no
+        kept entry is a 1x1 block reading [0]."""
+        n = self.dim
+        edges = sp.coo_matrix((np.ones(self.keep.size), (self.keep % n, self.keep // n)), (n, n))
+        _, labels = connected_components(edges, directed=False)
+        sizes = np.bincount(labels)
+        worst = math.inf
+        for k in np.unique(sizes):
+            m = self.submatrices([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == k)])
+            worst = min(worst, np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).min())
+        return float(worst)
 
     def validate(self, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):
-        m = self.matrix
-        herm = np.max(np.abs(m - m.conj().T))
+        n = self.dim
+        herm = np.max(np.abs(self.vectors - self._entries(self.keep % n * n + self.keep // n).conj()))
         if herm > herm_tol:
             raise ValueError(f"not Hermitian: max asymmetry {herm:.2e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace {tr!r} differs from 1")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+        off = np.max(np.abs(self._entries(np.arange(n) * (n + 1)).sum(axis=-1).real - 1.0))
+        if off > trace_tol:
+            raise ValueError(f"trace differs from 1 by {off:.2e}")
+        min_eig = self.min_eigenvalue()
         if min_eig < -eig_tol:
             raise ValueError(f"negative eigenvalue {min_eig:.2e}")
         return self
@@ -271,15 +313,12 @@ def _csr_arrays(op):
 
 @dataclass
 class Liouvillian:
-    """The generator L(t) = static_part + sum_k f_k(t) T_k over vectorized states."""
+    """The generator L(t) = static_part + sum_k f_k(t) T_k on the entries ``keep`` of vec(rho)."""
 
-    layout: HilbertLayout
+    dim: int
+    keep: np.ndarray
     static_part: sp.csr_matrix
     td_terms: list = field(default_factory=list)  # [(superop T_k, f_k(t))]
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
 
     @property
     def is_static(self) -> bool:
@@ -296,7 +335,7 @@ class Liouvillian:
     def _rhs(self) -> _Rhs:
         return _Rhs(self)
 
-    def restrict(self, seed) -> tuple[np.ndarray, Liouvillian]:
+    def restrict(self, seed) -> Liouvillian:
         """The block of L reachable from the vectorized entries ``seed``.
 
         Keeps the connected components of the sparsity graph of
@@ -306,30 +345,29 @@ class Liouvillian:
         supported on the kept entries never leaves them, and the dropped
         entries of a solution seeded there are exactly zero.
 
-        Returns ``(keep, block)``: the sorted kept indices, and a copy of this
-        Liouvillian acting on ``v[keep]``; its ``layout`` and ``dim`` still describe
-        the full space, so it refuses :meth:`trace_preservation_defect`.
+        ``seed`` indexes vec(rho), and so does the ``keep`` of the returned copy,
+        sorted: restricting a block composes the two.
         """
         graph = abs(self.static_part)
         for superop, _ in self.td_terms:
             graph = graph + abs(superop)
         _, labels = connected_components(graph, directed=True, connection="weak")
-        keep = np.flatnonzero(np.isin(labels, labels[seed]))
+        local = np.flatnonzero(np.isin(labels, labels[np.isin(self.keep, seed)]))
 
         def block(op):
-            return op[keep][:, keep]
+            return op[local][:, local]
 
-        return keep, replace(
+        return replace(
             self,
+            keep=self.keep[local],
             static_part=block(self.static_part),
             td_terms=[(block(superop), f) for superop, f in self.td_terms],
         )
 
     def trace_preservation_defect(self) -> float:
-        """sup-norm of the adjoint applied to the identity; 0 if trace-preserving."""
-        if self.static_part.shape[0] != self.dim**2:
-            raise ValueError("trace preservation is defined on the full Liouvillian, not a block")
-        ident = vec(np.eye(self.dim, dtype=complex))
+        """sup-norm of the adjoint applied to the identity, over the kept entries (no entry
+        couples them to the rest); 0 if trace-preserving."""
+        ident = (self.keep % (self.dim + 1) == 0).astype(complex)
         ops = [self.static_part] + [superop for superop, _ in self.td_terms]
         return float(max(np.max(np.abs(op.conj().T @ ident)) for op in ops))
 
@@ -382,7 +420,7 @@ def build_liouvillian(
             (n_super, lambda t, f=freq, e=env: e(t) * np.exp(+1j * f * t))
         )
 
-    return Liouvillian(layout=layout, static_part=static, td_terms=td_terms)
+    return Liouvillian(dim=n, keep=np.arange(n * n), static_part=static, td_terms=td_terms)
 
 
 def _kron_triplets(a, b):
@@ -471,12 +509,12 @@ class _ReducedSteadyState:
     """
 
     def __init__(self, liouv: Liouvillian, shift: sp.spmatrix | None = None):
-        n = liouv.dim
-        diagonal = np.arange(n) * (n + 1)
-        self.n = n
-        self.keep, block = liouv.restrict(diagonal)
+        self.n = n = liouv.dim
+        block = liouv.restrict(np.arange(n) * (n + 1))
+        self.keep, self.block = block.keep, block.static_part
         k = self.keep.size
-        self.block = block.static_part
+        self._diagonal = np.flatnonzero(self.keep % (n + 1) == 0)
+        self._adjoint = np.searchsorted(self.keep, self.keep % n * n + self.keep // n)
         self.shift_diagonal = (
             np.zeros(k) if shift is None else shift.diagonal()[self.keep]
         )
@@ -484,8 +522,8 @@ class _ReducedSteadyState:
         coo = self.block.tocoo()
         body = coo.row > 0
         on_diag = np.flatnonzero(self.shift_diagonal[1:]) + 1
-        rows = np.concatenate([coo.row[body], on_diag, np.zeros(n, dtype=int)])
-        cols = np.concatenate([coo.col[body], on_diag, np.searchsorted(self.keep, diagonal)])
+        rows = np.concatenate([coo.row[body], on_diag, np.zeros_like(self._diagonal)])
+        cols = np.concatenate([coo.col[body], on_diag, self._diagonal])
         keys, slots = np.unique(cols * k + rows, return_inverse=True)  # column-major
         nb, nd = int(body.sum()), on_diag.size
         self._indices = keys % k
@@ -506,9 +544,9 @@ class _ReducedSteadyState:
     def solve(self, x: float = 0.0, check_unique: bool = False):
         """``(DensityMatrix, info)`` at L(x); see :func:`steady_state`.
 
-        The scale, the residual check, the inverse-iteration fallback and the
-        uniqueness probe all use the block of L(x); only the final
-        normalization embeds its vector in the full space.
+        The scale, the residual check, the inverse-iteration fallback, the
+        uniqueness probe and the normalization all use the block of L(x), and
+        the state holds its block vector.
         """
         L = self.block
         if x:
@@ -529,10 +567,10 @@ class _ReducedSteadyState:
         if v is None or not np.all(np.isfinite(v)):
             v, path = _inverse_iteration(L, scale), "inverse_iteration"
 
-        rho, v = self._hermitian_unit_trace(v)
+        v = self._hermitian_unit_trace(v)
         residual = float(np.linalg.norm(L @ v))
         if residual > 1e-10 * scale:
-            rho, v = self._hermitian_unit_trace(_inverse_iteration(L, scale, start=v))
+            v = self._hermitian_unit_trace(_inverse_iteration(L, scale, start=v))
             path = "inverse_iteration"
             residual = float(np.linalg.norm(L @ v))
             if residual > 1e-10 * scale:
@@ -550,17 +588,13 @@ class _ReducedSteadyState:
             "lu_fill": fill,
             "path": path,
         }
-        return DensityMatrix(matrix=rho), info
+        return DensityMatrix(keep=self.keep, dim=self.n, vectors=v), info
 
     def _hermitian_unit_trace(self, v):
-        """Block vector -> (Hermitian unit-trace rho, its block vector); the
-        kept entries are closed under rho -> rho^dag."""
-        rho_vec = np.zeros(self.n * self.n, dtype=complex)
-        rho_vec[self.keep] = v
-        rho = unvec(rho_vec, self.n)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        return rho, vec(rho)[self.keep]
+        """The block vector of (rho + rho^dag) / 2, over its trace: the kept entries
+        are closed under rho -> rho^dag, and the kept diagonal is all of it."""
+        v = 0.5 * (v + v[self._adjoint].conj())
+        return v / v[self._diagonal].sum().real
 
 
 def _shifted_lu(L, scale, what):
@@ -662,51 +696,19 @@ _DP_ROWS[6, 1:] = _DP_ERR
 
 
 @dataclass
-class Trajectory:
-    """A run of :func:`evolve`: ``vectors[i]`` is vec(rho(times[i]))[keep], the
-    block :meth:`Liouvillian.restrict` keeps; every other entry is exactly zero.
-    Readouts act on it: :meth:`submatrices` is one gather, :func:`expectation` one row.
-    """
+class Trajectory(DensityMatrix):
+    """A run of :func:`evolve`: ``vectors[i]`` is the state at ``times[i]``, on the
+    block :meth:`Liouvillian.restrict` keeps."""
 
     times: np.ndarray
-    keep: np.ndarray
-    dim: int
-    vectors: np.ndarray  # (len(times), keep.size)
     n_steps: int
     n_rejected: int
     max_trace_drift: float
 
-    def _entries(self, flat) -> np.ndarray:
-        """vec(rho)[flat] at every time, 0 outside ``keep``: shape (T, *flat.shape)."""
-        pos = np.minimum(np.searchsorted(self.keep, flat), self.keep.size - 1)
-        out = self.vectors.take(pos, axis=1)  # C order, so sums over the last axis go row by row
-        out[:, self.keep[pos] != flat] = 0.0
-        return out
-
-    def submatrices(self, idx) -> np.ndarray:
-        """rho[idx_i, idx_j] at every time, 0 outside ``keep``: shape (T, *idx.shape, m);
-        ``idx`` may stack index sets of one length m on leading axes."""
-        idx = np.asarray(idx)
-        return self._entries(idx[..., None, :] * self.dim + idx[..., :, None])
-
     @property
     def states(self) -> list:
-        """The full density matrix at every output time."""
-        return [DensityMatrix(matrix=m) for m in self.submatrices(np.arange(self.dim))]
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of rho over all times, from its diagonal blocks: the
-        connected components of the (row, col) pairs of ``keep``. A row with no
-        kept entry is a 1x1 block reading [0]."""
-        n = self.dim
-        edges = sp.coo_matrix((np.ones(self.keep.size), (self.keep % n, self.keep // n)), (n, n))
-        _, labels = connected_components(edges, directed=False)
-        sizes = np.bincount(labels)
-        worst = math.inf
-        for k in np.unique(sizes):
-            m = self.submatrices([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == k)])
-            worst = min(worst, np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).min())
-        return float(worst)
+        """The state at every output time."""
+        return [DensityMatrix(keep=self.keep, dim=self.dim, vectors=v) for v in self.vectors]
 
 
 def evolve(
@@ -734,7 +736,8 @@ def evolve(
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be an increasing array of at least two times")
     y_full = vec(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0).astype(complex)
-    keep, block = liouv.restrict(np.flatnonzero(y_full))
+    block = liouv.restrict(np.flatnonzero(y_full))
+    keep = block.keep
     n2 = y_full.size
     t = float(t_grid[0])
 
@@ -853,21 +856,17 @@ def _fastest_timescale(liouv: Liouvillian) -> float:
 # -- observables -------------------------------------------------------------
 
 
-def expectation(rho: DensityMatrix | np.ndarray | Trajectory, operator) -> complex | np.ndarray:
-    """Tr(rho O), at every time for a :class:`Trajectory`; raises on dimension mismatch.
+def expectation(rho: DensityMatrix, operator) -> complex | np.ndarray:
+    """Tr(rho O), one per state (per time of a trajectory); raises on dimension mismatch.
 
     One product: O[r, c] sits at r n + c of O flattened row-major, which is
     where vec(rho) holds rho[c, r]; only the nonzero entries of O are read."""
-    if isinstance(rho, Trajectory):
-        n, gather = rho.dim, rho._entries
-    else:
-        m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        n, gather = m.shape[0], vec(m).__getitem__
+    n = rho.dim
     coo = (operator if sp.issparse(operator) else sp.csr_matrix(np.asarray(operator))).tocoo()
     if coo.shape != (n, n):
         raise ValueError(f"operator dimension {coo.shape} does not match state {(n, n)}")
-    values = np.sum(coo.data * gather(coo.row * n + coo.col), axis=-1)
-    return values if isinstance(rho, Trajectory) else complex(values)
+    values = np.sum(coo.data * rho._entries(coo.row * n + coo.col), axis=-1)
+    return values if values.ndim else complex(values)
 
 
 def detected_mode_numbers(rho, layout: HilbertLayout, chain) -> np.ndarray:
@@ -897,13 +896,16 @@ def photon_flux(
     return flux
 
 
-def manifold_populations(rho, layout: HilbertLayout) -> dict[str, float]:
+def manifold_populations(rho: DensityMatrix, layout: HilbertLayout) -> dict:
+    """Population of each manifold, one per state."""
     return {
         label: sum(state_population(rho, layout, s) for s in layout.atom[label].sublevels())
         for label in ("S1/2", "D3/2", "D5/2", "P1/2", "P3/2")
     }
 
 
-def state_population(rho, layout: HilbertLayout, state) -> float:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return float(np.sum(np.real(np.diag(m))[layout.block(state)]))
+def state_population(rho: DensityMatrix, layout: HilbertLayout, state) -> float | np.ndarray:
+    """Population of one atomic sublevel over all photon numbers, one per state."""
+    diagonal = np.arange(layout.dim)[layout.block(state)] * (rho.dim + 1)
+    values = np.sum(rho._entries(diagonal).real, axis=-1)
+    return values if values.ndim else float(values)

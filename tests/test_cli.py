@@ -89,6 +89,16 @@ def test_bad_polarization_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["pulse", "overlap"])
+def test_pulse_duration_of_partial_bins_exits_2(command, tmp_path, capsys):
+    config = {"lasers": {"drive": {"polarization": "sigma_minus"}},
+              command: {"duration_us": 1.0, "bin_ns": 300.0}}
+    assert run_cli([command], tmp_path, config=config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command}.duration_us must be a whole multiple of {command}.bin_ns:")
+    assert "duration 1e-06 s is not a whole number of 3e-07 s bins" in err
+
+
 def test_localize_visibility_and_coupling(tmp_path):
     assert run_cli(["localize", "visibility"], tmp_path) == 0
     vis = json.loads((tmp_path / "visibility.json").read_text())

@@ -9,9 +9,10 @@ from scipy.sparse.csgraph import connected_components
 
 from ioncavity.constants import khz, mhz
 from ioncavity.errors import FrameConsistencyError, SteadyStateError, StiffnessError
-from ioncavity.hilbert import HilbertLayout, commutator_superoperator, unvec, vec
+from ioncavity.hilbert import HilbertLayout, commutator_superoperator, vec
 from ioncavity.lindblad import (
     _check_uniqueness,
+    _ReducedSteadyState,
     DensityMatrix,
     Liouvillian,
     build_hamiltonian,
@@ -33,6 +34,7 @@ from ioncavity.system import (
     LaserField,
     SystemModel,
     Tone,
+    beam_a_polarization,
     beam_b_polarization,
     standard_model,
 )
@@ -175,13 +177,24 @@ def test_trace_preservation(atom):
     assert liouv.trace_preservation_defect() < 1e-10 * abs(liouv.static_part).max()
 
 
-def test_restricted_block_refuses_trace_preservation(atom, layout):
-    """A block does not know its kept entries, so it cannot check trace preservation."""
+def test_restricted_block_knows_its_entries(atom, layout):
+    """A block reports the true dim and its own keep, its trace-preservation defect is
+    the full one's over the kept rows, and restricting a block composes keep."""
     model = standard_model(drive_rabi=mhz(10.0), drive_detuning=-mhz(400.0), atom=atom)
     n = layout.dim
-    _, block = build_liouvillian(model, layout).restrict(np.arange(n) * (n + 1))
-    with pytest.raises(ValueError, match="defined on the full Liouvillian"):
-        block.trace_preservation_defect()
+    liouv = build_liouvillian(model, layout)
+    populations = liouv.restrict(np.arange(n) * (n + 1))
+    assert populations.dim == n
+    assert populations.static_part.shape == (populations.keep.size,) * 2 and populations.keep.size < n * n
+    outside = np.setdiff1d(np.arange(n * n), populations.keep)[0]
+    wider = liouv.restrict(np.r_[np.arange(n) * (n + 1), outside])
+    assert np.isin(populations.keep, wider.keep).all() and outside in wider.keep
+    rows = np.abs(liouv.static_part.conj().T @ vec(np.eye(n, dtype=complex)))
+    for block in (populations, wider):
+        assert block.trace_preservation_defect() == rows[block.keep].max()
+    inner = wider.restrict(np.arange(n) * (n + 1))
+    assert np.array_equal(inner.keep, populations.keep)
+    assert abs(inner.static_part - populations.static_part).max() == 0.0
 
 
 def test_liouvillian_annihilates_nothing_but_steady_state(atom):
@@ -190,7 +203,7 @@ def test_liouvillian_annihilates_nothing_but_steady_state(atom):
     layout = HilbertLayout(atom=atom, n_max=1)
     liouv = build_liouvillian(model, layout)
     mixed = np.eye(layout.dim) / layout.dim
-    image = unvec(liouv.static_part @ vec(mixed), layout.dim)
+    image = (liouv.static_part @ vec(mixed)).reshape((layout.dim, layout.dim), order="F")
     # zero up to float cancellation of O(|L|) terms
     assert abs(np.trace(image)) < 1e-12 * abs(liouv.static_part).max()
 
@@ -300,14 +313,12 @@ def test_driven_damped_lorentzian(atom_closed_tls):
 
 def _two_level_liouvillian(rabi, delta, gamma):
     """Standalone 2-level Liouvillian built from raw operators."""
-    from types import SimpleNamespace
-
     h = sp.csr_matrix(np.array([[0.0, rabi / 2], [rabi / 2, -delta]], dtype=complex))
     c = math.sqrt(gamma) * sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     from ioncavity.hilbert import dissipator_superoperator
 
     static = commutator_superoperator(h) + dissipator_superoperator(c)
-    return Liouvillian(layout=SimpleNamespace(dim=2), static_part=static.tocsr())
+    return Liouvillian(dim=2, keep=np.arange(4), static_part=static.tocsr())
 
 
 def test_steady_state_matches_dense_null_space():
@@ -480,7 +491,7 @@ def test_stiffness_error_carries_the_fastest_timescale(atom, layout):
 
 
 def test_expectation_identity_and_mismatch(atom, layout):
-    rho = DensityMatrix(matrix=np.eye(layout.dim) / layout.dim)
+    rho = DensityMatrix.from_matrix(np.eye(layout.dim) / layout.dim)
     ident = sp.identity(layout.dim, format="csr")
     assert expectation(rho, ident) == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -489,7 +500,7 @@ def test_expectation_identity_and_mismatch(atom, layout):
 
 def test_flux_of_empty_cavity_is_dark_counts(atom, layout):
     model = standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom)
-    rho = DensityMatrix(matrix=layout.basis_state(atom.state("S1/2", -0.5)))
+    rho = DensityMatrix.from_matrix(layout.basis_state(atom.state("S1/2", -0.5)))
     flux = photon_flux(rho, layout, model.cavity.kappa, model.detection)
     assert flux == pytest.approx([33.1, 33.6])
 
@@ -499,8 +510,8 @@ def test_flux_linear_in_photon_number(atom, layout):
     s = atom.state("S1/2", -0.5)
     one = layout.basis_state(s, n_h=1, n_v=0)
     half = 0.5 * one + 0.5 * layout.basis_state(s, 0, 0)
-    f_one = photon_flux(DensityMatrix(matrix=one), layout, model.cavity.kappa, model.detection, include_dark=False)
-    f_half = photon_flux(DensityMatrix(matrix=half), layout, model.cavity.kappa, model.detection, include_dark=False)
+    f_one = photon_flux(DensityMatrix.from_matrix(one), layout, model.cavity.kappa, model.detection, include_dark=False)
+    f_half = photon_flux(DensityMatrix.from_matrix(half), layout, model.cavity.kappa, model.detection, include_dark=False)
     assert f_half[0] == pytest.approx(0.5 * f_one[0], rel=1e-12)
     assert f_one[1] == 0.0
 
@@ -509,14 +520,16 @@ def test_rotated_analysis_basis_mixes_modes(atom, layout):
     from ioncavity.cavity import DetectionChain
 
     chain = DetectionChain.rotated(math.radians(30.0))
-    rho = DensityMatrix(matrix=layout.basis_state(atom.state("S1/2", -0.5), n_h=1, n_v=0))
+    rho = DensityMatrix.from_matrix(layout.basis_state(atom.state("S1/2", -0.5), n_h=1, n_v=0))
     numbers = detected_mode_numbers(rho, layout, chain)
     assert numbers[0] == pytest.approx(math.cos(math.radians(30.0)) ** 2, abs=1e-12)
     assert numbers[1] == pytest.approx(math.sin(math.radians(30.0)) ** 2, abs=1e-12)
 
 
 def test_trajectory_readouts_match_the_states(atom, layout):
-    """expectation and photon_flux over a trajectory are its per-state values."""
+    """expectation, photon_flux and the populations over a trajectory are its per-state
+    values; on a state that keeps every entry of a full matrix they are Tr(rho O) and
+    sums of its diagonal."""
     from ioncavity.cavity import DetectionChain
 
     model = standard_model(drive_rabi=mhz(106.0), drive_detuning=-mhz(406.0),
@@ -541,16 +554,39 @@ def test_trajectory_readouts_match_the_states(atom, layout):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     with pytest.raises(ValueError):
         expectation(traj, np.eye(3))
+    sublevels = [atom.state("S1/2", -0.5), atom.state("P3/2", -1.5), atom.state("D5/2", -2.5)]
+    for sub in sublevels:
+        got = state_population(traj, layout, sub)
+        assert got.shape == traj.times.shape
+        assert np.array_equal(got, [state_population(s, layout, sub) for s in states])
+    for label, got in manifold_populations(traj, layout).items():
+        assert np.array_equal(got, [manifold_populations(s, layout)[label] for s in states])
+
+    full = DensityMatrix.from_matrix(states[-1].matrix)
+    assert full.keep.size == layout.dim**2
+    for op in (*layout.mode_flux_operators, dense):
+        direct = np.trace(states[-1].matrix @ op)
+        assert abs(expectation(full, op) - direct) <= 1e-12 * abs(direct)
+    diagonal = np.real(np.diag(states[-1].matrix))
+    for sub in sublevels:
+        assert state_population(full, layout, sub) == np.sum(diagonal[layout.block(sub)])
 
 
 def test_density_matrix_validation():
-    good = DensityMatrix(matrix=np.diag([0.5, 0.5]).astype(complex))
+    good = DensityMatrix.from_matrix(np.diag([0.5, 0.5]).astype(complex))
     good.validate()
     with pytest.raises(ValueError):
-        DensityMatrix(matrix=np.diag([0.9, 0.2]).astype(complex)).validate()
+        DensityMatrix.from_matrix(np.diag([0.9, 0.2]).astype(complex)).validate()
     bad = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
-        DensityMatrix(matrix=bad).validate()
+        DensityMatrix.from_matrix(bad).validate()
+    # several states on leading axes are checked one by one
+    pair = replace(good, vectors=np.stack([good.vectors, good.vectors]))
+    assert pair.validate() is pair
+    with pytest.raises(ValueError, match="trace differs from 1 by 1.00e-01"):
+        replace(pair, vectors=np.stack([good.vectors, vec(np.diag([0.9, 0.2]))])).validate()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        replace(pair, vectors=np.stack([vec(bad), good.vectors])).validate()
 
 
 def test_operator_dump(atom):
@@ -650,7 +686,7 @@ def test_reachable_subspace_is_exact(atom, layout, data):
 
     # (a) + (b): the steady-state block, seeded by the populations
     liouv = build_liouvillian(static_model, layout)
-    keep, _ = liouv.restrict(np.arange(n) * (n + 1))
+    keep = liouv.restrict(np.arange(n) * (n + 1)).keep
     assert_block_closed(liouv, keep)
     ss = steady_state(liouv, check_unique=False)
     scale = abs(liouv.static_part).max()
@@ -659,7 +695,8 @@ def test_reachable_subspace_is_exact(atom, layout, data):
     # (a) + (c): the block an evolution from |S1/2,-1/2> stays in
     liouv = build_liouvillian(driven_model, layout)
     y0 = vec(layout.basis_state(atom.state("S1/2", -0.5)))
-    keep, block = liouv.restrict(np.flatnonzero(y0))
+    block = liouv.restrict(np.flatnonzero(y0))
+    keep = block.keep
     assert keep.size < n * n
     assert_block_closed(liouv, keep)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -701,6 +738,39 @@ def _uniqueness_verdicts(liouv):
             verdicts.append("degenerate")
     assert info["reduced_dim"] < n * n
     return verdicts
+
+
+def assert_block_hermitization_matches_dense(liouv, rng):
+    """The block Hermitian part over its trace is the dense 0.5 (M + M^H) / tr M,
+    gathered back, bit for bit; the solved state holds one block vector."""
+    solver = _ReducedSteadyState(liouv)
+    n, keep = liouv.dim, solver.keep
+    v = rng.standard_normal(keep.size) + 1j * rng.standard_normal(keep.size)
+    m = np.zeros(n * n, dtype=complex)
+    m[keep] = v
+    m = m.reshape((n, n), order="F")
+    m = 0.5 * (m + m.conj().T)
+    m /= np.trace(m).real
+    assert np.array_equal(solver._hermitian_unit_trace(v), vec(m)[keep])
+    assert not np.delete(vec(m), keep).any()
+    state, _ = solver.solve()
+    assert state.vectors.shape == keep.shape
+
+
+def test_block_hermitization_on_the_fig4_block(atom, layout):
+    model = standard_model(drive_rabi=mhz(88.0), drive_detuning=-mhz(400.0),
+                           drive_polarization=beam_a_polarization(), atom=atom)
+    liouv = build_liouvillian(model, layout)
+    assert liouv.restrict(np.arange(layout.dim) * (layout.dim + 1)).keep.size == 1296
+    assert_block_hermitization_matches_dense(liouv, np.random.default_rng(12))
+
+
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_block_hermitization_on_random_models(atom, layout, data):
+    static_model, _ = data.draw(random_models(atom))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    assert_block_hermitization_matches_dense(build_liouvillian(static_model, layout), rng)
 
 
 def test_block_probe_matches_full_space_without_drive(atom, layout):
@@ -837,7 +907,7 @@ def assert_assembly_matches_reference(model, layout):
     # same reachable blocks, so the same entries are stepped and solved
     seed = np.flatnonzero(vec(layout.basis_state(layout.atom.state("S1/2", -0.5))))
     ref_liouv = replace(liouv, static_part=static, td_terms=[(op, None) for op in td])
-    assert np.array_equal(liouv.restrict(seed)[0], ref_liouv.restrict(seed)[0])
+    assert np.array_equal(liouv.restrict(seed).keep, ref_liouv.restrict(seed).keep)
 
 
 @given(data=st.data())
@@ -886,7 +956,8 @@ def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
     _DP_B5 = np.append(_DP_A[6, :6], 0.0)
     t_grid = np.asarray(t_grid, dtype=float)
     y_full = vec(rho0).astype(complex)
-    keep, block = liouv.restrict(np.flatnonzero(y_full))
+    block = liouv.restrict(np.flatnonzero(y_full))
+    keep = block.keep
     y = y_full[keep]
     n2 = y_full.size
     t = float(t_grid[0])
@@ -929,7 +1000,7 @@ def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
             if clamped:
                 y_full = np.zeros(n2, dtype=complex)
                 y_full[keep] = y
-                states.append(unvec(y_full, liouv.dim))
+                states.append(y_full.reshape((liouv.dim, liouv.dim), order="F"))
                 next_out += 1
         else:
             n_rejected += 1  # FSAL stage k[0] still holds f(t, y)
