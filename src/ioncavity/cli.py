@@ -917,6 +917,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         out = Path(args.out)
         if args.command == "reproduce":
             if args.figure not in REPRODUCE_COMMAND:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ioncavity.cli import _bundled_config, merge_config, model_from_config, raman_setting_from_config
 from ioncavity.constants import TWO_PI, mhz, to_mhz
 from ioncavity import experiments, lindblad
 from ioncavity.errors import BinningMismatchError, SteadyStateError
@@ -25,7 +26,12 @@ from ioncavity.experiments import (
     thermal_rabi,
 )
 from ioncavity.hilbert import HilbertLayout, vec
-from ioncavity.lindblad import build_liouvillian, photon_flux, steady_state
+from ioncavity.lindblad import (
+    build_liouvillian,
+    drive_detuning_shift_superoperator,
+    photon_flux,
+    steady_state,
+)
 from ioncavity.polarization import Polarization
 from ioncavity.raman import RamanSetting, enumerate_paths
 from ioncavity.system import beam_a_polarization, beam_b_polarization, standard_model
@@ -498,6 +504,102 @@ def test_scan_failures_keep_their_reason(atom, monkeypatch):
     assert scan.converged.tolist() == [True, False, True]
     assert np.isnan(scan.rates[:, 1]).all()
     assert scan.metadata["failures"] == {float(grid[1]): "injected failure"}
+
+
+def _bundled_spectrum(figure):
+    """The bundled configuration's spectrum model and its full detuning grid."""
+    cfg = merge_config(_bundled_config(figure))
+    spec = cfg["spectrum"]
+    grid = spectrum_grid(
+        enumerate_paths(raman_setting_from_config(cfg)),
+        window=mhz(spec["window_2pi_mhz"]),
+        points_per_line=spec["points_per_line"],
+        baseline_points=spec["baseline_points"],
+    )
+    return model_from_config(cfg, drive_detuning=float(grid[0])), grid
+
+
+def _scan_solver(model):
+    """A reduction of ``model`` with the drive-detuning shift, as a scan builds it."""
+    layout = HilbertLayout(atom=model.atom, n_max=1)
+    shift = drive_detuning_shift_superoperator(layout)
+    return lindblad._ReducedSteadyState(build_liouvillian(model, layout), shift=shift)
+
+
+def _twelve_points(grid):
+    return grid[np.linspace(0, grid.size - 1, 12).round().astype(int)]
+
+
+def test_minimum_degree_order_is_structural():
+    """The MMD column order of the constrained fig4 block is the same at the first,
+    middle and last detuning and at two scales: it depends on the pattern alone."""
+    model, grid = _bundled_spectrum("fig4")
+    solver = _scan_solver(model)
+    d0 = model.laser("drive").detuning
+    scale = float(abs(solver.block).max())
+    orders = [
+        lindblad._splu(solver.constrained_block(d0 - d, s)).perm_c
+        for d in (grid[0], grid[grid.size // 2], grid[-1])
+        for s in (scale, 1.0)
+    ]
+    assert all(np.array_equal(order, orders[0]) for order in orders)
+    assert not np.array_equal(orders[0], np.arange(orders[0].size))
+
+
+def test_reductions_share_one_order():
+    """Two reductions of one model, first solved at different detunings, lay out the
+    same pattern in the MMD order of the unpermuted block: so every --jobs worker
+    factors each point exactly as the serial scan does."""
+    model, grid = _bundled_spectrum("fig4")
+    d0 = model.laser("drive").detuning
+    first, last, fresh = _scan_solver(model), _scan_solver(model), _scan_solver(model)
+    first.solve(d0 - grid[0])
+    last.solve(d0 - grid[-1])
+    assert fresh.perm_c is None
+    x = d0 - grid[grid.size // 2]
+    want = lindblad._splu(fresh.constrained_block(x, float(abs(fresh.block).max()))).perm_c
+    for solver in (first, last):
+        assert np.array_equal(solver.perm_c, want)
+    for name in ("_indices", "_indptr", "_base", "_shift", "_trace"):
+        assert np.array_equal(getattr(first, name), getattr(last, name))
+
+
+@pytest.mark.parametrize("figure", ["fig4", "fig5"])
+def test_scan_points_match_fresh_minimum_degree_solves(figure):
+    """Every point, factored in the scan's one order, equals a fresh MMD LU of the
+    unpermuted block to 1e-12 and meets the 1e-10 x scale residual."""
+    model, grid = _bundled_spectrum(figure)
+    d0 = model.laser("drive").detuning
+    solver, unpermuted = _scan_solver(model), _scan_solver(model)
+    for d in _twelve_points(grid):
+        x = d0 - d
+        state, info = solver.solve(x)
+        scale = info["residual_scale"]
+        assert info["path"] == "lu" and info["residual"] <= 1e-10 * scale
+        rhs = np.zeros(solver.keep.size, dtype=complex)
+        rhs[0] = scale
+        lu = lindblad._splu(unpermuted.constrained_block(x, scale))
+        want = unpermuted._hermitian_unit_trace(lu.solve(rhs))
+        assert np.abs(state.vectors - want).max() <= 1e-12 * np.abs(want).max()
+    assert unpermuted.perm_c is None
+
+
+def test_scan_orders_once_per_reduction(monkeypatch):
+    """A scan runs MMD once for its order; the uniqueness probe runs its own."""
+    model, grid = _bundled_spectrum("fig4")
+    calls = []
+    original = lindblad._splu
+
+    def counting_splu(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(lindblad, "_splu", counting_splu)
+    scan = raman_spectrum(model, _twelve_points(grid), check_unique_first=False)
+    assert scan.converged.all() and len(calls) == 1
+    calls.clear()
+    scan = raman_spectrum(model, grid[:3], check_unique_first=True)
+    assert scan.converged.all() and len(calls) == 2
 
 
 # -- left-right spectrum symmetry ------------------------------------------------

@@ -12,6 +12,7 @@ from ioncavity.errors import FrameConsistencyError, SteadyStateError, StiffnessE
 from ioncavity.hilbert import HilbertLayout, commutator_superoperator, vec
 from ioncavity.lindblad import (
     _check_uniqueness,
+    _laser_coupling,
     _ReducedSteadyState,
     DensityMatrix,
     Liouvillian,
@@ -720,6 +721,18 @@ def test_steady_state_reports_its_path(atom, layout):
     dark = standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom)
     _, info = steady_state(build_liouvillian(dark, layout), check_unique=False, return_info=True)
     assert (info["path"], info["lu_fill"]) == ("inverse_iteration", None)
+
+
+def test_reduction_refuses_a_shift_with_off_diagonal_entries(atom, layout):
+    """A shift that couples entries would change the block and its order, so only
+    self-loops are accepted: the drive-detuning shift is, a drive commutator is not."""
+    model = standard_model(drive_rabi=mhz(88.0), drive_detuning=-mhz(400.0),
+                           drive_polarization=beam_a_polarization(), atom=atom)
+    liouv = build_liouvillian(model, layout)
+    _ReducedSteadyState(liouv, shift=drive_detuning_shift_superoperator(layout))
+    coupling = _laser_coupling(layout, "drive", beam_a_polarization(), mhz(10.0))
+    with pytest.raises(ValueError, match="diagonal"):
+        _ReducedSteadyState(liouv, shift=commutator_superoperator(coupling + coupling.conj().T))
 
 
 def _uniqueness_verdicts(liouv):
