@@ -174,8 +174,9 @@ def raman_spectrum(
 
     The drive detuning enters the Liouvillian linearly through two
     diagonal projectors, so each point is the base operator plus a
-    scaled diagonal shift: the scan reduces once and does one sparse LU
-    per point. ``check_unique_first`` probes the first point for a second
+    scaled diagonal shift: the scan reduces and factors once, and solves
+    each point as a low-rank update of that factorization.
+    ``check_unique_first`` probes the first point for a second
     stationary state and raises if it finds one. Solver failures elsewhere
     mark the point as unconverged rather than aborting the scan; the
     reasons go to ``metadata["failures"]`` (detuning -> message).

@@ -40,6 +40,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
@@ -463,10 +464,10 @@ def _splu(a):
 
     On the fig4 block this halves the LU time and cuts the fill by a third
     against the default COLAMD. The 0.1 threshold keeps partial pivoting:
-    a diagonal entry below a tenth of its column's largest gives way. The
-    ordering depends on the sparsity pattern alone, so a detuning scan runs
-    this once per reduction and factors every point in the order it returns
-    (:class:`_ReducedSteadyState`); the shifted LUs of the uniqueness probe
+    a diagonal entry below a tenth of its column's largest gives way. It is
+    the only sparse LU of the steady-state solve: a reduction runs it once,
+    on its base block (:class:`_ReducedSteadyState`), and every point of a
+    scan reuses that factorization; the shifted LUs of the uniqueness probe
     and the inverse-iteration fallback run it once each.
     """
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A", **_PIVOTING)
@@ -490,10 +491,11 @@ def steady_state(
     With ``return_info`` a dict comes back too: ``residual`` and
     ``residual_scale`` (||L rho|| and max |L|, on the block), ``reduced_dim``
     (size of the block), ``lu_fill`` (SuperLU's count of the entries it
-    stores for L and U, supernode padding included: 197,019 against 192,357
-    nonzeros of L plus U at the middle fig4 point; None if the block could
-    not be factored) and ``path`` (``"lu"``, or ``"inverse_iteration"`` when
-    the fallback gave the answer).
+    stores for L and U of the block's one factorization, supernode padding
+    included: 190,028 for the fig4 model; every point of a scan reports its
+    reduction's count; None if the block could not be factored) and ``path``
+    (``"lu"``, or ``"inverse_iteration"`` when the fallback gave the answer).
+    One call factors the block once.
     """
     if not liouv.is_static:
         raise SteadyStateError("steady state requires a time-independent Liouvillian")
@@ -509,16 +511,28 @@ class _ReducedSteadyState:
     The block keeps the entries of ``liouv`` (L0) reachable from the
     populations. A diagonal ``shift`` S adds self-loops only, so the
     connected components, and with them the kept entries, are the same for
-    every x: a detuning scan restricts once. The block, with its first row
-    (the population of basis state 0) replaced by the trace constraint,
-    lives on one CSC pattern, the union of the block and the diagonal of S;
-    a solve at x only sets that pattern's data. The minimum-degree order of
-    that pattern is the same for every x too: the first block that factors
-    gives it (``perm_c``, SuperLU's column permutation, copied: the array
-    SuperLU returns is a view that keeps that block's factors alive), the
-    pattern is then laid out with its rows and columns permuted by it, and
-    every point is factored as it stands.
+    every x: a detuning scan restricts once. L(x) lives on one CSR pattern,
+    the union of the block and the diagonal of S; a point only sets its data.
+
+    A(x) is the block of L(x) with its first row (the population of basis
+    state 0) replaced by the trace constraint. S adds nothing to that row,
+    so A(x) = A0 + x E D E^T, with E the m other kept entries S shifts and D
+    its values there. A0 is factored once, on construction (``lu_fill`` is
+    its fill, the same for every point), and u = A0^-1 b is kept, b the
+    trace row's right-hand side. Any other x is a rank-m update of that
+    factorization (Hager, SIAM Rev. 31, 221 (1989)): with the m x m
+    capacitance C = E^T A0^-1 E, formed the first time x is nonzero,
+
+        (1 + x C D) y = E^T u,   v = u - x A0^-1 E D y,
+
+    one dense LU of order m and one solve with the base LU per point. The
+    answer depends on x alone, not on the points solved before it, so every
+    ``--jobs`` worker returns the serial scan's bits.
     """
+
+    # Columns of A0^-1 E per base solve while C is formed. Wider chunks are no
+    # faster, and add to the peak memory (64 columns: +3 MB on fig4).
+    _CHUNK = 8
 
     def __init__(self, liouv: Liouvillian, shift: sp.spmatrix | None = None):
         self.n = n = liouv.dim
@@ -529,42 +543,76 @@ class _ReducedSteadyState:
         shift = sp.coo_matrix((n * n, n * n)) if shift is None else shift.tocoo()
         if np.any((shift.row != shift.col) & (shift.data != 0)):
             raise ValueError("shift must be diagonal: an off-diagonal entry changes the block")
-        self.shift_diagonal = shift.diagonal()[self.keep]
+        s = shift.diagonal()[self.keep]
 
-        coo = self.block.tocoo()
-        body = coo.row > 0
-        on_diag = np.flatnonzero(self.shift_diagonal[1:]) + 1
-        self._rows = np.concatenate([coo.row[body], on_diag, np.zeros_like(self._diagonal)])
-        self._cols = np.concatenate([coo.col[body], on_diag, self._diagonal])
-        self._values = coo.data[body], self.shift_diagonal[on_diag]
-        self._lay_out(None)
-
-    def _lay_out(self, perm_c):
-        """Put the constrained pattern into CSC, kept entry i in row and column
-        ``perm_c[i]`` (None: i), with the slots of the base, the shift and the trace row."""
-        self.perm_c = perm_c
-        rows, cols = self._rows, self._cols
-        if perm_c is not None:
-            rows, cols = perm_c[rows], perm_c[cols]
         k = self.keep.size
-        keys, slots = np.unique(cols * k + rows, return_inverse=True)  # column-major
-        base, shift = self._values
-        nb, nd = base.size, shift.size
-        self._indices = keys % k
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
-        self._base = np.zeros(keys.size, dtype=complex)
-        self._base[slots[:nb]] = base
-        self._shift = np.zeros(keys.size, dtype=complex)
-        self._shift[slots[nb : nb + nd]] = shift
-        self._trace = slots[nb + nd :]
+        coo = self.block.tocoo()
+        on_diag = np.flatnonzero(s)
+        rows, cols = np.concatenate([coo.row, on_diag]), np.concatenate([coo.col, on_diag])
+        base = np.concatenate([coo.data, np.zeros(on_diag.size)])
+        shift_values = np.concatenate([np.zeros(coo.nnz), s[on_diag]])
+        self._L = sp.csr_matrix((base, (rows, cols)), (k, k))  # L(x): solve sets its data
+        self._base = self._L.data.copy()
+        self._shift = sp.csr_matrix((shift_values, (rows, cols)), (k, k)).data
+        self._shifted = on_diag[on_diag > 0]  # E: S adds nothing to the trace row
+        self._d = s[self._shifted]  # D
+        self._capacitance = None
+
+        scale = float(np.abs(self._base).max(initial=0.0))
+        self._lu = self._u = None
+        try:
+            lu = _splu(self.constrained_block(0.0, scale))
+        except RuntimeError:
+            return
+        rhs = np.zeros(k, dtype=complex)
+        rhs[0] = scale
+        self._lu, self._u = lu, lu.solve(rhs)
 
     def constrained_block(self, x: float, scale: float) -> sp.csc_matrix:
-        """The block of L(x) with its first row replaced by ``scale`` x the trace,
-        rows and columns permuted by ``perm_c`` once it is known."""
-        data = self._base + x * self._shift
-        data[self._trace] = scale
+        """A(x), with ``scale`` x the trace in its first row."""
         k = self.keep.size
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=(k, k))
+        L = sp.csr_matrix((self._base + x * self._shift, self._L.indices, self._L.indptr), (k, k))
+        trace = sp.csr_matrix(
+            (np.full(self._diagonal.size, scale, dtype=complex), self._diagonal,
+             [0, self._diagonal.size]),
+            shape=(1, k),
+        )
+        return sp.vstack([trace, L[1:]], format="csc")
+
+    def _updated(self, x: float):
+        """A(x)^-1 b from the base LU; None if A0 or 1 + x C D is singular."""
+        if self._lu is None:
+            return None
+        if not x or not self._d.size:
+            return self._u
+        if self._capacitance is None:
+            self._form_capacitance()
+        system, y = self._system, self._y
+        np.multiply(self._capacitance, x * self._d, out=system)
+        system[self._eye, self._eye] += 1.0
+        y[:, 0] = self._u[self._shifted]
+        *_, y, info = lapack.zgesv(system, y, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            return None
+        w = np.zeros(self.keep.size, dtype=complex)
+        w[self._shifted] = self._d * y[:, 0]
+        return self._u - x * self._lu.solve(w)
+
+    def _form_capacitance(self):
+        """C = E^T A0^-1 E, a chunk of columns per base solve, and the buffers
+        the per-point system (1 + x C D) y = E^T u is solved in."""
+        e = self._shifted
+        m = e.size
+        self._capacitance = c = np.empty((m, m), dtype=complex, order="F")
+        unit = np.zeros((self.keep.size, self._CHUNK), dtype=complex, order="F")
+        for start in range(0, m, self._CHUNK):
+            cols = np.arange(start, min(start + self._CHUNK, m))
+            unit[e[cols], cols - start] = 1.0
+            c[:, cols] = self._lu.solve(unit[:, : cols.size])[e]
+            unit[e[cols], cols - start] = 0.0
+        self._system = np.empty((m, m), dtype=complex, order="F")
+        self._y = np.empty((m, 1), dtype=complex, order="F")
+        self._eye = np.arange(m)
 
     def solve(self, x: float = 0.0, check_unique: bool = False):
         """``(DensityMatrix, info)`` at L(x); see :func:`steady_state`.
@@ -573,24 +621,15 @@ class _ReducedSteadyState:
         uniqueness probe and the normalization all use the block of L(x), and
         the state holds its block vector.
         """
-        L = self.block
-        if x:
-            L = (L + x * sp.diags(self.shift_diagonal)).tocsr()
-        scale = float(abs(L).max())
+        L = self._L
+        np.multiply(self._shift, x, out=L.data)
+        L.data += self._base
+        scale = float(np.abs(L.data).max(initial=0.0))
         if scale == 0.0:
             raise SteadyStateError("Liouvillian is identically zero")
 
-        fill, path = None, "lu"
-        try:
-            if self.perm_c is None:
-                self._lay_out(_splu(self.constrained_block(x, scale)).perm_c.copy())
-            lu = spla.splu(self.constrained_block(x, scale), permc_spec="NATURAL", **_PIVOTING)
-            fill = lu.nnz
-            rhs = np.zeros(self.keep.size, dtype=complex)
-            rhs[self.perm_c[0]] = scale  # the trace row, where the first kept row went
-            v = lu.solve(rhs)[self.perm_c]
-        except RuntimeError:
-            v = None
+        fill = None if self._lu is None else self._lu.nnz
+        v, path = self._updated(x), "lu"
         if v is None or not np.all(np.isfinite(v)):
             v, path = _inverse_iteration(L, scale), "inverse_iteration"
 
@@ -634,15 +673,23 @@ def _shifted_lu(L, scale, what):
 
 
 def _inverse_iteration(L, scale, start=None, iterations=50):
+    """Null vector of L by inverse iteration with a tiny shift.
+
+    It takes one sweep more than the first to meet ||L v|| <= 1e-12 * scale:
+    that bound still leaves a few 1e-10 of a slow relaxation mode in the fig4
+    state (photon rates off by ~1e-7), and the next sweep cuts it to ~1e-14.
+    """
     lu = _shifted_lu(L, scale, "inverse-iteration")
     rng = np.random.default_rng(7)
     v = start if start is not None else rng.standard_normal(L.shape[0]) + 0j
     v /= np.linalg.norm(v)
+    converged = False
     for _ in range(iterations):
         v = lu.solve(v)
         v /= np.linalg.norm(v)
-        if np.linalg.norm(L @ v) <= 1e-12 * scale:
+        if converged:
             break
+        converged = np.linalg.norm(L @ v) <= 1e-12 * scale
     return v
 
 

@@ -488,6 +488,58 @@ def test_block_fallback_on_a_driven_model(atom, monkeypatch):
     assert not vec(got.matrix)[dropped].any()
 
 
+def test_scan_with_a_singular_base_converges_by_inverse_iteration(atom, monkeypatch):
+    """If the base block does not factor, every point of a scan takes the inverse
+    iteration, reports no fill and gives the rates of the normal scan."""
+    model, center = _fig4_line_model(atom)
+    grid = np.linspace(center - mhz(0.3), center + mhz(0.3), 3)
+    want = raman_spectrum(model, grid, check_unique_first=False)
+    infos = []
+    original_solve = lindblad._ReducedSteadyState.solve
+
+    def recording_solve(self, x=0.0, check_unique=False):
+        state, info = original_solve(self, x, check_unique)
+        infos.append(info)
+        return state, info
+
+    def zero_block(self, x, scale):
+        k = self.keep.size
+        return sp.csc_matrix((k, k), dtype=complex)
+
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "solve", recording_solve)
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "constrained_block", zero_block)
+    got = raman_spectrum(model, grid, check_unique_first=False)
+    assert got.converged.all() and len(infos) == 3
+    assert all((i["path"], i["lu_fill"]) == ("inverse_iteration", None) for i in infos)
+    assert got.rates == pytest.approx(want.rates, rel=1e-9)
+
+
+@pytest.mark.parametrize("fault", ["non_finite", "off_residual"])
+def test_a_bad_update_is_never_returned(atom, monkeypatch, fault):
+    """An update that is not finite, or misses the residual bound, hands the point
+    to the inverse iteration, which finds the state of the exact update."""
+    model, center = _fig4_line_model(atom)
+    layout = HilbertLayout(atom=atom, n_max=1)
+    solver = lindblad._ReducedSteadyState(
+        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout)
+    )
+    x = model.laser("drive").detuning - center
+    want, info = solver.solve(x)
+    assert info["path"] == "lu"
+    original = lindblad._ReducedSteadyState._updated
+
+    def bad_update(self, x):
+        v = original(self, x).copy()
+        v[-1] = np.nan if fault == "non_finite" else v[-1] + 1e-3 * np.abs(v).max()
+        return v
+
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "_updated", bad_update)
+    got, info = solver.solve(x)
+    assert info["path"] == "inverse_iteration"
+    assert info["residual"] <= 1e-10 * info["residual_scale"]
+    assert np.abs(got.vectors - want.vectors).max() < 1e-9 * np.abs(want.vectors).max()
+
+
 def test_scan_failures_keep_their_reason(atom, monkeypatch):
     """An unconverged point is marked and its SteadyStateError message kept."""
     model, center = _fig4_line_model(atom)
@@ -546,28 +598,25 @@ def test_minimum_degree_order_is_structural():
     assert not np.array_equal(orders[0], np.arange(orders[0].size))
 
 
-def test_reductions_share_one_order():
-    """Two reductions of one model, first solved at different detunings, lay out the
-    same pattern in the MMD order of the unpermuted block: so every --jobs worker
-    factors each point exactly as the serial scan does."""
+def test_reductions_agree_bit_for_bit():
+    """Two reductions of one model, first solved at different detunings (one at its
+    base, one after forming its capacitance), return bit-identical block vectors at
+    a shared detuning: so every --jobs worker returns the serial scan's bits."""
     model, grid = _bundled_spectrum("fig4")
     d0 = model.laser("drive").detuning
-    first, last, fresh = _scan_solver(model), _scan_solver(model), _scan_solver(model)
+    first, last = _scan_solver(model), _scan_solver(model)
     first.solve(d0 - grid[0])
     last.solve(d0 - grid[-1])
-    assert fresh.perm_c is None
     x = d0 - grid[grid.size // 2]
-    want = lindblad._splu(fresh.constrained_block(x, float(abs(fresh.block).max()))).perm_c
-    for solver in (first, last):
-        assert np.array_equal(solver.perm_c, want)
-    for name in ("_indices", "_indptr", "_base", "_shift", "_trace"):
-        assert np.array_equal(getattr(first, name), getattr(last, name))
+    (a, info_a), (b, info_b) = first.solve(x), last.solve(x)
+    assert np.array_equal(a.vectors, b.vectors) and info_a == info_b
+    assert info_a["path"] == "lu"
 
 
 @pytest.mark.parametrize("figure", ["fig4", "fig5"])
 def test_scan_points_match_fresh_minimum_degree_solves(figure):
-    """Every point, factored in the scan's one order, equals a fresh MMD LU of the
-    unpermuted block to 1e-12 and meets the 1e-10 x scale residual."""
+    """Every point, a low-rank update of the scan's one LU, equals a fresh MMD LU of
+    its own block to 1e-12 and meets the 1e-10 x scale residual."""
     model, grid = _bundled_spectrum(figure)
     d0 = model.laser("drive").detuning
     solver, unpermuted = _scan_solver(model), _scan_solver(model)
@@ -581,20 +630,19 @@ def test_scan_points_match_fresh_minimum_degree_solves(figure):
         lu = lindblad._splu(unpermuted.constrained_block(x, scale))
         want = unpermuted._hermitian_unit_trace(lu.solve(rhs))
         assert np.abs(state.vectors - want).max() <= 1e-12 * np.abs(want).max()
-    assert unpermuted.perm_c is None
 
 
 def test_scan_orders_once_per_reduction(monkeypatch):
-    """A scan runs MMD once for its order; the uniqueness probe runs its own."""
+    """A scan runs one sparse LU, of its base block; the uniqueness probe runs its own."""
     model, grid = _bundled_spectrum("fig4")
     calls = []
-    original = lindblad._splu
+    original = lindblad.spla.splu
 
-    def counting_splu(a):
+    def counting_splu(a, *args, **kwargs):
         calls.append(a.shape)
-        return original(a)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(lindblad, "_splu", counting_splu)
+    monkeypatch.setattr(lindblad.spla, "splu", counting_splu)
     scan = raman_spectrum(model, _twelve_points(grid), check_unique_first=False)
     assert scan.converged.all() and len(calls) == 1
     calls.clear()
