@@ -92,9 +92,13 @@ class HilbertLayout:
 
     @cached_property
     def mode_flux_operators(self) -> tuple:
-        """(a_H^dag a_H, a_V^dag a_V, a_H^dag a_V), the operators of the detected flux."""
+        """(a_H^dag a_H, a_V^dag a_V, a_H^dag a_V), the operators of the detected flux.
+
+        Kept as COO in row-major order, the form ``lindblad.expectation``
+        reads, so a readout converts nothing."""
         a_h, a_v = self.destroy("H"), self.destroy("V")
-        return tuple((x.conj().T @ y).tocsr() for x, y in ((a_h, a_h), (a_v, a_v), (a_h, a_v)))
+        pairs = ((a_h, a_h), (a_v, a_v), (a_h, a_v))
+        return tuple((x.conj().T @ y).tocsr().tocoo() for x, y in pairs)
 
     def basis_state(self, state: ZeemanState, n_h: int = 0, n_v: int = 0) -> np.ndarray:
         """Pure-state density matrix |state, n_h, n_v><...|."""

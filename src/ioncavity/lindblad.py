@@ -520,13 +520,22 @@ class _ReducedSteadyState:
     its values there. A0 is factored once, on construction (``lu_fill`` is
     its fill, the same for every point), and u = A0^-1 b is kept, b the
     trace row's right-hand side. Any other x is a rank-m update of that
-    factorization (Hager, SIAM Rev. 31, 221 (1989)): with the m x m
-    capacitance C = E^T A0^-1 E, formed the first time x is nonzero,
+    factorization (Hager, SIAM Rev. 31, 221 (1989)) through the m x m
+    capacitance C = E^T A0^-1 E:
 
-        (1 + x C D) y = E^T u,   v = u - x A0^-1 E D y,
+        (1 + x C D) y = E^T u,   v = u - x A0^-1 E D y.
 
-    one dense LU of order m and one solve with the base LU per point. The
-    answer depends on x alone, not on the points solved before it, so every
+    The first time x is nonzero, C is formed, scaled to K = C D in place and
+    reduced once to its complex Schur form K = Q T Q^H (Golub & Van Loan,
+    Matrix Computations, 7.6); only T and Q are kept. Every shift then costs
+    O(m^2), as in Laub's frequency responses (IEEE TAC 26, 407 (1981)):
+
+        (T + 1/x) z = Q^H E^T u / x,   y = Q z,
+
+    one triangular solve of order m and one solve with the base LU per
+    point. On fig4 (m = 320, one BLAS thread) the base LU takes about 0.04 s,
+    C about 0.15 s and its Schur form 0.1-0.17 s; a point then takes about
+    1.2 ms, against 6 ms with a dense LU of 1 + x C D. The answer depends on x alone, not on the points solved before it, so every
     ``--jobs`` worker returns the serial scan's bits.
     """
 
@@ -556,7 +565,7 @@ class _ReducedSteadyState:
         self._shift = sp.csr_matrix((shift_values, (rows, cols)), (k, k)).data
         self._shifted = on_diag[on_diag > 0]  # E: S adds nothing to the trace row
         self._d = s[self._shifted]  # D
-        self._capacitance = None
+        self._t = self._q = None  # Schur form of C D, formed the first time x is nonzero
 
         scale = float(np.abs(self._base).max(initial=0.0))
         self._lu = self._u = None
@@ -580,39 +589,51 @@ class _ReducedSteadyState:
         return sp.vstack([trace, L[1:]], format="csc")
 
     def _updated(self, x: float):
-        """A(x)^-1 b from the base LU; None if A0 or 1 + x C D is singular."""
+        """A(x)^-1 b from the base LU; None if A0 or 1 + x C D is singular,
+        or the Schur form of C D did not converge."""
         if self._lu is None:
             return None
         if not x or not self._d.size:
             return self._u
-        if self._capacitance is None:
-            self._form_capacitance()
-        system, y = self._system, self._y
-        np.multiply(self._capacitance, x * self._d, out=system)
-        system[self._eye, self._eye] += 1.0
-        y[:, 0] = self._u[self._shifted]
-        *_, y, info = lapack.zgesv(system, y, overwrite_a=1, overwrite_b=1)
+        if self._t is None:
+            self._reduce_capacitance()
+        t, q = self._t, self._q
+        if q is None:
+            return None
+        np.fill_diagonal(t, self._t_diag + 1.0 / x)
+        r = self._u[self._shifted] / x
+        qh_r = (r.conj() @ q).conj()  # Q^H r, without a conjugated copy of Q
+        z, info = lapack.ztrtrs(t, qh_r[:, None], overwrite_b=1)
         if info != 0:
             return None
         w = np.zeros(self.keep.size, dtype=complex)
-        w[self._shifted] = self._d * y[:, 0]
+        w[self._shifted] = self._d * (q @ z[:, 0])
         return self._u - x * self._lu.solve(w)
 
-    def _form_capacitance(self):
-        """C = E^T A0^-1 E, a chunk of columns per base solve, and the buffers
-        the per-point system (1 + x C D) y = E^T u is solved in."""
+    def _reduce_capacitance(self):
+        """The Schur form K = Q T Q^H of K = C D, with C = E^T A0^-1 E formed
+        a chunk of columns per base solve in the buffer that becomes T.
+
+        Q is None if zgees did not converge. Its workspace is zgehrd's
+        optimal one plus m: with less, the Hessenberg reduction inside runs
+        unblocked, twice as slow at m = 1,620.
+        """
         e = self._shifted
         m = e.size
-        self._capacitance = c = np.empty((m, m), dtype=complex, order="F")
+        k = np.empty((m, m), dtype=complex, order="F")
         unit = np.zeros((self.keep.size, self._CHUNK), dtype=complex, order="F")
         for start in range(0, m, self._CHUNK):
             cols = np.arange(start, min(start + self._CHUNK, m))
             unit[e[cols], cols - start] = 1.0
-            c[:, cols] = self._lu.solve(unit[:, : cols.size])[e]
+            k[:, cols] = self._lu.solve(unit[:, : cols.size])[e]
             unit[e[cols], cols - start] = 0.0
-        self._system = np.empty((m, m), dtype=complex, order="F")
-        self._y = np.empty((m, 1), dtype=complex, order="F")
-        self._eye = np.arange(m)
+        k *= self._d  # K = C D
+        work, _ = lapack.zgehrd_lwork(m)
+        t, _, _, q, _, info = lapack.zgees(
+            lambda w: 0, k, lwork=m + int(work.real), overwrite_a=1
+        )
+        self._t, self._q = t, (q if info == 0 else None)
+        self._t_diag = t.diagonal().copy()
 
     def solve(self, x: float = 0.0, check_unique: bool = False):
         """``(DensityMatrix, info)`` at L(x); see :func:`steady_state`.

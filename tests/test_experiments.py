@@ -540,6 +540,26 @@ def test_a_bad_update_is_never_returned(atom, monkeypatch, fault):
     assert np.abs(got.vectors - want.vectors).max() < 1e-9 * np.abs(want.vectors).max()
 
 
+def test_a_singular_update_system_is_never_solved(atom):
+    """A Schur diagonal entry at exactly -1/x makes T + 1/x singular at x: the
+    triangular solve reports it, and the point takes the inverse iteration,
+    which finds the state of the unpatched update."""
+    model, center = _fig4_line_model(atom)
+    layout = HilbertLayout(atom=atom, n_max=1)
+    solver = lindblad._ReducedSteadyState(
+        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout)
+    )
+    x = model.laser("drive").detuning - center
+    want, info = solver.solve(x)
+    assert info["path"] == "lu"
+    solver._t_diag[0] = -1.0 / x
+    assert solver._updated(x) is None
+    got, info = solver.solve(x)
+    assert info["path"] == "inverse_iteration"
+    assert info["residual"] <= 1e-10 * info["residual_scale"]
+    assert np.abs(got.vectors - want.vectors).max() < 1e-9 * np.abs(want.vectors).max()
+
+
 def test_scan_failures_keep_their_reason(atom, monkeypatch):
     """An unconverged point is marked and its SteadyStateError message kept."""
     model, center = _fig4_line_model(atom)
@@ -648,6 +668,25 @@ def test_scan_orders_once_per_reduction(monkeypatch):
     calls.clear()
     scan = raman_spectrum(model, grid[:3], check_unique_first=True)
     assert scan.converged.all() and len(calls) == 2
+
+
+def test_one_schur_form_per_reduction(monkeypatch):
+    """A scan reduces C D to Schur form once, at its first nonzero detuning; a lone
+    steady state (x = 0) never forms C."""
+    model, grid = _bundled_spectrum("fig4")
+    calls = []
+    original = lindblad.lapack.zgees
+
+    def counting_zgees(select, a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(select, a, *args, **kwargs)
+
+    monkeypatch.setattr(lindblad.lapack, "zgees", counting_zgees)
+    scan = raman_spectrum(model, _twelve_points(grid), check_unique_first=False)
+    assert scan.converged.all() and len(calls) == 1
+    calls.clear()
+    steady_state(build_liouvillian(model, HilbertLayout(atom=model.atom, n_max=1)))
+    assert calls == []
 
 
 # -- left-right spectrum symmetry ------------------------------------------------
