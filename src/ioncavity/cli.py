@@ -445,7 +445,7 @@ def cmd_plan(cfg, args):
     )
 
 
-def _spectrum_scan(cfg, args):
+def _spectrum_scan(cfg):
     from .experiments import raman_spectrum, spectrum_grid
 
     setting = raman_setting_from_config(cfg)
@@ -463,7 +463,6 @@ def _spectrum_scan(cfg, args):
         grid,
         dwell=spec_cfg["dwell_us"] * 1e-6,
         n_max=cfg["solver"]["n_max"],
-        jobs=args.jobs,
         check_unique_first=cfg["solver"]["check_unique"],
     )
     return setting, lines, scan
@@ -472,7 +471,7 @@ def _spectrum_scan(cfg, args):
 def cmd_spectrum(cfg, args):
     from .experiments import annotate_peaks, find_peaks
 
-    _, lines, scan = _spectrum_scan(cfg, args)
+    _, lines, scan = _spectrum_scan(cfg)
     det = to_mhz(scan.detunings)
     rows = [(d, rh, rv, int(c), res) for d, rh, rv, c, res in zip(det, *scan.rates, scan.converged, scan.residuals)]
     peaks = annotate_peaks(find_peaks(scan), lines)
@@ -499,7 +498,7 @@ def cmd_spectrum(cfg, args):
     )
 
 
-def _sideband_scan(cfg, args):
+def _sideband_scan(cfg):
     """Grid around the target line, its motion-free spectrum and the configured trap motion."""
     from .experiments import TrapMotion, raman_spectrum
 
@@ -508,7 +507,7 @@ def _sideband_scan(cfg, args):
     window = mhz(sb["window_2pi_mhz"])
     grid = np.linspace(line.detuning - window, line.detuning + window, sb["points"])
     model = model_from_config(cfg, drive_detuning=float(grid[0]))
-    base = raman_spectrum(model, grid, n_max=cfg["solver"]["n_max"], jobs=args.jobs,
+    base = raman_spectrum(model, grid, n_max=cfg["solver"]["n_max"],
                           check_unique_first=cfg["solver"]["check_unique"])
     nu_r = sb["nu_radial_2pi_mhz"]
     trap = TrapMotion(
@@ -525,7 +524,7 @@ def cmd_sidebands(cfg, args):
     from .experiments import sideband_overlay
 
     sb = cfg["sidebands"]
-    grid, base, trap = _sideband_scan(cfg, args)
+    grid, base, trap = _sideband_scan(cfg)
     if sb["micromotion_index"] != 0.0:
         grid = np.unique(np.concatenate([grid, grid - trap.micromotion_frequency, grid + trap.micromotion_frequency]))
     overlay = sideband_overlay(base, trap, out_detunings=grid)
@@ -548,7 +547,7 @@ def cmd_cooling_comparison(cfg, args):
     """Fig. 6a: the target line's H spectrum after Doppler and after sideband cooling."""
     from .experiments import sideband_overlay
 
-    _, base, trap = _sideband_scan(cfg, args)
+    _, base, trap = _sideband_scan(cfg)
     doppler = sideband_overlay(base, replace(trap, nbar=DOPPLER_NBAR))
     cooled = sideband_overlay(base, trap)
     det = to_mhz(doppler.detunings)
@@ -897,7 +896,6 @@ def build_parser():
     parser.add_argument("--config", default=None, help="JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--plot", action="store_true", help="emit SVG plots")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--json-errors", action="store_true", help="machine-readable errors")
     parser.add_argument("--dump-operators", action="store_true",
@@ -917,8 +915,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         out = Path(args.out)
         if args.command == "reproduce":
             if args.figure not in REPRODUCE_COMMAND:

@@ -1,15 +1,11 @@
 """Experiment drivers: spectra, sidebands, photon pulses, entanglement,
 state mapping, and qubit coherence dynamics.
-
-Each driver owns its independent solver instances, so scan points can
-run in parallel workers; results merge deterministically by grid index.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,20 +130,33 @@ def spectrum_grid(
     return grid
 
 
-def _solve_point(args):
-    """Rows and failure reasons of a detuning scan on one reduction.
+def raman_spectrum(
+    model: SystemModel,
+    detunings,
+    dwell: float = 300e-6,
+    n_max: int = 1,
+    check_unique_first: bool = True,
+) -> ScanResult:
+    """Steady-state photon rates versus drive detuning.
 
-    With ``probe`` the first point is also checked for a unique stationary
-    state, and any failure there raises instead of marking the point.
+    The drive detuning enters the Liouvillian linearly through two
+    diagonal projectors, so each point is the base operator plus a
+    scaled diagonal shift: the scan reduces and factors once, and solves
+    each point as a low-rank update of that factorization.
+    ``check_unique_first`` probes the first point for a second
+    stationary state, and any failure there raises. Solver failures elsewhere
+    mark the point as unconverged rather than aborting the scan; the
+    reasons go to ``metadata["failures"]`` (detuning -> message).
     """
-    model, layout_nmax, detunings, probe = args
-    layout = HilbertLayout(atom=model.atom, n_max=layout_nmax)
-    base = build_liouvillian(model, layout)
-    solver = _ReducedSteadyState(base, shift=drive_detuning_shift_superoperator(layout))
+    detunings = np.sort(np.asarray(detunings, dtype=float))
+    layout = HilbertLayout(atom=model.atom, n_max=n_max)
+    solver = _ReducedSteadyState(
+        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout)
+    )
     d0 = model.laser("drive").detuning
     rows, failures = [], {}
     for i, d in enumerate(detunings):
-        first = probe and i == 0
+        first = check_unique_first and i == 0
         try:
             ss, info = solver.solve(d0 - d, check_unique=first)
         except SteadyStateError as exc:
@@ -159,52 +168,15 @@ def _solve_point(args):
         flux = photon_flux(ss, layout, model.cavity.kappa, model.detection)
         pop_s_up = state_population(ss, layout, model.atom.state("S1/2", 0.5))
         rows.append((flux[0], flux[1], True, info["residual"], pop_s_up))
-    return rows, failures
 
-
-def raman_spectrum(
-    model: SystemModel,
-    detunings,
-    dwell: float = 300e-6,
-    n_max: int = 1,
-    jobs: int = 1,
-    check_unique_first: bool = True,
-) -> ScanResult:
-    """Steady-state photon rates versus drive detuning.
-
-    The drive detuning enters the Liouvillian linearly through two
-    diagonal projectors, so each point is the base operator plus a
-    scaled diagonal shift: the scan reduces and factors once, and solves
-    each point as a low-rank update of that factorization.
-    ``check_unique_first`` probes the first point for a second
-    stationary state and raises if it finds one. Solver failures elsewhere
-    mark the point as unconverged rather than aborting the scan; the
-    reasons go to ``metadata["failures"]`` (detuning -> message).
-    """
-    detunings = np.sort(np.asarray(detunings, dtype=float))
-    if jobs > 1:
-        if check_unique_first:
-            _solve_point((model, n_max, detunings[:1], True))  # raises if degenerate
-        chunks = [chunk for chunk in np.array_split(detunings, jobs) if len(chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_point, [(model, n_max, c, False) for c in chunks]))
-    else:
-        results = [_solve_point((model, n_max, detunings, check_unique_first))]
-    rows = [row for chunk_rows, _ in results for row in chunk_rows]
-    failures = {d: why for _, chunk_failures in results for d, why in chunk_failures.items()}
-
-    rates = np.array([[r[0] for r in rows], [r[1] for r in rows]])
-    converged = np.array([r[2] for r in rows])
-    residuals = np.array([r[3] for r in rows])
-    pops = np.array([r[4] for r in rows])
     return ScanResult(
         detunings=detunings,
-        rates=rates,
-        converged=converged,
-        residuals=residuals,
+        rates=np.array([[r[0] for r in rows], [r[1] for r in rows]]),
+        converged=np.array([r[2] for r in rows]),
+        residuals=np.array([r[3] for r in rows]),
         dwell=dwell,
         dark_counts=tuple(model.detection.dark_counts),
-        metadata={"s_up_population": pops, "n_max": n_max, "failures": failures},
+        metadata={"s_up_population": np.array([r[4] for r in rows]), "n_max": n_max, "failures": failures},
     )
 
 

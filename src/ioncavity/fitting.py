@@ -27,7 +27,7 @@ class FitResult:
     message: str
 
 
-def numerical_jacobian(fun, x, args=(), rel_step=1e-6):
+def numerical_jacobian(fun, x, rel_step=1e-6):
     """Central-difference Jacobian of a residual function.
 
     Steps scale with each parameter's own magnitude so that widely
@@ -36,22 +36,20 @@ def numerical_jacobian(fun, x, args=(), rel_step=1e-6):
     step size.
     """
     x = np.asarray(x, dtype=float)
-    r0 = np.asarray(fun(x, *args), dtype=float)
+    r0 = np.asarray(fun(x), dtype=float)
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
         h = rel_step * abs(x[i]) if x[i] != 0.0 else rel_step
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        jac[:, i] = (np.asarray(fun(xp, *args)) - np.asarray(fun(xm, *args))) / (2 * h)
+        jac[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h)
     return jac
 
 
 def levenberg_marquardt(
     fun,
     x0,
-    args=(),
-    jac=None,
     max_iterations: int = 200,
     ftol: float = 1e-10,
     gtol: float = 1e-12,
@@ -59,15 +57,12 @@ def levenberg_marquardt(
 ) -> FitResult:
     """Minimize 0.5 ||fun(x)||^2 by damped normal equations.
 
-    ``fun(x, *args)`` returns the residual vector. The damping factor
+    ``fun(x)`` returns the residual vector. The damping factor
     multiplies the diagonal of J^T J (Marquardt scaling) and is adapted
     by factor-of-ten steps on acceptance or rejection.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if jac is None:
-        jac = lambda p, *a: numerical_jacobian(fun, p, args=a)  # noqa: E731
-
-    r = np.asarray(fun(x, *args), dtype=float)
+    r = np.asarray(fun(x), dtype=float)
     cost = 0.5 * float(r @ r)
     lam = lambda0
     n_iter = 0
@@ -75,7 +70,7 @@ def levenberg_marquardt(
     message = "max iterations reached"
 
     for n_iter in range(1, max_iterations + 1):
-        j = np.asarray(jac(x, *args), dtype=float)
+        j = numerical_jacobian(fun, x)
         grad = j.T @ r
         if np.max(np.abs(grad)) < gtol:
             converged = True
@@ -93,7 +88,7 @@ def levenberg_marquardt(
                 lam *= 10
                 continue
             x_new = x + step
-            r_new = np.asarray(fun(x_new, *args), dtype=float)
+            r_new = np.asarray(fun(x_new), dtype=float)
             cost_new = 0.5 * float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new < cost:
                 rel_change = (cost - cost_new) / max(cost, np.finfo(float).tiny)
@@ -123,7 +118,7 @@ def levenberg_marquardt(
             cost=cost,
         )
 
-    j = np.asarray(jac(x, *args), dtype=float)
+    j = numerical_jacobian(fun, x)
     n_pts, n_par = j.shape
     dof = max(n_pts - n_par, 1)
     sigma2 = 2.0 * cost / dof

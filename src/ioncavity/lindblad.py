@@ -412,8 +412,8 @@ def build_liouvillian(
         drive_super = commutator_superoperator(parts.drive_coupling)
         td_terms.append((drive_super, lambda t, e=env: e(t)))
     for a_op, freq in parts.beat_operators:
-        m_super = commutator_superoperator_nonherm(a_op)
-        n_super = commutator_superoperator_nonherm(a_op.conj().T.tocsr())
+        m_super = commutator_superoperator(a_op)
+        n_super = commutator_superoperator(a_op.conj().T.tocsr())
         td_terms.append(
             (m_super, lambda t, f=freq, e=env: e(t) * np.exp(-1j * f * t))
         )
@@ -432,11 +432,9 @@ def _kron_triplets(a, b):
     return rows, cols, (a.data[:, None] * b.data).ravel()
 
 
-def commutator_superoperator_nonherm(a: sp.spmatrix) -> sp.csr_matrix:
-    """Superoperator of -i[A, .] for one (non-Hermitian) operator A."""
-    n = a.shape[0]
-    eye = sp.identity(n, format="csr")
-    return (-1j * (sp.kron(eye, a) - sp.kron(a.T, eye))).tocsr()
+# -i[A, .] has one formula for any A, Hermitian or not. The old name stays only
+# because perfbench/tracing.py looks it up among the traced functions.
+commutator_superoperator_nonherm = commutator_superoperator
 
 
 def drive_detuning_shift_superoperator(layout: HilbertLayout) -> sp.csr_matrix:
@@ -535,8 +533,8 @@ class _ReducedSteadyState:
     one triangular solve of order m and one solve with the base LU per
     point. On fig4 (m = 320, one BLAS thread) the base LU takes about 0.04 s,
     C about 0.15 s and its Schur form 0.1-0.17 s; a point then takes about
-    1.2 ms, against 6 ms with a dense LU of 1 + x C D. The answer depends on x alone, not on the points solved before it, so every
-    ``--jobs`` worker returns the serial scan's bits.
+    1.2 ms, against 6 ms with a dense LU of 1 + x C D. The answer depends on
+    x alone, not on the points solved before it.
     """
 
     # Columns of A0^-1 E per base solve while C is formed. Wider chunks are no

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ioncavity import experiments
 from ioncavity.cli import REPRODUCE_COMMAND, default_config, main, merge_config
 from ioncavity.errors import ConfigError
 
@@ -88,21 +87,6 @@ def test_unknown_figure_exits_2(tmp_path, capsys):
 def test_bad_polarization_exits_2(tmp_path):
     code = run_cli(["plan"], tmp_path, config={"lasers": {"drive": {"polarization": "elliptical"}}})
     assert code == 2
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_exits_2(jobs, tmp_path, capsys, monkeypatch):
-    """--jobs < 1 is refused before any handler runs: nothing is solved or written."""
-    def no_scan(*args, **kwargs):
-        raise AssertionError("the fig4 scan ran")
-
-    monkeypatch.setattr(experiments, "raman_spectrum", no_scan)
-    code = main(["--jobs", jobs, "--json-errors", "--out", str(tmp_path), "reproduce", "fig4"])
-    assert code == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert (payload["error"], payload["kind"]) == ("ConfigError", "config")
-    assert payload["message"] == f"--jobs must be at least 1, got {jobs}"
-    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["pulse", "overlap"])

@@ -37,7 +37,6 @@ import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,7 +84,7 @@ def recorded_pulses():
 def spectrum_values(figure="fig4"):
     """A bundled spectrum: H/V rates nearest its strongest peak per channel and its weakest; all peaks."""
     cfg = cli.merge_config(cli._bundled_config(figure))
-    _, _, scan = cli._spectrum_scan(cfg, SimpleNamespace(jobs=1))
+    _, _, scan = cli._spectrum_scan(cfg)
     peaks = experiments.find_peaks(scan)
     chosen = [
         max(same, key=lambda p: p.height)
