@@ -141,20 +141,29 @@ def raman_spectrum(
 
     The drive detuning enters the Liouvillian linearly through two
     diagonal projectors, so each point is the base operator plus a
-    scaled diagonal shift: the scan reduces and factors once, and solves
-    each point as a low-rank update of that factorization.
-    ``check_unique_first`` probes the first point for a second
+    scaled diagonal shift: the scan reduces and factors once, hands its
+    detunings to the reduction, which builds one Krylov space certified at
+    all of them, and solves each point on that space without a sparse
+    solve (see :class:`~ioncavity.lindblad._ReducedSteadyState`). A point
+    depends on its detuning and on the scan's grid, not on the order of
+    the solves. ``check_unique_first`` probes the first point for a second
     stationary state, and any failure there raises. Solver failures elsewhere
     mark the point as unconverged rather than aborting the scan; the
     reasons go to ``metadata["failures"]`` (detuning -> message).
+    ``metadata["solver"]`` says how the points were solved: ``paths`` (points
+    per path), ``max_residual_over_scale`` (the largest residual over its
+    scale), ``reduced_dim``, ``lu_fill``, ``update_rank`` (m, the entries the
+    detuning shifts) and ``krylov_dim`` (k, the size of the Krylov space).
     """
     detunings = np.sort(np.asarray(detunings, dtype=float))
     layout = HilbertLayout(atom=model.atom, n_max=n_max)
-    solver = _ReducedSteadyState(
-        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout)
-    )
     d0 = model.laser("drive").detuning
-    rows, failures = [], {}
+    solver = _ReducedSteadyState(
+        build_liouvillian(model, layout),
+        shift=drive_detuning_shift_superoperator(layout),
+        points=d0 - detunings,
+    )
+    rows, failures, infos = [], {}, []
     for i, d in enumerate(detunings):
         first = check_unique_first and i == 0
         try:
@@ -165,10 +174,22 @@ def raman_spectrum(
             failures[float(d)] = str(exc)
             rows.append((math.nan, math.nan, False, math.inf, math.nan))
             continue
+        infos.append(info)
         flux = photon_flux(ss, layout, model.cavity.kappa, model.detection)
         pop_s_up = state_population(ss, layout, model.atom.state("S1/2", 0.5))
         rows.append((flux[0], flux[1], True, info["residual"], pop_s_up))
 
+    paths = [info["path"] for info in infos]
+    solver_summary = {
+        "paths": {path: paths.count(path) for path in sorted(set(paths))},
+        "max_residual_over_scale": max(
+            (info["residual"] / info["residual_scale"] for info in infos), default=None
+        ),
+        "reduced_dim": int(solver.keep.size),
+        "lu_fill": infos[0]["lu_fill"] if infos else None,
+        "update_rank": solver.update_rank,
+        "krylov_dim": max((info["krylov_dim"] for info in infos), default=0),
+    }
     return ScanResult(
         detunings=detunings,
         rates=np.array([[r[0] for r in rows], [r[1] for r in rows]]),
@@ -176,7 +197,12 @@ def raman_spectrum(
         residuals=np.array([r[3] for r in rows]),
         dwell=dwell,
         dark_counts=tuple(model.detection.dark_counts),
-        metadata={"s_up_population": np.array([r[4] for r in rows]), "n_max": n_max, "failures": failures},
+        metadata={
+            "s_up_population": np.array([r[4] for r in rows]),
+            "n_max": n_max,
+            "failures": failures,
+            "solver": solver_summary,
+        },
     )
 
 

@@ -491,8 +491,10 @@ def steady_state(
     (size of the block), ``lu_fill`` (SuperLU's count of the entries it
     stores for L and U of the block's one factorization, supernode padding
     included: 190,028 for the fig4 model; every point of a scan reports its
-    reduction's count; None if the block could not be factored) and ``path``
-    (``"lu"``, or ``"inverse_iteration"`` when the fallback gave the answer).
+    reduction's count; None if the block could not be factored), ``path``
+    (``"lu"``, or ``"inverse_iteration"`` when the fallback gave the answer),
+    and ``krylov_dim`` and ``certificate`` (0 and 0.0 here, where no Krylov
+    space is needed; see :meth:`_ReducedSteadyState.solve`).
     One call factors the block once.
     """
     if not liouv.is_static:
@@ -518,30 +520,51 @@ class _ReducedSteadyState:
     its values there. A0 is factored once, on construction (``lu_fill`` is
     its fill, the same for every point), and u = A0^-1 b is kept, b the
     trace row's right-hand side. Any other x is a rank-m update of that
-    factorization (Hager, SIAM Rev. 31, 221 (1989)) through the m x m
-    capacitance C = E^T A0^-1 E:
+    factorization (Hager, SIAM Rev. 31, 221 (1989)):
 
-        (1 + x C D) y = E^T u,   v = u - x A0^-1 E D y.
+        (I + x K) y = r,   v = u - x A0^-1 E D y,   K = E^T A0^-1 E D,   r = E^T u.
 
-    The first time x is nonzero, C is formed, scaled to K = C D in place and
-    reduced once to its complex Schur form K = Q T Q^H (Golub & Van Loan,
-    Matrix Computations, 7.6); only T and Q are kept. Every shift then costs
-    O(m^2), as in Laub's frequency responses (IEEE TAC 26, 407 (1981)):
+    Every x has the same K and r, so every y lies in one Krylov space of K
+    and r: shifted systems share it (Frommer & Glässner, SIAM J. Sci.
+    Comput. 19, 15 (1998); Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., 6.4). The first nonzero x builds it by Arnoldi with
+    two-pass Gram-Schmidt. Step j is one base solve, w_j = A0^-1 E D v_j,
+    and K v_j = E^T w_j; the w_j are kept as W_k, so y = V_k z gives
+    v = u - x W_k z. The Krylov (FOM) solution at x,
 
-        (T + 1/x) z = Q^H E^T u / x,   y = Q z,
+        (I + x H_k) z = ||r|| e_1,
 
-    one triangular solve of order m and one solve with the base LU per
-    point. On fig4 (m = 320, one BLAS thread) the base LU takes about 0.04 s,
-    C about 0.15 s and its Schur form 0.1-0.17 s; a point then takes about
-    1.2 ms, against 6 ms with a dense LU of 1 + x C D. The answer depends on
-    x alone, not on the points solved before it.
+    leaves the residual |x h_{k+1,k} e_k^T z|, its certificate. Arnoldi
+    stops at the smallest k where the certificate is at most 1e-14 ||r||
+    at every x of ``points`` (the scan's shifts) and at the x being solved,
+    read off the left null vector of [I; 0] + x H_k-bar, one recurrence for
+    all of them per step; or where the space is invariant (h_{k+1,k} zero
+    to rounding, or k = m), which makes every y exact. One complex Schur form
+    H_k = Q T Q^H (Golub & Van Loan, Matrix Computations, 7.6) then serves
+    every point, as in Laub's frequency responses (IEEE TAC 26, 407 (1981)):
+
+        (T + I/x) zeta = Q^H ||r|| e_1 / x,   z = Q zeta,   v = u - x W_k z:
+
+    one triangular solve of order k and two small products, no sparse
+    solve. A point whose own certificate fails joins the certified x, the
+    space grows, and the Schur form is taken again. On fig4 and fig5
+    (m = 320, one BLAS thread) k is 113 and 109: Arnoldi takes 0.09-0.12 s,
+    the Schur form about 0.012 s and a point's update about 0.2 ms.
+
+    A point depends on its x and on the x its reduction is certified at
+    when it is solved: ``points``, and any x solved before whose own
+    certificate failed. Since the space is the smallest that certifies all
+    of them, it does not depend otherwise on the order of the solves; every
+    point of a scan is one of ``points``, so it depends on its detuning and
+    the scan's grid alone.
     """
 
-    # Columns of A0^-1 E per base solve while C is formed. Wider chunks are no
-    # faster, and add to the peak memory (64 columns: +3 MB on fig4).
-    _CHUNK = 8
+    _TOL = 1e-14  # the certificate, over ||r||, at which a Krylov solution is taken
+    # Krylov columns per buffer block: W grows a block at a time without a copy,
+    # so the memory follows k, not m.
+    _BLOCK = 40
 
-    def __init__(self, liouv: Liouvillian, shift: sp.spmatrix | None = None):
+    def __init__(self, liouv: Liouvillian, shift: sp.spmatrix | None = None, points=()):
         self.n = n = liouv.dim
         block = liouv.restrict(np.arange(n) * (n + 1))
         self.keep, self.block = block.keep, block.static_part
@@ -563,7 +586,10 @@ class _ReducedSteadyState:
         self._shift = sp.csr_matrix((shift_values, (rows, cols)), (k, k)).data
         self._shifted = on_diag[on_diag > 0]  # E: S adds nothing to the trace row
         self._d = s[self._shifted]  # D
-        self._t = self._q = None  # Schur form of C D, formed the first time x is nonzero
+        self.update_rank = int(self._shifted.size)  # m
+        points = np.unique(np.asarray(points, dtype=float))
+        self._points = points[points != 0.0]  # the x the Krylov space is certified at
+        self._k, self._exact, self._v, self._t = 0, False, None, None
 
         scale = float(np.abs(self._base).max(initial=0.0))
         self._lu = self._u = None
@@ -587,58 +613,130 @@ class _ReducedSteadyState:
         return sp.vstack([trace, L[1:]], format="csc")
 
     def _updated(self, x: float):
-        """A(x)^-1 b from the base LU; None if A0 or 1 + x C D is singular,
-        or the Schur form of C D did not converge."""
+        """``(v, k, certificate)``: A(x)^-1 b from the base LU and the Krylov
+        space of dimension k, and the certificate over ||r|| (0 where no space
+        was needed). v is None if A0 or T + I/x is singular, or the Schur form
+        of H_k did not converge."""
         if self._lu is None:
-            return None
+            return None, 0, None
         if not x or not self._d.size:
-            return self._u
-        if self._t is None:
-            self._reduce_capacitance()
-        t, q = self._t, self._q
-        if q is None:
-            return None
-        np.fill_diagonal(t, self._t_diag + 1.0 / x)
-        r = self._u[self._shifted] / x
-        qh_r = (r.conj() @ q).conj()  # Q^H r, without a conjugated copy of Q
-        z, info = lapack.ztrtrs(t, qh_r[:, None], overwrite_b=1)
-        if info != 0:
-            return None
-        w = np.zeros(self.keep.size, dtype=complex)
-        w[self._shifted] = self._d * (q @ z[:, 0])
-        return self._u - x * self._lu.solve(w)
+            return self._u, 0, 0.0
+        if self._v is None:
+            self._grow(x)
+        while self._k:
+            k = self._k
+            if self._t is None:
+                self._reduce_hessenberg()
+            t, q = self._t, self._q
+            if q is None:
+                return None, k, None
+            np.fill_diagonal(t, self._t_diag + 1.0 / x)
+            zeta, info = lapack.ztrtrs(t, (self._g / x)[:, None], overwrite_b=1)
+            if info != 0:
+                return None, k, None
+            z = q @ zeta[:, 0]
+            certificate = float(abs(x * self._h[k, k - 1] * z[-1])) / self._beta
+            if certificate <= self._TOL or self._exact:
+                pieces = np.split(z, range(self._BLOCK, k, self._BLOCK))
+                wz = sum(w[:, : zi.size] @ zi for w, zi in zip(self._w, pieces))
+                return self._u - x * wz, k, certificate
+            self._grow(x, at_least=k + 1)
+        return self._u, 0, 0.0  # r = 0: y = 0 at every x
 
-    def _reduce_capacitance(self):
-        """The Schur form K = Q T Q^H of K = C D, with C = E^T A0^-1 E formed
-        a chunk of columns per base solve in the buffer that becomes T.
+    def _grow(self, x: float, at_least: int = 0):
+        """Arnoldi steps on K until k >= ``at_least`` and the certificate holds at
+        every certified x, ``x`` now among them, or the space is invariant."""
+        if self._v is None:
+            r = self._u[self._shifted]
+            self._beta = float(np.linalg.norm(r))
+            self._exact = self._beta == 0.0
+            self._v, self._h = (r / (self._beta or 1.0))[:, None], np.zeros((1, 0), dtype=complex)
+            self._null, self._w = np.ones((self._points.size, 1), dtype=complex), []
+        if self._exact:
+            return
+        if not np.any(self._points == x):
+            row = np.zeros((1, self._null.shape[1]), dtype=complex)
+            row[0, 0] = 1.0
+            for j in range(self._k):
+                self._null_step(row, np.array([x]), j)
+            self._points = np.append(self._points, x)
+            self._null = np.vstack([self._null, row])
 
-        Q is None if zgees did not converge. Its workspace is zgehrd's
-        optimal one plus m: with less, the Hessenberg reduction inside runs
-        unblocked, twice as slow at m = 1,620.
-        """
-        e = self._shifted
-        m = e.size
-        k = np.empty((m, m), dtype=complex, order="F")
-        unit = np.zeros((self.keep.size, self._CHUNK), dtype=complex, order="F")
-        for start in range(0, m, self._CHUNK):
-            cols = np.arange(start, min(start + self._CHUNK, m))
-            unit[e[cols], cols - start] = 1.0
-            k[:, cols] = self._lu.solve(unit[:, : cols.size])[e]
-            unit[e[cols], cols - start] = 0.0
-        k *= self._d  # K = C D
-        work, _ = lapack.zgehrd_lwork(m)
+        e, d, m = self._shifted, self._d, self._shifted.size
+        rhs = np.zeros(self.keep.size, dtype=complex)
+        while self._k < at_least or not np.all(self._certificates() <= self._TOL):
+            k = self._k
+            if k % self._BLOCK == 0:
+                self._reserve()
+            v, h = self._v, self._h
+            rhs[e] = d * v[:, k]
+            w = self._w[-1][:, k % self._BLOCK] = self._lu.solve(rhs)
+            kv, basis = w[e], v[:, : k + 1]
+            kv_norm = np.linalg.norm(kv)
+            for _ in range(2):  # two-pass classical Gram-Schmidt
+                c = (kv.conj() @ basis).conj()
+                kv -= basis @ c
+                h[: k + 1, k] += c
+            norm = float(np.linalg.norm(kv))
+            self._k = k + 1
+            if norm <= np.finfo(float).eps * kv_norm or k + 1 == m:
+                # K V_k = V_k H_k to rounding: the space is invariant, every y on it exact
+                self._exact = True
+                break
+            h[k + 1, k] = norm
+            v[:, k + 1] = kv / norm
+            self._null_step(self._null, self._points, k)
+        self._t = None
+
+    def _reserve(self):
+        """Room for one more block of Krylov columns: W gains a block, V, H and the
+        null vectors move to larger arrays (all three are small)."""
+        cap = self._k + self._BLOCK
+
+        def larger(a, shape):
+            b = np.zeros(shape, dtype=complex, order="F")
+            b[: a.shape[0], : a.shape[1]] = a
+            return b
+
+        self._v = larger(self._v, (self._shifted.size, cap + 1))
+        self._h = larger(self._h, (cap + 1, cap))
+        self._null = larger(self._null, (self._points.size, cap + 1))
+        self._w.append(np.empty((self.keep.size, self._BLOCK), dtype=complex, order="F"))
+
+    def _null_step(self, rows, xs, j):
+        """Entry j + 1 of the left null vector of [I; 0] + x H_k-bar, one row per x
+        of ``xs``, each row then scaled to a largest modulus of 1. At step j + 1
+        the FOM residual over ||r|| is |row[0]| / |row[j + 1]|."""
+        h = self._h
+        phi = rows[:, j] + xs * (rows[:, : j + 1] @ h[: j + 1, j])
+        rows[:, j + 1] = -phi / (xs * h[j + 1, j])
+        rows[:, : j + 2] /= np.abs(rows[:, : j + 2]).max(axis=1, keepdims=True)
+
+    def _certificates(self):
+        """The FOM residual over ||r|| at every certified x, on the space as it is."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.abs(self._null[:, 0]) / np.abs(self._null[:, self._k])
+
+    def _reduce_hessenberg(self):
+        """The Schur form H_k = Q T Q^H, taken once per size of the space; Q is
+        None if zgees did not converge."""
+        k = self._k
         t, _, _, q, _, info = lapack.zgees(
-            lambda w: 0, k, lwork=m + int(work.real), overwrite_a=1
+            lambda w: 0, np.array(self._h[:k, :k], order="F"), overwrite_a=1
         )
         self._t, self._q = t, (q if info == 0 else None)
         self._t_diag = t.diagonal().copy()
+        self._g = self._beta * q[0].conj()  # Q^H ||r|| e_1
 
     def solve(self, x: float = 0.0, check_unique: bool = False):
         """``(DensityMatrix, info)`` at L(x); see :func:`steady_state`.
 
         The scale, the residual check, the inverse-iteration fallback, the
         uniqueness probe and the normalization all use the block of L(x), and
-        the state holds its block vector.
+        the state holds its block vector. ``info`` adds ``krylov_dim``, the k
+        the point was solved on (0 if it needed no Krylov space), and
+        ``certificate``, its FOM residual over ||r|| (None if the update
+        failed).
         """
         L = self._L
         np.multiply(self._shift, x, out=L.data)
@@ -648,7 +746,7 @@ class _ReducedSteadyState:
             raise SteadyStateError("Liouvillian is identically zero")
 
         fill = None if self._lu is None else self._lu.nnz
-        v, path = self._updated(x), "lu"
+        (v, krylov_dim, certificate), path = self._updated(x), "lu"
         if v is None or not np.all(np.isfinite(v)):
             v, path = _inverse_iteration(L, scale), "inverse_iteration"
 
@@ -672,6 +770,8 @@ class _ReducedSteadyState:
             "reduced_dim": int(self.keep.size),
             "lu_fill": fill,
             "path": path,
+            "krylov_dim": krylov_dim,
+            "certificate": certificate,
         }
         return DensityMatrix(keep=self.keep, dim=self.n, vectors=v), info
 

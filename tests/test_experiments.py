@@ -507,9 +507,10 @@ def test_a_bad_update_is_never_returned(atom, monkeypatch, fault):
     original = lindblad._ReducedSteadyState._updated
 
     def bad_update(self, x):
-        v = original(self, x).copy()
+        v, k, certificate = original(self, x)
+        v = v.copy()
         v[-1] = np.nan if fault == "non_finite" else v[-1] + 1e-3 * np.abs(v).max()
-        return v
+        return v, k, certificate
 
     monkeypatch.setattr(lindblad._ReducedSteadyState, "_updated", bad_update)
     got, info = solver.solve(x)
@@ -531,7 +532,7 @@ def test_a_singular_update_system_is_never_solved(atom):
     want, info = solver.solve(x)
     assert info["path"] == "lu"
     solver._t_diag[0] = -1.0 / x
-    assert solver._updated(x) is None
+    assert solver._updated(x)[0] is None
     got, info = solver.solve(x)
     assert info["path"] == "inverse_iteration"
     assert info["residual"] <= 1e-10 * info["residual_scale"]
@@ -569,11 +570,13 @@ def _bundled_spectrum(figure):
     return model_from_config(cfg, drive_detuning=float(grid[0])), grid
 
 
-def _scan_solver(model):
-    """A reduction of ``model`` with the drive-detuning shift, as a scan builds it."""
+def _scan_solver(model, grid):
+    """A reduction of ``model`` with the drive-detuning shift, certified at the
+    detunings of ``grid``, as a scan builds it."""
     layout = HilbertLayout(atom=model.atom, n_max=1)
     shift = drive_detuning_shift_superoperator(layout)
-    return lindblad._ReducedSteadyState(build_liouvillian(model, layout), shift=shift)
+    points = model.laser("drive").detuning - np.asarray(grid)
+    return lindblad._ReducedSteadyState(build_liouvillian(model, layout), shift=shift, points=points)
 
 
 def _twelve_points(grid):
@@ -584,7 +587,7 @@ def test_minimum_degree_order_is_structural():
     """The MMD column order of the constrained fig4 block is the same at the first,
     middle and last detuning and at two scales: it depends on the pattern alone."""
     model, grid = _bundled_spectrum("fig4")
-    solver = _scan_solver(model)
+    solver = _scan_solver(model, grid)
     d0 = model.laser("drive").detuning
     scale = float(abs(solver.block).max())
     orders = [
@@ -597,12 +600,13 @@ def test_minimum_degree_order_is_structural():
 
 
 def test_reductions_agree_bit_for_bit():
-    """Two reductions of one model, first solved at different detunings (one at its
-    base, one after forming its capacitance), return bit-identical block vectors at
-    a shared detuning: a point depends on its detuning alone, not on the scan order."""
+    """Two reductions of one model and grid, first solved at different detunings (one
+    at its base, one after building its Krylov space), return bit-identical block
+    vectors at a shared detuning: a point depends on its detuning and the grid, not
+    on the scan order."""
     model, grid = _bundled_spectrum("fig4")
     d0 = model.laser("drive").detuning
-    first, last = _scan_solver(model), _scan_solver(model)
+    first, last = _scan_solver(model, grid), _scan_solver(model, grid)
     first.solve(d0 - grid[0])
     last.solve(d0 - grid[-1])
     x = d0 - grid[grid.size // 2]
@@ -617,8 +621,9 @@ def test_scan_points_match_fresh_minimum_degree_solves(figure):
     its own block to 1e-12 and meets the 1e-10 x scale residual."""
     model, grid = _bundled_spectrum(figure)
     d0 = model.laser("drive").detuning
-    solver, unpermuted = _scan_solver(model), _scan_solver(model)
-    for d in _twelve_points(grid):
+    points = _twelve_points(grid)
+    solver, unpermuted = _scan_solver(model, points), _scan_solver(model, points)
+    for d in points:
         x = d0 - d
         state, info = solver.solve(x)
         scale = info["residual_scale"]
@@ -666,6 +671,85 @@ def test_one_schur_form_per_reduction(monkeypatch):
     steady_state(build_liouvillian(model, HilbertLayout(atom=model.atom, n_max=1)))
     assert calls == []
 
+
+def _fresh_mmd_state(reduction, x, scale):
+    """The block vector of a fresh MMD LU of A(x), Hermitian and of unit trace."""
+    rhs = np.zeros(reduction.keep.size, dtype=complex)
+    rhs[0] = scale
+    lu = lindblad._splu(reduction.constrained_block(x, scale))
+    return reduction._hermitian_unit_trace(lu.solve(rhs))
+
+
+def test_a_scan_point_makes_no_base_solve(monkeypatch):
+    """A 12-point scan solves with its base LU k + 1 times: once for u and once per
+    Krylov step. Every point takes the update path without a sparse solve."""
+    model, grid = _bundled_spectrum("fig4")
+    solves = []
+    original = lindblad._splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, rhs):
+            solves.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(lindblad, "_splu", lambda a: CountingLU(original(a)))
+    scan = raman_spectrum(model, _twelve_points(grid), check_unique_first=False)
+    solver = scan.metadata["solver"]
+    assert scan.converged.all() and solver["paths"] == {"lu": 12}
+    assert 0 < solver["krylov_dim"] < solver["update_rank"] == 320
+    assert len(solves) == solver["krylov_dim"] + 1
+    assert solver["max_residual_over_scale"] <= 1e-10
+
+
+def test_a_point_off_the_certified_detunings_extends_the_space():
+    """A reduction certified at three detunings near the grid's start solves at its
+    far end: the certificate fails on that space, which grows until it holds; the
+    point stays on the update path and equals a fresh MMD LU to 1e-12."""
+    model, grid = _bundled_spectrum("fig4")
+    d0 = model.laser("drive").detuning
+    solver = _scan_solver(model, grid[:3])
+    _, info = solver.solve(d0 - grid[1])
+    near = info["krylov_dim"]
+    x = d0 - grid[-1]
+    state, info = solver.solve(x)
+    assert info["path"] == "lu" and info["krylov_dim"] > near
+    assert info["certificate"] <= 1e-14
+    want = _fresh_mmd_state(solver, x, info["residual_scale"])
+    assert np.abs(state.vectors - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_an_exact_breakdown_returns_the_exact_state():
+    """A driven two-level system (0, 1) beside a level 2 that only decays to 0. The
+    shift detunes 1 and shifts the population of 2, which stays empty: m = 3, but
+    K keeps the coherence pair r lives on, so Arnoldi breaks down at k = 2 (h_32 is
+    zero to rounding), the certificate is exactly 0 and the state is exact."""
+    n, omega, gamma, gamma2, delta = 3, 2.0, 1.0, 5.0, 0.3
+
+    def op(a, b, value):
+        return sp.csr_matrix(([value], ([a], [b])), shape=(n, n), dtype=complex)
+
+    h = op(0, 1, omega / 2) + op(1, 0, omega / 2) + op(1, 1, delta)
+    collapses = [op(0, 1, math.sqrt(gamma)), op(0, 2, math.sqrt(gamma2))]
+    g = -1j * h - 0.5 * sum(c.conj().T @ c for c in collapses)
+    eye = sp.identity(n, dtype=complex)
+    static = sp.kron(eye, g) + sp.kron(g.conj(), eye) + sum(sp.kron(c.conj(), c) for c in collapses)
+    liouv = lindblad.Liouvillian(dim=n, keep=np.arange(n * n), static_part=sp.csr_matrix(static))
+    # vec index a + n b holds rho_ab: -i[P_1, rho] on rho_01 and rho_10, 1 on rho_22
+    shift = sp.diags(np.array([0, -1j, 0, 1j, 0, 0, 0, 0, 1.0]))
+    x = 0.7
+    solver = lindblad._ReducedSteadyState(liouv, shift=shift, points=[x])
+    state, info = solver.solve(x)
+    assert solver.update_rank == 3
+    assert (info["path"], info["krylov_dim"], info["certificate"]) == ("lu", 2, 0.0)
+    want = _fresh_mmd_state(solver, x, info["residual_scale"])
+    assert np.abs(state.vectors - want).max() <= 1e-12 * np.abs(want).max()
+    detuning = delta + x
+    excited = omega**2 / 4 / (detuning**2 + gamma**2 / 4 + omega**2 / 2)
+    assert state.matrix[1, 1].real == pytest.approx(excited, rel=1e-12)
+    assert state.matrix[2, 2] == 0.0
 
 # -- left-right spectrum symmetry ------------------------------------------------
 
