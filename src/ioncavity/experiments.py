@@ -143,11 +143,14 @@ def raman_spectrum(
     diagonal projectors, so each point is the base operator plus a
     scaled diagonal shift: the scan reduces and factors once, hands its
     detunings to the reduction, which builds one Krylov space certified at
-    all of them, and solves each point on that space without a sparse
-    solve (see :class:`~ioncavity.lindblad._ReducedSteadyState`). A point
-    depends on its detuning and on the scan's grid, not on the order of
-    the solves. ``check_unique_first`` probes the first point for a second
-    stationary state, and any failure there raises. Solver failures elsewhere
+    all of them, and solves the points ``CHUNK`` (8) at a time on that
+    space without a sparse solve, reading each chunk out before the next
+    (see :class:`~ioncavity.lindblad._ReducedSteadyState`). A point depends
+    on its detuning and on the scan's grid, which fixes the chunks, not on
+    the order of the solves. ``check_unique_first`` probes the model's own
+    detuning (the base of the reduction, and the first point of every CLI
+    scan) for a second stationary state on the scan's one LU; that probe,
+    and any failure of the first point, raise. Solver failures elsewhere
     mark the point as unconverged rather than aborting the scan; the
     reasons go to ``metadata["failures"]`` (detuning -> message).
     ``metadata["solver"]`` says how the points were solved: ``paths`` (points
@@ -163,21 +166,24 @@ def raman_spectrum(
         shift=drive_detuning_shift_superoperator(layout),
         points=d0 - detunings,
     )
+    if check_unique_first:
+        solver.check_uniqueness()
+    s_up = model.atom.state("S1/2", 0.5)
     rows, failures, infos = [], {}, []
-    for i, d in enumerate(detunings):
-        first = check_unique_first and i == 0
-        try:
-            ss, info = solver.solve(d0 - d, check_unique=first)
-        except SteadyStateError as exc:
-            if first:
-                raise
-            failures[float(d)] = str(exc)
-            rows.append((math.nan, math.nan, False, math.inf, math.nan))
-            continue
-        infos.append(info)
-        flux = photon_flux(ss, layout, model.cavity.kappa, model.detection)
-        pop_s_up = state_population(ss, layout, model.atom.state("S1/2", 0.5))
-        rows.append((flux[0], flux[1], True, info["residual"], pop_s_up))
+    for start in range(0, detunings.size, solver.CHUNK):
+        chunk = detunings[start : start + solver.CHUNK]
+        states, chunk_infos = solver.solve_many(d0 - chunk)
+        flux = photon_flux(states, layout, model.cavity.kappa, model.detection)
+        pop_s_up = state_population(states, layout, s_up)
+        for j, (d, info) in enumerate(zip(chunk, chunk_infos)):
+            if isinstance(info, SteadyStateError):
+                if check_unique_first and start + j == 0:
+                    raise info
+                failures[float(d)] = str(info)
+                rows.append((math.nan, math.nan, False, math.inf, math.nan))
+                continue
+            infos.append(info)
+            rows.append((flux[j, 0], flux[j, 1], True, info["residual"], pop_s_up[j]))
 
     paths = [info["path"] for info in infos]
     solver_summary = {

@@ -60,19 +60,7 @@ class HilbertLayout:
             raise ValueError("photon number outside cutoff")
         return self.atom_index(state) * nd * nd + n_h * nd + n_v
 
-    def unindex(self, idx: int):
-        """Inverse of :meth:`index`: (atomic state, n_h, n_v)."""
-        nd = self.mode_dim
-        a, rem = divmod(idx, nd * nd)
-        n_h, n_v = divmod(rem, nd)
-        return self.atom.all_states()[a], n_h, n_v
-
     # -- operator builders -------------------------------------------------
-
-    def atom_operator(self, op18) -> sp.csr_matrix:
-        """Lift an 18x18 atomic operator to the full space."""
-        eye = sp.identity(self.mode_dim**2, format="csr")
-        return sp.kron(sp.csr_matrix(op18), eye, format="csr")
 
     def destroy(self, channel: str) -> sp.csr_matrix:
         """Annihilation operator of one cavity mode."""

@@ -465,8 +465,8 @@ def _splu(a):
     a diagonal entry below a tenth of its column's largest gives way. It is
     the only sparse LU of the steady-state solve: a reduction runs it once,
     on its base block (:class:`_ReducedSteadyState`), and every point of a
-    scan reuses that factorization; the shifted LUs of the uniqueness probe
-    and the inverse-iteration fallback run it once each.
+    scan and the uniqueness probe reuse that factorization; only the
+    inverse-iteration fallback runs it again, once per point that takes it.
     """
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A", **_PIVOTING)
 
@@ -482,9 +482,8 @@ def steady_state(
     inverse iteration on the same block if the factorization fails. The
     residual ||L rho|| must come out below 1e-10 * ||L||, both on the block
     (no entry couples it to the rest, so the full residual is the same). With
-    ``check_unique`` the reduced block is probed for a second near-zero
-    eigenvalue, which would mean the stationary state is not unique (see
-    :func:`_check_uniqueness`).
+    ``check_unique`` the block's trace-constrained factorization is probed
+    for a second stationary state (see :func:`_check_uniqueness`).
 
     With ``return_info`` a dict comes back too: ``residual`` and
     ``residual_scale`` (||L rho|| and max |L|, on the block), ``reduced_dim``
@@ -494,8 +493,8 @@ def steady_state(
     reduction's count; None if the block could not be factored), ``path``
     (``"lu"``, or ``"inverse_iteration"`` when the fallback gave the answer),
     and ``krylov_dim`` and ``certificate`` (0 and 0.0 here, where no Krylov
-    space is needed; see :meth:`_ReducedSteadyState.solve`).
-    One call factors the block once.
+    space is needed; see :meth:`_ReducedSteadyState.solve_many`).
+    One call factors the block once, the uniqueness probe included.
     """
     if not liouv.is_static:
         raise SteadyStateError("steady state requires a time-independent Liouvillian")
@@ -543,26 +542,32 @@ class _ReducedSteadyState:
     H_k = Q T Q^H (Golub & Van Loan, Matrix Computations, 7.6) then serves
     every point, as in Laub's frequency responses (IEEE TAC 26, 407 (1981)):
 
-        (T + I/x) zeta = Q^H ||r|| e_1 / x,   z = Q zeta,   v = u - x W_k z:
+        (T + I/x) zeta = Q^H ||r|| e_1 / x,   z = Q zeta,   v = u - x W_k z.
 
-    one triangular solve of order k and two small products, no sparse
-    solve. A point whose own certificate fails joins the certified x, the
-    space grows, and the Schur form is taken again. On fig4 and fig5
-    (m = 320, one BLAS thread) k is 113 and 109: Arnoldi takes 0.09-0.12 s,
-    the Schur form about 0.012 s and a point's update about 0.2 ms.
+    :meth:`solve_many` solves a batch at once, with no sparse solve: one
+    back-substitution on T (row i divides by t_ii + 1/x, one x per column),
+    one gemm per block of W_k, one Hermitian part, one residual product and
+    one scale. A point whose own certificate fails joins the certified x,
+    the space grows, and the Schur form is taken again. On fig4 and fig5
+    (m = 320, one BLAS thread) k is 113 and 109: Arnoldi takes 0.07-0.12 s,
+    the Schur form about 0.012 s and a batch of 8 points about 1.5 ms.
 
-    A point depends on its x and on the x its reduction is certified at
-    when it is solved: ``points``, and any x solved before whose own
-    certificate failed. Since the space is the smallest that certifies all
-    of them, it does not depend otherwise on the order of the solves; every
-    point of a scan is one of ``points``, so it depends on its detuning and
-    the scan's grid alone.
+    A point depends on its x, its batch, and the x its reduction is
+    certified at when it is solved: ``points``, and any x solved before
+    whose own certificate failed; the space is the smallest that certifies
+    them all, whatever the order of the solves. A scan's points are all in
+    ``points`` and its grid fixes its batches of ``CHUNK``, so a point of a
+    scan depends on its detuning and the grid alone.
     """
 
     _TOL = 1e-14  # the certificate, over ||r||, at which a Krylov solution is taken
     # Krylov columns per buffer block: W grows a block at a time without a copy,
     # so the memory follows k, not m.
     _BLOCK = 40
+    # Points per batch of a scan, each read out before the next. On fig4 batches of
+    # 8 add nothing to a scan's peak memory, of 16 about 1 MB and of all 154 about
+    # 15 MB; 8 and 16 take the same time to within 2%.
+    CHUNK = 8
 
     def __init__(self, liouv: Liouvillian, shift: sp.spmatrix | None = None, points=()):
         self.n = n = liouv.dim
@@ -581,9 +586,12 @@ class _ReducedSteadyState:
         rows, cols = np.concatenate([coo.row, on_diag]), np.concatenate([coo.col, on_diag])
         base = np.concatenate([coo.data, np.zeros(on_diag.size)])
         shift_values = np.concatenate([np.zeros(coo.nnz), s[on_diag]])
-        self._L = sp.csr_matrix((base, (rows, cols)), (k, k))  # L(x): solve sets its data
-        self._base = self._L.data.copy()
+        pattern = sp.csr_matrix((base, (rows, cols)), (k, k))  # L(0) on the union pattern
+        self._pattern, self._base = (pattern.indices, pattern.indptr), pattern.data
         self._shift = sp.csr_matrix((shift_values, (rows, cols)), (k, k)).data
+        touched = self._shift != 0
+        self._fixed_scale = float(np.abs(self._base[~touched]).max(initial=0.0))
+        self._touched, self._s = (self._base[touched], self._shift[touched]), s
         self._shifted = on_diag[on_diag > 0]  # E: S adds nothing to the trace row
         self._d = s[self._shifted]  # D
         self.update_rank = int(self._shifted.size)  # m
@@ -591,7 +599,7 @@ class _ReducedSteadyState:
         self._points = points[points != 0.0]  # the x the Krylov space is certified at
         self._k, self._exact, self._v, self._t = 0, False, None, None
 
-        scale = float(np.abs(self._base).max(initial=0.0))
+        self._scale = scale = float(np.abs(self._base).max(initial=0.0))
         self._lu = self._u = None
         try:
             lu = _splu(self.constrained_block(0.0, scale))
@@ -601,51 +609,71 @@ class _ReducedSteadyState:
         rhs[0] = scale
         self._lu, self._u = lu, lu.solve(rhs)
 
+    def _matrix(self, x: float) -> sp.csr_matrix:
+        """L(x) on the union pattern."""
+        k = self.keep.size
+        return sp.csr_matrix((self._base + x * self._shift, *self._pattern), (k, k))
+
     def constrained_block(self, x: float, scale: float) -> sp.csc_matrix:
         """A(x), with ``scale`` x the trace in its first row."""
         k = self.keep.size
-        L = sp.csr_matrix((self._base + x * self._shift, self._L.indices, self._L.indptr), (k, k))
         trace = sp.csr_matrix(
             (np.full(self._diagonal.size, scale, dtype=complex), self._diagonal,
              [0, self._diagonal.size]),
             shape=(1, k),
         )
-        return sp.vstack([trace, L[1:]], format="csc")
+        return sp.vstack([trace, self._matrix(x)[1:]], format="csc")
 
-    def _updated(self, x: float):
-        """``(v, k, certificate)``: A(x)^-1 b from the base LU and the Krylov
-        space of dimension k, and the certificate over ||r|| (0 where no space
-        was needed). v is None if A0 or T + I/x is singular, or the Schur form
-        of H_k did not converge."""
+    def _updated(self, xs):
+        """``(v, k, certificates)``: row j of v is A(x_j)^-1 b for x_j of ``xs``, from
+        the base LU and the Krylov space of dimension k, with its certificate over
+        ||r|| (0 where no space was needed). v is None if A0 is singular or the
+        Schur form of H_k did not converge; a row and its certificate are NaN
+        where T + I/x is singular."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self._lu is None:
             return None, 0, None
-        if not x or not self._d.size:
-            return self._u, 0, 0.0
-        if self._v is None:
+        v, certificates = np.repeat(self._u[None], xs.size, axis=0), np.zeros(xs.size)
+        on = np.flatnonzero(xs) if self._d.size else []
+        x = xs[on]
+        if len(on) and self._v is None:
             self._grow(x)
-        while self._k:
-            k = self._k
-            if self._t is None:
-                self._reduce_hessenberg()
-            t, q = self._t, self._q
-            if q is None:
-                return None, k, None
-            np.fill_diagonal(t, self._t_diag + 1.0 / x)
-            zeta, info = lapack.ztrtrs(t, (self._g / x)[:, None], overwrite_b=1)
-            if info != 0:
-                return None, k, None
-            z = q @ zeta[:, 0]
-            certificate = float(abs(x * self._h[k, k - 1] * z[-1])) / self._beta
-            if certificate <= self._TOL or self._exact:
-                pieces = np.split(z, range(self._BLOCK, k, self._BLOCK))
-                wz = sum(w[:, : zi.size] @ zi for w, zi in zip(self._w, pieces))
-                return self._u - x * wz, k, certificate
-            self._grow(x, at_least=k + 1)
-        return self._u, 0, 0.0  # r = 0: y = 0 at every x
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular x gives NaN
+            while len(on) and self._k:
+                k = self._k
+                if self._t is None:
+                    self._reduce_hessenberg()
+                if self._q is None:
+                    return None, k, None
+                z = self._q @ self._back_substitute(x)
+                certificates[on] = np.abs(x * self._h[k, k - 1] * z[-1]) / self._beta
+                failed = certificates[on] > self._TOL  # False where NaN: not grown
+                if self._exact or not failed.any():
+                    wz = np.zeros((x.size, self.keep.size), dtype=complex)  # W_k z, in place
+                    for w, zi in zip(self._w, np.split(z, range(self._BLOCK, k, self._BLOCK))):
+                        wz += zi.T @ w[:, : len(zi)].T
+                    wz *= -x[:, None]
+                    wz += self._u
+                    v[on] = wz
+                    return v, k, certificates
+                self._grow(x[failed], at_least=k + 1)
+        return v, 0, certificates  # no nonzero x, or r = 0: y = 0 at every x
 
-    def _grow(self, x: float, at_least: int = 0):
+    def _back_substitute(self, xs):
+        """zeta of (T + I/x) zeta = Q^H ||r|| e_1 / x, one column per x of ``xs``:
+        row i of T divides by t_ii + 1/x, so one pass serves every x. A column is
+        NaN from the row where t_ii + 1/x is zero."""
+        t, inv = self._t, 1.0 / xs
+        rhs = self._g[:, None] * inv
+        pivots = self._t_diag[:, None] + inv
+        zeta = np.empty_like(rhs)
+        for i in range(self._k - 1, -1, -1):
+            zeta[i] = (rhs[i] - t[i, i + 1 :] @ zeta[i + 1 :]) / pivots[i]
+        return zeta
+
+    def _grow(self, xs, at_least: int = 0):
         """Arnoldi steps on K until k >= ``at_least`` and the certificate holds at
-        every certified x, ``x`` now among them, or the space is invariant."""
+        every certified x, ``xs`` now among them, or the space is invariant."""
         if self._v is None:
             r = self._u[self._shifted]
             self._beta = float(np.linalg.norm(r))
@@ -654,13 +682,14 @@ class _ReducedSteadyState:
             self._null, self._w = np.ones((self._points.size, 1), dtype=complex), []
         if self._exact:
             return
-        if not np.any(self._points == x):
-            row = np.zeros((1, self._null.shape[1]), dtype=complex)
-            row[0, 0] = 1.0
+        new = np.setdiff1d(xs, self._points)
+        if new.size:
+            rows = np.zeros((new.size, self._null.shape[1]), dtype=complex)
+            rows[:, 0] = 1.0
             for j in range(self._k):
-                self._null_step(row, np.array([x]), j)
-            self._points = np.append(self._points, x)
-            self._null = np.vstack([self._null, row])
+                self._null_step(rows, new, j)
+            self._points = np.append(self._points, new)
+            self._null = np.vstack([self._null, rows])
 
         e, d, m = self._shifted, self._d, self._shifted.size
         rhs = np.zeros(self.keep.size, dtype=complex)
@@ -728,77 +757,102 @@ class _ReducedSteadyState:
         self._t_diag = t.diagonal().copy()
         self._g = self._beta * q[0].conj()  # Q^H ||r|| e_1
 
+    def solve_many(self, xs):
+        """``(DensityMatrix, infos)`` at L(x) for every x of ``xs``: ``vectors[j]``
+        and ``infos[j]`` belong to x_j, with the keys of :func:`steady_state`;
+        ``krylov_dim`` is the k the point was solved on (0 if it needed no
+        Krylov space), ``certificate`` its FOM residual over ||r|| (None if the
+        update failed). A point whose update is not finite or misses the
+        residual bound takes the single-point path alone
+        (:meth:`_inverse_iteration_at`); one that fails there too has a NaN
+        vector and its :class:`SteadyStateError` for its info."""
+        xs = np.asarray(xs, dtype=float)
+        v, krylov_dim, certificates = self._updated(xs)
+        if v is None:
+            v, certificates = np.full((xs.size, self.keep.size), np.nan + 0j), [math.nan] * xs.size
+        with np.errstate(invalid="ignore"):  # a row that is not finite stays so
+            v = self._hermitian_unit_trace(v)
+        base, shift = self._touched  # max |L(x)|: S moves only the entries it touches
+        scales = np.abs(base + xs[:, None] * shift).max(axis=1, initial=self._fixed_scale)
+        sv = v * self._s  # S v, then L(x) v = L0 v + x S v, one column per point
+        sv *= xs[:, None]
+        lv = self.block @ v.T
+        lv += sv.T
+        residuals = np.linalg.norm(lv, axis=0)
+        infos = []
+        for j, x in enumerate(xs):
+            certificate = float(certificates[j])
+            info = {
+                "residual": float(residuals[j]),
+                "residual_scale": float(scales[j]),
+                "reduced_dim": int(self.keep.size),
+                "lu_fill": None if self._lu is None else self._lu.nnz,
+                "path": "lu",
+                "krylov_dim": krylov_dim,
+                "certificate": certificate if math.isfinite(certificate) else None,
+            }
+            try:
+                if scales[j] == 0.0:
+                    raise SteadyStateError("Liouvillian is identically zero")
+                if not residuals[j] <= 1e-10 * scales[j]:  # also where v is not finite
+                    v[j], info["residual"] = self._inverse_iteration_at(x, scales[j], v[j])
+                    info["path"] = "inverse_iteration"
+            except SteadyStateError as exc:
+                v[j], info = math.nan, exc
+            infos.append(info)
+        return DensityMatrix(keep=self.keep, dim=self.n, vectors=v), infos
+
+    def _inverse_iteration_at(self, x, scale, v):
+        """``(v, residual)`` at L(x) by inverse iteration on its block, from ``v``,
+        or twice from a random start if ``v`` is not finite; raises if the
+        residual still misses 1e-10 x scale."""
+        L, finite = self._matrix(x), np.all(np.isfinite(v))
+        for _ in range(1 if finite else 2):
+            v = self._hermitian_unit_trace(_inverse_iteration(L, scale, v if finite else None))
+            residual, finite = float(np.linalg.norm(L @ v)), True
+            if residual <= 1e-10 * scale:
+                return v, residual
+        raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {1e-10 * scale:.2e}")
+
     def solve(self, x: float = 0.0, check_unique: bool = False):
-        """``(DensityMatrix, info)`` at L(x); see :func:`steady_state`.
-
-        The scale, the residual check, the inverse-iteration fallback, the
-        uniqueness probe and the normalization all use the block of L(x), and
-        the state holds its block vector. ``info`` adds ``krylov_dim``, the k
-        the point was solved on (0 if it needed no Krylov space), and
-        ``certificate``, its FOM residual over ||r|| (None if the update
-        failed).
-        """
-        L = self._L
-        np.multiply(self._shift, x, out=L.data)
-        L.data += self._base
-        scale = float(np.abs(L.data).max(initial=0.0))
-        if scale == 0.0:
-            raise SteadyStateError("Liouvillian is identically zero")
-
-        fill = None if self._lu is None else self._lu.nnz
-        (v, krylov_dim, certificate), path = self._updated(x), "lu"
-        if v is None or not np.all(np.isfinite(v)):
-            v, path = _inverse_iteration(L, scale), "inverse_iteration"
-
-        v = self._hermitian_unit_trace(v)
-        residual = float(np.linalg.norm(L @ v))
-        if residual > 1e-10 * scale:
-            v = self._hermitian_unit_trace(_inverse_iteration(L, scale, start=v))
-            path = "inverse_iteration"
-            residual = float(np.linalg.norm(L @ v))
-            if residual > 1e-10 * scale:
-                raise SteadyStateError(
-                    f"steady-state residual {residual:.2e} exceeds {1e-10 * scale:.2e}"
-                )
-
+        """``(DensityMatrix, info)`` at L(x): :meth:`solve_many` on x alone, raising
+        its error. ``check_unique`` then probes the base block, L0, for a second
+        stationary state (:meth:`check_uniqueness`)."""
+        state, (info,) = self.solve_many([x])
+        if isinstance(info, SteadyStateError):
+            raise info
         if check_unique:
-            _check_uniqueness(L, scale, v)
+            self.check_uniqueness()
+        return DensityMatrix(keep=self.keep, dim=self.n, vectors=state.vectors[0]), info
 
-        info = {
-            "residual": residual,
-            "residual_scale": scale,
-            "reduced_dim": int(self.keep.size),
-            "lu_fill": fill,
-            "path": path,
-            "krylov_dim": krylov_dim,
-            "certificate": certificate,
-        }
-        return DensityMatrix(keep=self.keep, dim=self.n, vectors=v), info
+    def check_uniqueness(self):
+        """Raise :class:`SteadyStateError` if L0 has a second stationary state:
+        :func:`_check_uniqueness` on the base LU."""
+        _check_uniqueness(self._lu, self.block, self._scale)
 
     def _hermitian_unit_trace(self, v):
-        """The block vector of (rho + rho^dag) / 2, over its trace: the kept entries
-        are closed under rho -> rho^dag, and the kept diagonal is all of it."""
-        v = 0.5 * (v + v[self._adjoint].conj())
-        return v / v[self._diagonal].sum().real
-
-
-def _shifted_lu(L, scale, what):
-    """LU of L + 1e-9 * scale * 1, for inverse iteration towards eigenvalue 0."""
-    sigma = -1e-9 * scale
-    try:
-        return _splu((L - sigma * sp.identity(L.shape[0], format="csc")).tocsc())
-    except RuntimeError as exc:
-        raise SteadyStateError(f"{what} factorization failed: {exc}") from exc
+        """The block vector of (rho + rho^dag) / 2, over its trace, for every row of
+        ``v``: the kept entries are closed under rho -> rho^dag, and the kept
+        diagonal is all of it."""
+        h = v[..., self._adjoint]
+        np.conjugate(h, out=h)
+        h += v
+        h *= 0.5
+        h /= h[..., self._diagonal].sum(axis=-1).real[..., None]
+        return h
 
 
 def _inverse_iteration(L, scale, start=None, iterations=50):
-    """Null vector of L by inverse iteration with a tiny shift.
+    """Null vector of L by inverse iteration with a tiny shift, 1e-9 * scale.
 
     It takes one sweep more than the first to meet ||L v|| <= 1e-12 * scale:
     that bound still leaves a few 1e-10 of a slow relaxation mode in the fig4
     state (photon rates off by ~1e-7), and the next sweep cuts it to ~1e-14.
     """
-    lu = _shifted_lu(L, scale, "inverse-iteration")
+    try:
+        lu = _splu((L + 1e-9 * scale * sp.identity(L.shape[0], format="csc")).tocsc())
+    except RuntimeError as exc:
+        raise SteadyStateError(f"inverse-iteration factorization failed: {exc}") from exc
     rng = np.random.default_rng(7)
     v = start if start is not None else rng.standard_normal(L.shape[0]) + 0j
     v /= np.linalg.norm(v)
@@ -812,55 +866,56 @@ def _inverse_iteration(L, scale, start=None, iterations=50):
     return v
 
 
-def _check_uniqueness(L, scale, known_null, iterations=40):
-    """Probe for a second null vector: a degenerate stationary manifold.
+def _check_uniqueness(lu, L, scale, iterations=40):
+    """Probe for a second null vector of L: a degenerate stationary manifold.
 
-    Deflated inverse iteration: starting orthogonal to the known
-    stationary vector and re-orthogonalizing each sweep, convergence of
-    ||L v|| to (numerical) zero exposes a second zero eigenvalue. In a
-    system with a unique stationary state the iteration settles on the
-    slowest relaxation mode instead, whose rate is physical (>> 0).
+    ``lu`` factors A, L with its first row (the population of basis state 0)
+    replaced by the scaled trace row tau (None if that failed); a
+    reduction's base LU is one. L is trace-preserving (tau L = 0), so L is
+    0 on span(rho_ss) plus L_T on the traceless {tau v = 0}, and
+    A^-1 [0; v_1:] = L_T^-1 v for a traceless v: row 0 makes the solution
+    traceless, the others fix L y but for its entry 0, which tau L y = 0
+    fixes. So A is singular exactly when a second stationary state exists,
+    and a failed LU raises. Otherwise 40 sweeps, v[0] = 0 and v = A^-1 v,
+    settle on the slowest relaxation mode of L_T, whose rate ||L v|| is
+    physical (>> 0) for a unique state; a rate at most 1e-9 * scale, or an
+    overflow, exposes a second zero eigenvalue.
 
-    ``steady_state`` runs it on the block reachable from the populations,
-    not on the full operator. Why a second stationary state shows there:
-    the stationary states of a Lindblad generator are spanned by stationary
-    density matrices (the positive and negative parts of a Hermitian fixed
-    point of a trace-preserving positive map are fixed points too). No
-    entry couples the block to the rest, so the block part of each is a
-    null vector of the block, and it is nonzero because it holds the
-    populations. Two stationary density matrices whose block parts differ
-    thus give the block two null vectors. The block misses a second one
-    only if the two agree on every population and on every coherence the
-    populations reach, i.e. differ by a stationary coherence X lying wholly
-    outside the block. The positive and negative parts of X are then two
-    stationary states with equal populations and orthogonal supports. In
-    these models a support with any component on a P level contains a bare
-    basis state |l, 0, 0> (one spontaneous jump onto l, then the cavity
-    annihilators), whose population the other support would lack; so both
-    supports would have to consist of dark superpositions of S1/2 and D
-    sublevels that no coupling ever takes to P. Such a pair has not
-    been found: on random single-ion models the block probe and the
-    full-space probe agree (``test_block_probe_matches_full_space``). The
-    claim is not general: dephasing by sigma_x on a qubit keeps both
-    |+><+| and |-><-| stationary while its population block has one null
-    vector.
+    :class:`_ReducedSteadyState` runs it on the block reachable from the
+    populations, not on the full operator. Why a second stationary state
+    shows there: the stationary states of a Lindblad generator are spanned
+    by stationary density matrices (the positive and negative parts of a
+    Hermitian fixed point of a trace-preserving positive map are fixed
+    points too). No entry couples the block to the rest, so the block part
+    of each is a null vector of the block, and it is nonzero because it
+    holds the populations. Two stationary density matrices whose block
+    parts differ thus give the block two null vectors. The block misses a
+    second one only if the two agree on every population and on every
+    coherence the populations reach, i.e. differ by a stationary coherence
+    X lying wholly outside the block. The positive and negative parts of X
+    are then two stationary states with equal populations and orthogonal
+    supports. In these models a support with any component on a P level
+    contains a bare basis state |l, 0, 0> (one spontaneous jump onto l,
+    then the cavity annihilators), whose population the other support
+    would lack; so both supports would have to consist of dark
+    superpositions of S1/2 and D sublevels that no coupling ever takes to
+    P. Such a pair has not been found: on random single-ion models the
+    block probe and the full-space probe agree
+    (``test_block_probe_matches_full_space``). The claim is not general:
+    dephasing by sigma_x on a qubit keeps both |+><+| and |-><-| stationary
+    while its population block has one null vector.
     """
-    n2 = L.shape[0]
-    lu = _shifted_lu(L, scale, "uniqueness probe")
-    null = known_null / np.linalg.norm(known_null)
+    if lu is None:
+        raise SteadyStateError("stationary state is not unique: the constrained block is singular")
     rng = np.random.default_rng(11)
-    v = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-    v -= null * np.vdot(null, v)
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        v = lu.solve(v)
-        v -= null * np.vdot(null, v)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return
-        v /= norm
+    v = rng.standard_normal(L.shape[0]) + 1j * rng.standard_normal(L.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            v[0] = 0.0
+            v = lu.solve(v)
+            v /= np.linalg.norm(v)
     second_rate = float(np.linalg.norm(L @ v))
-    if second_rate <= 1e-9 * scale:
+    if not second_rate > 1e-9 * scale:  # also NaN: A is singular to working precision
         raise SteadyStateError(
             "stationary state is not unique: found a second null vector "
             f"(|L v| = {second_rate:.3e} against scale {scale:.3e})"

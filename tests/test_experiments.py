@@ -34,7 +34,7 @@ from ioncavity.lindblad import (
 )
 from ioncavity.polarization import Polarization
 from ioncavity.raman import RamanSetting, enumerate_paths
-from ioncavity.system import beam_a_polarization, beam_b_polarization, standard_model
+from ioncavity.system import Tone, beam_a_polarization, beam_b_polarization, standard_model
 
 
 def lorentzian_scan(centers, heights, width=mhz(0.5), dark=(33.1, 33.6), span=mhz(30.0)):
@@ -473,18 +473,18 @@ def test_scan_with_a_singular_base_converges_by_inverse_iteration(atom, monkeypa
     grid = np.linspace(center - mhz(0.3), center + mhz(0.3), 3)
     want = raman_spectrum(model, grid, check_unique_first=False)
     infos = []
-    original_solve = lindblad._ReducedSteadyState.solve
+    original_solve_many = lindblad._ReducedSteadyState.solve_many
 
-    def recording_solve(self, x=0.0, check_unique=False):
-        state, info = original_solve(self, x, check_unique)
-        infos.append(info)
-        return state, info
+    def recording_solve_many(self, xs):
+        states, chunk_infos = original_solve_many(self, xs)
+        infos.extend(chunk_infos)
+        return states, chunk_infos
 
     def zero_block(self, x, scale):
         k = self.keep.size
         return sp.csc_matrix((k, k), dtype=complex)
 
-    monkeypatch.setattr(lindblad._ReducedSteadyState, "solve", recording_solve)
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "solve_many", recording_solve_many)
     monkeypatch.setattr(lindblad._ReducedSteadyState, "constrained_block", zero_block)
     got = raman_spectrum(model, grid, check_unique_first=False)
     assert got.converged.all() and len(infos) == 3
@@ -519,10 +519,40 @@ def test_a_bad_update_is_never_returned(atom, monkeypatch, fault):
     assert np.abs(got.vectors - want.vectors).max() < 1e-9 * np.abs(want.vectors).max()
 
 
+@pytest.mark.parametrize("fault", ["non_finite", "off_residual"])
+def test_a_bad_update_leaves_its_chunk_mates_on_the_update(atom, monkeypatch, fault):
+    """A batch of five points whose middle update is spoiled, as above: that point
+    alone takes the single-point path and finds the state of the exact update;
+    its chunk-mates keep the update path and their vectors bit for bit."""
+    model, center = _fig4_line_model(atom)
+    layout = HilbertLayout(atom=atom, n_max=1)
+    xs = model.laser("drive").detuning - np.linspace(center - mhz(0.3), center + mhz(0.3), 5)
+    solver = lindblad._ReducedSteadyState(
+        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout), points=xs
+    )
+    want, infos = solver.solve_many(xs)
+    assert [info["path"] for info in infos] == ["lu"] * 5
+    original = lindblad._ReducedSteadyState._updated
+
+    def bad_update(self, xs):
+        v, k, certificates = original(self, xs)
+        v = v.copy()
+        v[2] = np.nan if fault == "non_finite" else v[2] + 1e-3 * np.abs(v[2]).max()
+        return v, k, certificates
+
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "_updated", bad_update)
+    got, infos = solver.solve_many(xs)
+    assert [info["path"] for info in infos] == ["lu", "lu", "inverse_iteration", "lu", "lu"]
+    assert infos[2]["residual"] <= 1e-10 * infos[2]["residual_scale"]
+    mates = [0, 1, 3, 4]
+    assert np.array_equal(got.vectors[mates], want.vectors[mates])
+    assert np.abs(got.vectors[2] - want.vectors[2]).max() < 1e-9 * np.abs(want.vectors[2]).max()
+
+
 def test_a_singular_update_system_is_never_solved(atom):
     """A Schur diagonal entry at exactly -1/x makes T + 1/x singular at x: the
-    triangular solve reports it, and the point takes the inverse iteration,
-    which finds the state of the unpatched update."""
+    back-substitution returns the point as NaN, and the point takes the inverse
+    iteration, which finds the state of the unpatched update."""
     model, center = _fig4_line_model(atom)
     layout = HilbertLayout(atom=atom, n_max=1)
     solver = lindblad._ReducedSteadyState(
@@ -532,7 +562,7 @@ def test_a_singular_update_system_is_never_solved(atom):
     want, info = solver.solve(x)
     assert info["path"] == "lu"
     solver._t_diag[0] = -1.0 / x
-    assert solver._updated(x)[0] is None
+    assert np.isnan(solver._updated(x)[0]).all()
     got, info = solver.solve(x)
     assert info["path"] == "inverse_iteration"
     assert info["residual"] <= 1e-10 * info["residual_scale"]
@@ -540,21 +570,38 @@ def test_a_singular_update_system_is_never_solved(atom):
 
 
 def test_scan_failures_keep_their_reason(atom, monkeypatch):
-    """An unconverged point is marked and its SteadyStateError message kept."""
+    """An unconverged point is marked and its SteadyStateError message kept: the
+    middle point's update is made non-finite, and its single-point path fails."""
     model, center = _fig4_line_model(atom)
     grid = np.linspace(center - mhz(0.3), center + mhz(0.3), 3)
-    original_solve = lindblad._ReducedSteadyState.solve
+    original_updated = lindblad._ReducedSteadyState._updated
 
-    def failing_solve(self, x=0.0, check_unique=False):
-        if x == model.laser("drive").detuning - grid[1]:
-            raise SteadyStateError("injected failure")
-        return original_solve(self, x, check_unique)
+    def failing_update(self, xs):
+        v, k, certificates = original_updated(self, xs)
+        v[np.asarray(xs) == model.laser("drive").detuning - grid[1]] = np.nan
+        return v, k, certificates
 
-    monkeypatch.setattr(lindblad._ReducedSteadyState, "solve", failing_solve)
+    def failing_inverse_iteration(*args, **kwargs):
+        raise SteadyStateError("injected failure")
+
+    monkeypatch.setattr(lindblad._ReducedSteadyState, "_updated", failing_update)
+    monkeypatch.setattr(lindblad, "_inverse_iteration", failing_inverse_iteration)
     scan = raman_spectrum(model, grid, check_unique_first=True)
     assert scan.converged.tolist() == [True, False, True]
     assert np.isnan(scan.rates[:, 1]).all()
     assert scan.metadata["failures"] == {float(grid[1]): "injected failure"}
+
+
+def test_a_scan_without_drive_is_refused_by_the_probe(atom):
+    """A drive tone of zero Rabi frequency leaves every S1/2 sublevel stationary:
+    the scan's base LU is singular and the uniqueness probe raises."""
+    model = standard_model(
+        drive_rabi=0.0, drive_detuning=-mhz(400.0), atom=atom,
+        drive_tones=(Tone(rabi=0.0, detuning=-mhz(400.0)),),
+    )
+    grid = np.linspace(-mhz(401.0), -mhz(399.0), 3)
+    with pytest.raises(SteadyStateError, match="not unique"):
+        raman_spectrum(model, grid, check_unique_first=True)
 
 
 def _bundled_spectrum(figure):
@@ -635,8 +682,25 @@ def test_scan_points_match_fresh_minimum_degree_solves(figure):
         assert np.abs(state.vectors - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("figure", ["fig4", "fig5"])
+def test_batched_scan_points_match_single_point_solves(figure):
+    """Every grid point, solved in the scan's chunks, equals the single-point solve
+    of a second reduction to 1e-12 of the largest entry and meets the 1e-10 x
+    scale residual."""
+    model, grid = _bundled_spectrum(figure)
+    xs = model.laser("drive").detuning - grid
+    batched, single = _scan_solver(model, grid), _scan_solver(model, grid)
+    step = batched.CHUNK
+    for start in range(0, xs.size, step):
+        states, infos = batched.solve_many(xs[start : start + step])
+        for j, info in enumerate(infos):
+            assert info["path"] == "lu" and info["residual"] <= 1e-10 * info["residual_scale"]
+            want, _ = single.solve(xs[start + j])
+            assert np.abs(states.vectors[j] - want.vectors).max() <= 1e-12 * np.abs(want.vectors).max()
+
+
 def test_scan_orders_once_per_reduction(monkeypatch):
-    """A scan runs one sparse LU, of its base block; the uniqueness probe runs its own."""
+    """A scan runs one sparse LU, of its base block, and the uniqueness probe reuses it."""
     model, grid = _bundled_spectrum("fig4")
     calls = []
     original = lindblad.spla.splu
@@ -650,7 +714,7 @@ def test_scan_orders_once_per_reduction(monkeypatch):
     assert scan.converged.all() and len(calls) == 1
     calls.clear()
     scan = raman_spectrum(model, grid[:3], check_unique_first=True)
-    assert scan.converged.all() and len(calls) == 2
+    assert scan.converged.all() and len(calls) == 1
 
 
 def test_one_schur_form_per_reduction(monkeypatch):

@@ -14,6 +14,7 @@ from ioncavity.lindblad import (
     _check_uniqueness,
     _laser_coupling,
     _ReducedSteadyState,
+    _splu,
     DensityMatrix,
     Liouvillian,
     build_hamiltonian,
@@ -61,6 +62,19 @@ def tls_model(atom, rabi=mhz(1.0), detuning=0.0):
 # -- layout -------------------------------------------------------------------
 
 
+def _unindex(layout, idx):
+    """Inverse of :meth:`HilbertLayout.index`: (atomic state, n_h, n_v)."""
+    nd = layout.mode_dim
+    a, rem = divmod(idx, nd * nd)
+    n_h, n_v = divmod(rem, nd)
+    return layout.atom.all_states()[a], n_h, n_v
+
+
+def _atom_operator(layout, op18):
+    """Lift an 18x18 atomic operator to the full space."""
+    return sp.kron(sp.csr_matrix(op18), sp.identity(layout.mode_dim**2), format="csr")
+
+
 def test_layout_dimensions(atom):
     for n_max in (1, 2, 3):
         layout = HilbertLayout(atom=atom, n_max=n_max)
@@ -76,7 +90,7 @@ def test_index_round_trip(atom):
                 idx = layout.index(state, n_h, n_v)
                 assert idx not in seen
                 seen.add(idx)
-                back_state, back_h, back_v = layout.unindex(idx)
+                back_state, back_h, back_v = _unindex(layout, idx)
                 assert (back_state, back_h, back_v) == (state, n_h, n_v)
         block = range(layout.dim)[layout.block(state)]
         assert list(block) == sorted(layout.index(state, h, v) for h in range(3) for v in range(3))
@@ -735,14 +749,26 @@ def test_reduction_refuses_a_shift_with_off_diagonal_entries(atom, layout):
         _ReducedSteadyState(liouv, shift=commutator_superoperator(coupling + coupling.conj().T))
 
 
+def _full_space_probe(liouv, scale):
+    """The probe on the whole operator: on an LU of L with its first row replaced
+    by ``scale`` x the trace row (None if that LU fails)."""
+    n, L = liouv.dim, liouv.static_part.tocsr()
+    trace = sp.csr_matrix((np.full(n, scale, dtype=complex), np.arange(n) * (n + 1), [0, n]), (1, n * n))
+    try:
+        lu = _splu(sp.vstack([trace, L[1:]], format="csc"))
+    except RuntimeError:
+        lu = None
+    _check_uniqueness(lu, L, scale)
+
+
 def _uniqueness_verdicts(liouv):
     """Verdicts of the probe on the reduced block and on the full operator."""
     n = liouv.dim
-    ss, info = steady_state(liouv, check_unique=False, return_info=True)
+    _, info = steady_state(liouv, check_unique=False, return_info=True)
     verdicts = []
     for probe in (
         lambda: steady_state(liouv, check_unique=True),
-        lambda: _check_uniqueness(liouv.static_part, info["residual_scale"], vec(ss.matrix)),
+        lambda: _full_space_probe(liouv, info["residual_scale"]),
     ):
         try:
             probe()
@@ -810,7 +836,7 @@ def _ref_transition(layout, to_state, from_state):
     op = sp.csr_matrix(
         ([1.0], ([layout.atom_index(to_state)], [layout.atom_index(from_state)])), shape=(18, 18)
     )
-    return layout.atom_operator(op)
+    return _atom_operator(layout, op)
 
 
 def _ref_coupling_operator(layout, lower_label, upper_label, polarization, amplitude):
