@@ -804,7 +804,7 @@ def ramsey_coherence(
     Gaussian decay model, with an exponential-decay fit reported
     alongside for comparison rather than asserted as truth.
     """
-    from .fitting import levenberg_marquardt
+    from .fitting import least_squares_fit
     from .errors import FitNonConvergenceError
 
     t_wait_grid = np.asarray(t_wait_grid, dtype=float)
@@ -828,9 +828,9 @@ def ramsey_coherence(
         return a0 * np.exp(-t_wait_grid / tc) - amplitudes
 
     p0 = np.array([max(amplitudes.max(), 0.1), max(t_wait_grid.max() / 2.0, 1e-6)])
-    gauss = levenberg_marquardt(gauss_resid, p0)
+    gauss = least_squares_fit(gauss_resid, p0)
     try:
-        expo = levenberg_marquardt(exp_resid, p0)
+        expo = least_squares_fit(exp_resid, p0)
         expo_params, expo_cost = expo.params, expo.cost
     except FitNonConvergenceError as exc:
         expo_params, expo_cost = np.array([math.nan, math.nan]), float(exc.cost or math.nan)
