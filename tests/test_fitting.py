@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,8 +88,6 @@ def test_round_trips_random_gaussians(a, b, seed):
 
 def _exponential_minimum(t, y, start):
     """(A0, tau) minimizing sum (A0 exp(-t/tau) - y)^2, by a 40-digit Newton solve."""
-    import mpmath
-
     with mpmath.workdps(40):
         t = [mpmath.mpf(float(v)) for v in t]
         y = [mpmath.mpf(float(v)) for v in y]
