@@ -143,14 +143,15 @@ def raman_spectrum(
     diagonal projectors, so each point is the base operator plus a
     scaled diagonal shift: the scan reduces and factors once, hands its
     detunings to the reduction, which builds one Krylov space certified at
-    all of them, and solves the points ``CHUNK`` (8) at a time on that
-    space without a sparse solve, reading each chunk out before the next
-    (see :class:`~ioncavity.lindblad._ReducedSteadyState`). A point depends
-    on its detuning and on the scan's grid, which fixes the chunks, not on
-    the order of the solves. ``check_unique_first`` probes the model's own
-    detuning (the base of the reduction, and the first point of every CLI
-    scan) for a second stationary state on the scan's one LU; that probe,
-    and any failure of the first point, raise. Solver failures elsewhere
+    all of them when it is constructed, and solves the points ``CHUNK`` (8)
+    at a time on that space without a sparse solve, reading each chunk out
+    before the next (see :class:`~ioncavity.lindblad._ReducedSteadyState`).
+    A point depends on its detuning and on the scan's grid, which fixes the
+    chunks; a point whose certificate fails takes the single-point path.
+    ``check_unique_first`` probes the model's own detuning (the base of the
+    reduction, and the first point of every CLI scan) for a second
+    stationary state on the scan's one LU; that probe, and any failure of
+    the first point, raise. Solver failures elsewhere
     mark the point as unconverged rather than aborting the scan; the
     reasons go to ``metadata["failures"]`` (detuning -> message).
     ``metadata["solver"]`` says how the points were solved: ``paths`` (points

@@ -24,10 +24,7 @@ class FitResult:
     stderr: np.ndarray
     covariance: np.ndarray
     cost: float  # 0.5 * sum(residual^2)
-    residual: np.ndarray
     n_iterations: int
-    converged: bool
-    message: str
 
 
 def least_squares_fit(fun, x0) -> FitResult:
@@ -48,6 +45,5 @@ def least_squares_fit(fun, x0) -> FitResult:
         cov = np.full((n_par, n_par), np.nan)
     stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
-        params=res.x, stderr=stderr, covariance=cov, cost=float(res.cost), residual=res.fun,
-        n_iterations=int(res.njev), converged=True, message=res.message,
+        params=res.x, stderr=stderr, covariance=cov, cost=float(res.cost), n_iterations=int(res.njev)
     )

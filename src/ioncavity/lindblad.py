@@ -510,8 +510,7 @@ class _ReducedSteadyState:
     The block keeps the entries of ``liouv`` (L0) reachable from the
     populations. A diagonal ``shift`` S adds self-loops only, so the
     connected components, and with them the kept entries, are the same for
-    every x: a detuning scan restricts once. L(x) lives on one CSR pattern,
-    the union of the block and the diagonal of S; a point only sets its data.
+    every x: a detuning scan restricts once.
 
     A(x) is the block of L(x) with its first row (the population of basis
     state 0) replaced by the trace constraint. S adds nothing to that row,
@@ -526,38 +525,38 @@ class _ReducedSteadyState:
     Every x has the same K and r, so every y lies in one Krylov space of K
     and r: shifted systems share it (Frommer & Glässner, SIAM J. Sci.
     Comput. 19, 15 (1998); Saad, Iterative Methods for Sparse Linear
-    Systems, 2nd ed., 6.4). The first nonzero x builds it by Arnoldi with
-    two-pass Gram-Schmidt. Step j is one base solve, w_j = A0^-1 E D v_j,
-    and K v_j = E^T w_j; the w_j are kept as W_k, so y = V_k z gives
-    v = u - x W_k z. The Krylov (FOM) solution at x,
+    Systems, 2nd ed., 6.4). Construction builds it when ``points`` holds a
+    nonzero x, by Arnoldi with two-pass Gram-Schmidt. Step j is one base
+    solve, w_j = A0^-1 E D v_j, and K v_j = E^T w_j; the w_j are kept as
+    W_k, so y = V_k z gives v = u - x W_k z. The Krylov (FOM) solution at x,
 
         (I + x H_k) z = ||r|| e_1,
 
     leaves the residual |x h_{k+1,k} e_k^T z|, its certificate. Arnoldi
     stops at the smallest k where the certificate is at most 1e-14 ||r||
-    at every x of ``points`` (the scan's shifts) and at the x being solved,
-    read off the left null vector of [I; 0] + x H_k-bar, one recurrence for
-    all of them per step; or where the space is invariant (h_{k+1,k} zero
-    to rounding, or k = m), which makes every y exact. One complex Schur form
-    H_k = Q T Q^H (Golub & Van Loan, Matrix Computations, 7.6) then serves
-    every point, as in Laub's frequency responses (IEEE TAC 26, 407 (1981)):
+    at every nonzero x of ``points`` (the scan's shifts), read off the left
+    null vector of [I; 0] + x H_k-bar, one recurrence for all of them per
+    step; or where the space is invariant (h_{k+1,k} zero to rounding, or
+    k = m), which makes every y exact. Construction then takes one complex
+    Schur form H_k = Q T Q^H (Golub & Van Loan, Matrix Computations, 7.6),
+    which serves every point, as in Laub's frequency responses (IEEE TAC 26,
+    407 (1981)):
 
         (T + I/x) zeta = Q^H ||r|| e_1 / x,   z = Q zeta,   v = u - x W_k z.
 
     :meth:`solve_many` solves a batch at once, with no sparse solve: one
     back-substitution on T (row i divides by t_ii + 1/x, one x per column),
     one gemm per block of W_k, one Hermitian part, one residual product and
-    one scale. A point whose own certificate fails joins the certified x,
-    the space grows, and the Schur form is taken again. On fig4 and fig5
-    (m = 320, one BLAS thread) k is 113 and 109: Arnoldi takes 0.07-0.12 s,
-    the Schur form about 0.012 s and a batch of 8 points about 1.5 ms.
+    one scale. On fig4 and fig5 (m = 320, one BLAS thread) k is 113 and 109:
+    Arnoldi takes 0.07-0.12 s, the Schur form about 0.012 s and a batch of 8
+    points about 1.5 ms.
 
-    A point depends on its x, its batch, and the x its reduction is
-    certified at when it is solved: ``points``, and any x solved before
-    whose own certificate failed; the space is the smallest that certifies
-    them all, whatever the order of the solves. A scan's points are all in
-    ``points`` and its grid fixes its batches of ``CHUNK``, so a point of a
-    scan depends on its detuning and the grid alone.
+    The space and its Schur form are fixed at construction, so a point
+    depends on its x, its batch and ``points`` alone. A point whose own
+    certificate fails, such as an x off ``points``, or a nonzero x where no
+    space was built, takes the single-point path. A scan's points are all
+    in ``points`` and its grid fixes its batches of ``CHUNK``, so a point of
+    a scan depends on its detuning and the grid alone.
     """
 
     _TOL = 1e-14  # the certificate, over ||r||, at which a Krylov solution is taken
@@ -578,41 +577,36 @@ class _ReducedSteadyState:
         shift = sp.coo_matrix((n * n, n * n)) if shift is None else shift.tocoo()
         if np.any((shift.row != shift.col) & (shift.data != 0)):
             raise ValueError("shift must be diagonal: an off-diagonal entry changes the block")
-        s = shift.diagonal()[self.keep]
+        self._s = s = shift.diagonal()[self.keep]
 
-        k = self.keep.size
-        coo = self.block.tocoo()
-        on_diag = np.flatnonzero(s)
-        rows, cols = np.concatenate([coo.row, on_diag]), np.concatenate([coo.col, on_diag])
-        base = np.concatenate([coo.data, np.zeros(on_diag.size)])
-        shift_values = np.concatenate([np.zeros(coo.nnz), s[on_diag]])
-        pattern = sp.csr_matrix((base, (rows, cols)), (k, k))  # L(0) on the union pattern
-        self._pattern, self._base = (pattern.indices, pattern.indptr), pattern.data
-        self._shift = sp.csr_matrix((shift_values, (rows, cols)), (k, k)).data
-        touched = self._shift != 0
-        self._fixed_scale = float(np.abs(self._base[~touched]).max(initial=0.0))
-        self._touched, self._s = (self._base[touched], self._shift[touched]), s
+        # max |L(x)| is the larger of the entries S leaves and the shifted diagonal
+        coo, on_diag = self.block.tocoo(), np.flatnonzero(s)
+        fixed = (coo.row != coo.col) | (s[coo.row] == 0)
+        self._fixed_scale = float(np.abs(coo.data[fixed]).max(initial=0.0))
+        self._touched = (self.block.diagonal()[on_diag], s[on_diag])
         self._shifted = on_diag[on_diag > 0]  # E: S adds nothing to the trace row
         self._d = s[self._shifted]  # D
         self.update_rank = int(self._shifted.size)  # m
-        points = np.unique(np.asarray(points, dtype=float))
-        self._points = points[points != 0.0]  # the x the Krylov space is certified at
-        self._k, self._exact, self._v, self._t = 0, False, None, None
+        self._k, self._q = 0, None  # no Krylov space
 
-        self._scale = scale = float(np.abs(self._base).max(initial=0.0))
+        self._scale = scale = float(np.abs(coo.data).max(initial=0.0))
         self._lu = self._u = None
         try:
             lu = _splu(self.constrained_block(0.0, scale))
         except RuntimeError:
             return
-        rhs = np.zeros(k, dtype=complex)
+        rhs = np.zeros(self.keep.size, dtype=complex)
         rhs[0] = scale
         self._lu, self._u = lu, lu.solve(rhs)
+        r = self._u[self._shifted]
+        self._beta = float(np.linalg.norm(r))  # 0 if m = 0 or r = 0: y = 0 at every x
+        points = np.unique(np.asarray(points, dtype=float))
+        if self._beta and np.any(points != 0.0):
+            self._build_space(r / self._beta, points[points != 0.0])
 
     def _matrix(self, x: float) -> sp.csr_matrix:
-        """L(x) on the union pattern."""
-        k = self.keep.size
-        return sp.csr_matrix((self._base + x * self._shift, *self._pattern), (k, k))
+        """L(x): the block, with x S on its diagonal."""
+        return self.block + sp.diags(x * self._s)
 
     def constrained_block(self, x: float, scale: float) -> sp.csc_matrix:
         """A(x), with ``scale`` x the trace in its first row."""
@@ -624,40 +618,83 @@ class _ReducedSteadyState:
         )
         return sp.vstack([trace, self._matrix(x)[1:]], format="csc")
 
+    def _build_space(self, v0, points):
+        """Arnoldi steps on K from ``v0`` = r / ||r|| until the certificate holds at
+        every x of ``points`` or the space is invariant, then the Schur form of
+        H_k; Q stays None if zgees does not converge. W gains a block of columns
+        at a time, and V, H and the null vectors move to larger arrays (all three
+        are small)."""
+
+        def larger(a, shape):
+            b = np.zeros(shape, dtype=complex, order="F")
+            b[: a.shape[0], : a.shape[1]] = a
+            return b
+
+        e, d, m, size = self._shifted, self._d, self._shifted.size, self._BLOCK
+        v, h, null, self._w = v0[:, None], np.zeros((1, 0), dtype=complex), np.ones((points.size, 1)), []
+        rhs = np.zeros(self.keep.size, dtype=complex)
+        k = 0
+        while True:
+            if k % size == 0:
+                v, h = larger(v, (m, k + size + 1)), larger(h, (k + size + 1, k + size))
+                null = larger(null, (points.size, k + size + 1))
+                self._w.append(np.empty((self.keep.size, size), dtype=complex, order="F"))
+            rhs[e] = d * v[:, k]
+            w = self._w[-1][:, k % size] = self._lu.solve(rhs)
+            kv, basis = w[e], v[:, : k + 1]
+            kv_norm = np.linalg.norm(kv)
+            for _ in range(2):  # two-pass classical Gram-Schmidt
+                c = (kv.conj() @ basis).conj()
+                kv -= basis @ c
+                h[: k + 1, k] += c
+            norm = float(np.linalg.norm(kv))
+            k += 1
+            if norm <= np.finfo(float).eps * kv_norm or k == m:
+                break  # K V_k = V_k H_k to rounding: invariant, h_{k+1,k} = 0, every y exact
+            h[k, k - 1] = norm
+            v[:, k] = kv / norm
+            # Entry k of the left null vector of [I; 0] + x H_k-bar, one row per x, each
+            # row then scaled to a largest modulus of 1: the certificate at x is
+            # |row[0]| / |row[k]|.
+            phi = null[:, k - 1] + points * (null[:, :k] @ h[:k, k - 1])
+            null[:, k] = -phi / (points * h[k, k - 1])
+            null[:, : k + 1] /= np.abs(null[:, : k + 1]).max(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if np.all(np.abs(null[:, 0]) / np.abs(null[:, k]) <= self._TOL):
+                    break
+        self._k, self._h = k, h
+        t, _, _, q, _, info = lapack.zgees(lambda w: 0, np.array(h[:k, :k], order="F"), overwrite_a=1)
+        if info == 0:
+            self._t, self._t_diag, self._q = t, t.diagonal().copy(), q
+            self._g = self._beta * q[0].conj()  # Q^H ||r|| e_1
+
     def _updated(self, xs):
         """``(v, k, certificates)``: row j of v is A(x_j)^-1 b for x_j of ``xs``, from
         the base LU and the Krylov space of dimension k, with its certificate over
-        ||r|| (0 where no space was needed). v is None if A0 is singular or the
-        Schur form of H_k did not converge; a row and its certificate are NaN
-        where T + I/x is singular."""
+        ||r||: 0 where the update is exact (x = 0, or r = 0), NaN where no Schur
+        form serves x. A row and its certificate are NaN where T + I/x is
+        singular. v is None if A0 is singular."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self._lu is None:
             return None, 0, None
         v, certificates = np.repeat(self._u[None], xs.size, axis=0), np.zeros(xs.size)
-        on = np.flatnonzero(xs) if self._d.size else []
-        x = xs[on]
-        if len(on) and self._v is None:
-            self._grow(x)
+        on = np.flatnonzero(xs) if self._beta else []
+        if not len(on):
+            return v, 0, certificates
+        k, x = self._k, xs[on]
+        if self._q is None:
+            certificates[on] = math.nan
+            return v, k, certificates
         with np.errstate(divide="ignore", invalid="ignore"):  # a singular x gives NaN
-            while len(on) and self._k:
-                k = self._k
-                if self._t is None:
-                    self._reduce_hessenberg()
-                if self._q is None:
-                    return None, k, None
-                z = self._q @ self._back_substitute(x)
-                certificates[on] = np.abs(x * self._h[k, k - 1] * z[-1]) / self._beta
-                failed = certificates[on] > self._TOL  # False where NaN: not grown
-                if self._exact or not failed.any():
-                    wz = np.zeros((x.size, self.keep.size), dtype=complex)  # W_k z, in place
-                    for w, zi in zip(self._w, np.split(z, range(self._BLOCK, k, self._BLOCK))):
-                        wz += zi.T @ w[:, : len(zi)].T
-                    wz *= -x[:, None]
-                    wz += self._u
-                    v[on] = wz
-                    return v, k, certificates
-                self._grow(x[failed], at_least=k + 1)
-        return v, 0, certificates  # no nonzero x, or r = 0: y = 0 at every x
+            z = self._q @ self._back_substitute(x)
+            certificates[on] = np.abs(x * self._h[k, k - 1] * z[-1]) / self._beta
+            wz = np.zeros((x.size, self.keep.size), dtype=complex)  # W_k z, in place
+            for w, zi in zip(self._w, np.split(z, range(self._BLOCK, k, self._BLOCK))):
+                wz += zi.T @ w[:, : len(zi)].T
+            wz *= -x[:, None]
+            wz += self._u
+        v[on] = wz
+        return v, k, certificates
 
     def _back_substitute(self, xs):
         """zeta of (T + I/x) zeta = Q^H ||r|| e_1 / x, one column per x of ``xs``:
@@ -671,101 +708,15 @@ class _ReducedSteadyState:
             zeta[i] = (rhs[i] - t[i, i + 1 :] @ zeta[i + 1 :]) / pivots[i]
         return zeta
 
-    def _grow(self, xs, at_least: int = 0):
-        """Arnoldi steps on K until k >= ``at_least`` and the certificate holds at
-        every certified x, ``xs`` now among them, or the space is invariant."""
-        if self._v is None:
-            r = self._u[self._shifted]
-            self._beta = float(np.linalg.norm(r))
-            self._exact = self._beta == 0.0
-            self._v, self._h = (r / (self._beta or 1.0))[:, None], np.zeros((1, 0), dtype=complex)
-            self._null, self._w = np.ones((self._points.size, 1), dtype=complex), []
-        if self._exact:
-            return
-        new = np.setdiff1d(xs, self._points)
-        if new.size:
-            rows = np.zeros((new.size, self._null.shape[1]), dtype=complex)
-            rows[:, 0] = 1.0
-            for j in range(self._k):
-                self._null_step(rows, new, j)
-            self._points = np.append(self._points, new)
-            self._null = np.vstack([self._null, rows])
-
-        e, d, m = self._shifted, self._d, self._shifted.size
-        rhs = np.zeros(self.keep.size, dtype=complex)
-        while self._k < at_least or not np.all(self._certificates() <= self._TOL):
-            k = self._k
-            if k % self._BLOCK == 0:
-                self._reserve()
-            v, h = self._v, self._h
-            rhs[e] = d * v[:, k]
-            w = self._w[-1][:, k % self._BLOCK] = self._lu.solve(rhs)
-            kv, basis = w[e], v[:, : k + 1]
-            kv_norm = np.linalg.norm(kv)
-            for _ in range(2):  # two-pass classical Gram-Schmidt
-                c = (kv.conj() @ basis).conj()
-                kv -= basis @ c
-                h[: k + 1, k] += c
-            norm = float(np.linalg.norm(kv))
-            self._k = k + 1
-            if norm <= np.finfo(float).eps * kv_norm or k + 1 == m:
-                # K V_k = V_k H_k to rounding: the space is invariant, every y on it exact
-                self._exact = True
-                break
-            h[k + 1, k] = norm
-            v[:, k + 1] = kv / norm
-            self._null_step(self._null, self._points, k)
-        self._t = None
-
-    def _reserve(self):
-        """Room for one more block of Krylov columns: W gains a block, V, H and the
-        null vectors move to larger arrays (all three are small)."""
-        cap = self._k + self._BLOCK
-
-        def larger(a, shape):
-            b = np.zeros(shape, dtype=complex, order="F")
-            b[: a.shape[0], : a.shape[1]] = a
-            return b
-
-        self._v = larger(self._v, (self._shifted.size, cap + 1))
-        self._h = larger(self._h, (cap + 1, cap))
-        self._null = larger(self._null, (self._points.size, cap + 1))
-        self._w.append(np.empty((self.keep.size, self._BLOCK), dtype=complex, order="F"))
-
-    def _null_step(self, rows, xs, j):
-        """Entry j + 1 of the left null vector of [I; 0] + x H_k-bar, one row per x
-        of ``xs``, each row then scaled to a largest modulus of 1. At step j + 1
-        the FOM residual over ||r|| is |row[0]| / |row[j + 1]|."""
-        h = self._h
-        phi = rows[:, j] + xs * (rows[:, : j + 1] @ h[: j + 1, j])
-        rows[:, j + 1] = -phi / (xs * h[j + 1, j])
-        rows[:, : j + 2] /= np.abs(rows[:, : j + 2]).max(axis=1, keepdims=True)
-
-    def _certificates(self):
-        """The FOM residual over ||r|| at every certified x, on the space as it is."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(self._null[:, 0]) / np.abs(self._null[:, self._k])
-
-    def _reduce_hessenberg(self):
-        """The Schur form H_k = Q T Q^H, taken once per size of the space; Q is
-        None if zgees did not converge."""
-        k = self._k
-        t, _, _, q, _, info = lapack.zgees(
-            lambda w: 0, np.array(self._h[:k, :k], order="F"), overwrite_a=1
-        )
-        self._t, self._q = t, (q if info == 0 else None)
-        self._t_diag = t.diagonal().copy()
-        self._g = self._beta * q[0].conj()  # Q^H ||r|| e_1
-
     def solve_many(self, xs):
         """``(DensityMatrix, infos)`` at L(x) for every x of ``xs``: ``vectors[j]``
         and ``infos[j]`` belong to x_j, with the keys of :func:`steady_state`;
         ``krylov_dim`` is the k the point was solved on (0 if it needed no
-        Krylov space), ``certificate`` its FOM residual over ||r|| (None if the
-        update failed). A point whose update is not finite or misses the
-        residual bound takes the single-point path alone
-        (:meth:`_inverse_iteration_at`); one that fails there too has a NaN
-        vector and its :class:`SteadyStateError` for its info."""
+        Krylov space), ``certificate`` its FOM residual over ||r|| (None if it
+        has none). A point whose update is not finite, misses the residual
+        bound or has no certificate at most 1e-14 takes the single-point path
+        alone (:meth:`_inverse_iteration_at`); one that fails there too has a
+        NaN vector and its :class:`SteadyStateError` for its info."""
         xs = np.asarray(xs, dtype=float)
         v, krylov_dim, certificates = self._updated(xs)
         if v is None:
@@ -794,7 +745,8 @@ class _ReducedSteadyState:
             try:
                 if scales[j] == 0.0:
                     raise SteadyStateError("Liouvillian is identically zero")
-                if not residuals[j] <= 1e-10 * scales[j]:  # also where v is not finite
+                # also where v or the certificate is not finite
+                if not (residuals[j] <= 1e-10 * scales[j] and certificate <= self._TOL):
                     v[j], info["residual"] = self._inverse_iteration_at(x, scales[j], v[j])
                     info["path"] = "inverse_iteration"
             except SteadyStateError as exc:

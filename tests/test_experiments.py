@@ -498,10 +498,10 @@ def test_a_bad_update_is_never_returned(atom, monkeypatch, fault):
     to the inverse iteration, which finds the state of the exact update."""
     model, center = _fig4_line_model(atom)
     layout = HilbertLayout(atom=atom, n_max=1)
-    solver = lindblad._ReducedSteadyState(
-        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout)
-    )
     x = model.laser("drive").detuning - center
+    solver = lindblad._ReducedSteadyState(
+        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout), points=[x]
+    )
     want, info = solver.solve(x)
     assert info["path"] == "lu"
     original = lindblad._ReducedSteadyState._updated
@@ -555,10 +555,10 @@ def test_a_singular_update_system_is_never_solved(atom):
     iteration, which finds the state of the unpatched update."""
     model, center = _fig4_line_model(atom)
     layout = HilbertLayout(atom=atom, n_max=1)
-    solver = lindblad._ReducedSteadyState(
-        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout)
-    )
     x = model.laser("drive").detuning - center
+    solver = lindblad._ReducedSteadyState(
+        build_liouvillian(model, layout), shift=drive_detuning_shift_superoperator(layout), points=[x]
+    )
     want, info = solver.solve(x)
     assert info["path"] == "lu"
     solver._t_diag[0] = -1.0 / x
@@ -718,8 +718,8 @@ def test_scan_orders_once_per_reduction(monkeypatch):
 
 
 def test_one_schur_form_per_reduction(monkeypatch):
-    """A scan reduces C D to Schur form once, at its first nonzero detuning; a lone
-    steady state (x = 0) never forms C."""
+    """A scan takes the Schur form of H_k once, when it builds its reduction; a lone
+    steady state (x = 0) builds no Krylov space and takes none."""
     model, grid = _bundled_spectrum("fig4")
     calls = []
     original = lindblad.lapack.zgees
@@ -746,10 +746,16 @@ def _fresh_mmd_state(reduction, x, scale):
 
 def test_a_scan_point_makes_no_base_solve(monkeypatch):
     """A 12-point scan solves with its base LU k + 1 times: once for u and once per
-    Krylov step. Every point takes the update path without a sparse solve."""
+    Krylov step. Every point takes the update path without a sparse solve. A
+    reduction does all of that on construction: solving its points, twice, then
+    makes no base solve and takes no Schur form."""
     model, grid = _bundled_spectrum("fig4")
-    solves = []
-    original = lindblad._splu
+    solves, schur_forms = [], []
+    original, original_zgees = lindblad._splu, lindblad.lapack.zgees
+
+    def counting_zgees(*args, **kwargs):
+        schur_forms.append(args[1].shape)
+        return original_zgees(*args, **kwargs)
 
     class CountingLU:
         def __init__(self, lu):
@@ -760,6 +766,7 @@ def test_a_scan_point_makes_no_base_solve(monkeypatch):
             return self.lu.solve(rhs)
 
     monkeypatch.setattr(lindblad, "_splu", lambda a: CountingLU(original(a)))
+    monkeypatch.setattr(lindblad.lapack, "zgees", counting_zgees)
     scan = raman_spectrum(model, _twelve_points(grid), check_unique_first=False)
     solver = scan.metadata["solver"]
     assert scan.converged.all() and solver["paths"] == {"lu": 12}
@@ -767,22 +774,30 @@ def test_a_scan_point_makes_no_base_solve(monkeypatch):
     assert len(solves) == solver["krylov_dim"] + 1
     assert solver["max_residual_over_scale"] <= 1e-10
 
+    reduction = _scan_solver(model, _twelve_points(grid))
+    assert reduction._k == solver["krylov_dim"] and len(schur_forms) == 2
+    solves.clear(), schur_forms.clear()
+    xs = model.laser("drive").detuning - _twelve_points(grid)
+    for _ in range(2):
+        _, infos = reduction.solve_many(xs)
+        assert [info["path"] for info in infos] == ["lu"] * 12
+    assert solves == [] and schur_forms == []
 
-def test_a_point_off_the_certified_detunings_extends_the_space():
+
+def test_a_point_off_the_certified_detunings_takes_the_single_point_path():
     """A reduction certified at three detunings near the grid's start solves at its
-    far end: the certificate fails on that space, which grows until it holds; the
-    point stays on the update path and equals a fresh MMD LU to 1e-12."""
+    far end: the certificate fails on that space, which stays as it is; the point
+    takes the inverse iteration, meets the residual bound and equals a fresh MMD LU
+    to 1e-9."""
     model, grid = _bundled_spectrum("fig4")
-    d0 = model.laser("drive").detuning
     solver = _scan_solver(model, grid[:3])
-    _, info = solver.solve(d0 - grid[1])
-    near = info["krylov_dim"]
-    x = d0 - grid[-1]
+    x = model.laser("drive").detuning - grid[-1]
     state, info = solver.solve(x)
-    assert info["path"] == "lu" and info["krylov_dim"] > near
-    assert info["certificate"] <= 1e-14
+    assert info["certificate"] > 1e-14
+    assert info["path"] == "inverse_iteration"
+    assert info["residual"] <= 1e-10 * info["residual_scale"]
     want = _fresh_mmd_state(solver, x, info["residual_scale"])
-    assert np.abs(state.vectors - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(state.vectors - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_an_exact_breakdown_returns_the_exact_state():

@@ -31,7 +31,6 @@ def test_recovers_exponential_parameters():
 
     result = least_squares_fit(resid, np.array([1.0, 2.0, 0.0]))
     assert np.allclose(result.params, truth, rtol=1e-8)
-    assert result.converged
 
 
 def test_linear_model_covariance_matches_ols():
