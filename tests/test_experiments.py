@@ -776,7 +776,8 @@ def test_a_scan_point_makes_no_base_solve(monkeypatch):
 
     reduction = _scan_solver(model, _twelve_points(grid))
     assert reduction._k == solver["krylov_dim"] and len(schur_forms) == 2
-    solves.clear(), schur_forms.clear()
+    solves.clear()
+    schur_forms.clear()
     xs = model.laser("drive").detuning - _twelve_points(grid)
     for _ in range(2):
         _, infos = reduction.solve_many(xs)
