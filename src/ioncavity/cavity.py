@@ -22,18 +22,13 @@ class CavityGeometry:
     """Two-mirror symmetric resonator.
 
     Lengths in meters. ``kappa`` is the cavity field (amplitude) decay
-    rate in rad/s: the photon number decays at 2*kappa. Mirror
-    transmissions and the round-trip loss are carried as data for
-    reporting; they do not feed the dynamics.
+    rate in rad/s: the photon number decays at 2*kappa.
     """
 
     length: float
     mirror_radius: float
     wavelength: float
     kappa: float
-    transmission_1: float = 1.3e-6
-    transmission_2: float = 13e-6
-    round_trip_loss: float = 0.0
 
     def __post_init__(self):
         if self.length <= 0 or self.length >= 2 * self.mirror_radius:
@@ -127,13 +122,3 @@ def channel_efficiency(chain: DetectionChain):
         a * p * chain.output_coupling
         for a, p in zip(chain.apd_efficiency, chain.path_transmission)
     )
-
-
-def combined_detection_probability(chain: DetectionChain) -> float:
-    """Probability that a cavity photon of unknown polarization is detected.
-
-    Averages the two channels; with orthogonal modes a photon reaches
-    exactly one channel, so the average is the unpolarized expectation.
-    """
-    eff = channel_efficiency(chain)
-    return 0.5 * (eff[0] + eff[1])

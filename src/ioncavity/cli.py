@@ -41,10 +41,13 @@ _NUM = (int, float)
 
 
 def _schema():
-    """Nested schema: key -> (type(s), default) or a nested dict."""
+    """Nested schema: key -> (type(s), default[, allowed values]) or a nested dict."""
     return {
         "atom": {"overrides": (dict, {})},
-        "b_field": {"gauss": (_NUM, 4.77), "orientation": (str, "perpendicular")},
+        "b_field": {
+            "gauss": (_NUM, 4.77),
+            "orientation": (str, "perpendicular", ("perpendicular", "parallel")),
+        },
         "cavity": {
             "length_mm": (_NUM, 19.96),
             "mirror_radius_mm": (_NUM, 10.02),
@@ -65,7 +68,7 @@ def _schema():
             "drive": {
                 "rabi_2pi_mhz": (_NUM, 88.0),
                 "detuning_2pi_mhz": ((_NUM[0], _NUM[1], type(None)), None),
-                "polarization": (str, "linear_perp_b"),
+                "polarization": (str, "linear_perp_b", tuple(POLARIZATIONS)),
             },
             "repump_854": {"rabi_2pi_mhz": (_NUM, 5.0), "detuning_2pi_mhz": (_NUM, 0.0)},
             "repump_866": {"rabi_2pi_mhz": (_NUM, 5.0), "detuning_2pi_mhz": (_NUM, 0.0)},
@@ -169,7 +172,7 @@ def _walk_defaults(spec):
         if isinstance(value, dict):
             out[key] = _walk_defaults(value)
         else:
-            _, default = value
+            default = value[1]
             out[key] = default if not isinstance(default, (list, dict)) else json.loads(json.dumps(default))
     return out
 
@@ -187,7 +190,7 @@ def schema_description() -> dict:
             if isinstance(value, dict):
                 out[key] = describe(value)
             else:
-                types, default = value
+                types, default = value[:2]
                 if not isinstance(types, tuple):
                     types = (types,)
                 names = sorted(
@@ -207,22 +210,20 @@ def _validate(cfg, spec, path, problems):
     for key, rule in spec.items():
         if key not in cfg:
             continue
-        value = cfg[key]
+        value, name = cfg[key], ".".join(path + [key])
         if isinstance(rule, dict):
             if not isinstance(value, dict):
-                problems.append(f"{'.'.join(path + [key])} must be an object")
+                problems.append(f"{name} must be an object")
             else:
                 _validate(value, rule, path + [key], problems)
         else:
-            types, _ = rule
-            if not isinstance(types, tuple):
-                types = (types,)
+            types = rule[0] if isinstance(rule[0], tuple) else (rule[0],)
             if isinstance(value, bool) and bool not in types:
-                problems.append(f"{'.'.join(path + [key])} has wrong type bool")
+                problems.append(f"{name} has wrong type bool")
             elif not isinstance(value, types):
-                problems.append(
-                    f"{'.'.join(path + [key])} has wrong type {type(value).__name__}"
-                )
+                problems.append(f"{name} has wrong type {type(value).__name__}")
+            elif len(rule) > 2 and value not in rule[2]:
+                problems.append(f"{name} must be one of {sorted(rule[2])}")
 
 
 POLARIZATIONS = {
@@ -232,14 +233,10 @@ POLARIZATIONS = {
     "linear_perp_b": beam_a_polarization,
 }
 
-_ENUM_KEYS = {
-    ("b_field", "orientation"): ("perpendicular", "parallel"),
-    ("lasers", "drive", "polarization"): tuple(POLARIZATIONS),
-}
-
 
 def merge_config(user: dict | None) -> dict:
-    """Defaults overlaid with the user's file; unknown keys rejected."""
+    """Defaults overlaid with the user's file; unknown keys, wrong types and values
+    outside a key's allowed set rejected, all in one walk of the user's file."""
     spec = _schema()
     problems: list[str] = []
     user = user or {}
@@ -255,16 +252,7 @@ def merge_config(user: dict | None) -> dict:
                 base[key] = value
         return base
 
-    merged = merge(default_config(), user)
-    for path, allowed in _ENUM_KEYS.items():
-        node = merged
-        for key in path[:-1]:
-            node = node[key]
-        if node[path[-1]] not in allowed:
-            problems.append(f"{'.'.join(path)} must be one of {sorted(allowed)}")
-    if problems:
-        raise ConfigError("configuration failed validation", problems=problems)
-    return merged
+    return merge(default_config(), user)
 
 
 def load_config(path: str | None) -> dict:
@@ -565,8 +553,8 @@ def _pulse(cfg, section, label, rabi, detuning_offset=0.0):
     """Photon pulse driven by sigma-minus light on the line from S1/2,-1/2 to ``label``.
 
     ``rabi`` and ``detuning_offset`` (from the line) are in 2pi x MHz; the duration
-    and bins come from ``cfg[section]``, the tolerance and step budget from
-    ``cfg["solver"]``. Returns (line, shape).
+    and bins come from ``cfg[section]``, the tolerance, photon cutoff and step
+    budget from ``cfg["solver"]``. Returns (line, shape).
     """
     from .experiments import photon_pulse
 
@@ -578,7 +566,7 @@ def _pulse(cfg, section, label, rabi, detuning_offset=0.0):
     try:
         shape = photon_pulse(model, s["duration_us"] * 1e-6, bin_width=s["bin_ns"] * 1e-9,
                              designated_channel=line.channel, rtol=cfg["solver"]["rtol"],
-                             max_steps=cfg["solver"]["max_steps"])
+                             n_max=cfg["solver"]["n_max"], max_steps=cfg["solver"]["max_steps"])
     except BinningMismatchError as exc:
         raise ConfigError(f"{section}.duration_us must be a whole multiple of {section}.bin_ns: {exc}") from exc
     return line, shape

@@ -20,16 +20,6 @@ def mhz(value):
     return TWO_PI * 1e6 * value
 
 
-def khz(value):
-    """Angular frequency (rad/s) from a value in kHz."""
-    return TWO_PI * 1e3 * value
-
-
 def to_mhz(omega):
     """Value in MHz from an angular frequency (rad/s)."""
     return omega / (TWO_PI * 1e6)
-
-
-def us(value):
-    """Seconds from microseconds."""
-    return 1e-6 * value

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atom import ZeemanState, load_atom, zeeman_shift
+from .atom import load_atom, zeeman_shift
 from .constants import TWO_PI
 from .errors import BinningMismatchError, SteadyStateError
 from .hilbert import HilbertLayout
@@ -50,9 +50,6 @@ class ScanResult:
         if np.any(self.rates[:, ok] < 0):
             raise ValueError("negative count rate")
 
-    def channel(self, name: str) -> np.ndarray:
-        return self.rates[{"H": 0, "V": 1}[name]]
-
 
 @dataclass
 class Peak:
@@ -84,8 +81,9 @@ class PulseShape:
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[1:] + self.bin_edges[:-1])
 
-    def normalized(self, channel: str | None = None) -> np.ndarray:
-        p = self.probabilities[{"H": 0, "V": 1}[channel or self.designated_channel]]
+    def normalized(self) -> np.ndarray:
+        """The designated channel's bin probabilities, scaled to sum to one."""
+        p = self.probabilities[{"H": 0, "V": 1}[self.designated_channel]]
         total = p.sum()
         if total <= 0:
             return np.zeros_like(p)
@@ -118,10 +116,10 @@ class JointStateReport:
 # -- Raman spectrum ----------------------------------------------------------
 
 
-def spectrum_grid(
-    lines, window=TWO_PI * 1.5e6, points_per_line=13, baseline_points=24, pad=TWO_PI * 4e6
-):
-    """Fine windows around every predicted line plus a coarse baseline."""
+def spectrum_grid(lines, window=TWO_PI * 1.5e6, points_per_line=13, baseline_points=24):
+    """Fine windows around every predicted line plus a coarse baseline that
+    reaches 4 MHz beyond the outermost lines."""
+    pad = TWO_PI * 4e6
     pieces = [np.linspace(ln.detuning - window, ln.detuning + window, points_per_line) for ln in lines]
     lo = min(ln.detuning for ln in lines) - pad
     hi = max(ln.detuning for ln in lines) + pad
@@ -213,8 +211,8 @@ def raman_spectrum(
     )
 
 
-def find_peaks(scan: ScanResult, floor_factor: float = 3.0):
-    """Local maxima above ``floor_factor`` x dark floor, sub-grid refined.
+def find_peaks(scan: ScanResult):
+    """Local maxima above 3 x dark floor, sub-grid refined.
 
     Quadratic interpolation through the three points around each local
     maximum gives the refined position and height; the width is the
@@ -230,7 +228,7 @@ def find_peaks(scan: ScanResult, floor_factor: float = 3.0):
                 continue
             if not (rate[i] >= rate[i - 1] and rate[i] > rate[i + 1]):
                 continue
-            if rate[i] < floor_factor * max(dark, 1e-12):
+            if rate[i] < 3.0 * max(dark, 1e-12):
                 continue
             pos, height = _parabolic_vertex(d[i - 1 : i + 2], rate[i - 1 : i + 2])
             peaks.append(
@@ -278,15 +276,15 @@ def _estimate_fwhm(d, signal, i):
     return float(right - left)
 
 
-def annotate_peaks(peaks, lines, max_distance=TWO_PI * 1.5e6):
-    """Attach the nearest predicted line (same channel) to each peak."""
+def annotate_peaks(peaks, lines):
+    """Attach the nearest predicted line (same channel, within 1.5 MHz) to each peak."""
     for peak in peaks:
         best = None
         for line in lines:
             if line.channel != peak.channel:
                 continue
             dist = abs(line.detuning - peak.detuning)
-            if dist <= max_distance and (best is None or dist < abs(best.detuning - peak.detuning)):
+            if dist <= TWO_PI * 1.5e6 and (best is None or dist < abs(best.detuning - peak.detuning)):
                 best = line
         if best is not None:
             peak.line = best
@@ -351,41 +349,41 @@ def sideband_overlay(
 
 # -- single-photon pulses ----------------------------------------------------
 
+_SAMPLES_PER_BIN = 2  # flux samples per time bin of a photon pulse
+
 
 def photon_pulse(
     model: SystemModel,
     duration: float,
     bin_width: float = 200e-9,
     designated_channel: str = "H",
-    initial_state=None,
     rtol: float = 1e-6,
     n_max: int = 1,
-    samples_per_bin: int = 2,
     max_steps: int = 20_000_000,
 ) -> PulseShape:
     """Time-resolved detection probability after switching the drive on.
 
-    The ion starts in |S1/2, -1/2> (optical pumping assumed complete
-    unless ``initial_state`` overrides it). Dark counts are excluded;
-    probabilities are detected-photon probabilities per time bin. Raises
+    The ion starts in |S1/2, -1/2> (optical pumping assumed complete).
+    Dark counts are excluded; probabilities are detected-photon
+    probabilities per time bin, each the trapezoid integral of the flux
+    over ``_SAMPLES_PER_BIN`` (2) equal steps. Raises
     :class:`BinningMismatchError` unless ``duration`` is a whole number of bins.
     """
     n_bins = int(round(duration / bin_width))
     if n_bins < 1 or abs(n_bins * bin_width - duration) > 1e-9 * duration:
         raise BinningMismatchError(f"duration {duration:.6g} s is not a whole number of {bin_width:.6g} s bins")
     layout = HilbertLayout(atom=model.atom, n_max=n_max)
-    init = initial_state or model.atom.state("S1/2", -0.5)
-    rho0 = layout.basis_state(init) if isinstance(init, ZeemanState) else init
+    rho0 = layout.basis_state(model.atom.state("S1/2", -0.5))
 
     edges = np.arange(n_bins + 1) * bin_width
-    t_grid = np.linspace(0.0, duration, n_bins * samples_per_bin + 1)
+    t_grid = np.linspace(0.0, duration, n_bins * _SAMPLES_PER_BIN + 1)
 
     traj = evolve(build_liouvillian(model, layout), rho0, t_grid, rtol=rtol, max_steps=max_steps)
     flux = photon_flux(traj, layout, model.cavity.kappa, model.detection, include_dark=False)
 
     probs = np.zeros((2, n_bins))
     for b in range(n_bins):
-        sl = slice(b * samples_per_bin, (b + 1) * samples_per_bin + 1)
+        sl = slice(b * _SAMPLES_PER_BIN, (b + 1) * _SAMPLES_PER_BIN + 1)
         probs[:, b] = np.trapezoid(flux[sl], t_grid[sl], axis=0)
 
     totals = probs.sum(axis=1)
@@ -701,20 +699,19 @@ def map_state(alpha: float, phi: float, **options) -> JointStateReport:
 
 # -- qubit dynamics (analytic carrier models) --------------------------------
 
+_THERMAL_WEIGHT_CUTOFF = 1e-7  # thermal tail weight dropped per motional mode
+_THERMAL_MAX_N = 400  # largest occupation kept per motional mode
 
-def thermal_rabi(
-    rabi0: float,
-    lamb_dicke,
-    nbar,
-    t_grid,
-    weight_cutoff: float = 1e-7,
-    max_n: int = 400,
-):
+
+def thermal_rabi(rabi0: float, lamb_dicke, nbar, t_grid):
     """Carrier Rabi oscillation averaged over thermal motional occupation.
 
     P(t) = sum_n p(nbar, n) sin^2(Omega_n t / 2) with
     Omega_n = Omega_0 prod_m (1 - eta_m^2 n_m), the second-order
-    Lamb-Dicke carrier frequency. Warns outside the Lamb-Dicke regime.
+    Lamb-Dicke carrier frequency. Each mode's thermal distribution is cut
+    where its tail weight falls below ``_THERMAL_WEIGHT_CUTOFF`` (at most
+    ``_THERMAL_MAX_N`` quanta) and renormalized. Warns outside the
+    Lamb-Dicke regime.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     etas = tuple(lamb_dicke)
@@ -728,11 +725,11 @@ def thermal_rabi(
             weights.append(np.array([1.0]))
             factors.append(np.array([1.0]))
             continue
-        n = np.arange(max_n + 1)
+        n = np.arange(_THERMAL_MAX_N + 1)
         # stable log form: nb^n overflows for hot modes long before the
         # weights become relevant
         p = np.exp(n * math.log(nb / (1.0 + nb))) / (1.0 + nb)
-        k = min(int(np.searchsorted(np.cumsum(p), 1 - weight_cutoff)) + 1, max_n)
+        k = min(int(np.searchsorted(np.cumsum(p), 1 - _THERMAL_WEIGHT_CUTOFF)) + 1, _THERMAL_MAX_N)
         n, p = n[: k + 1], p[: k + 1]
         p = p / p.sum()
         weights.append(p)
@@ -749,17 +746,6 @@ def thermal_rabi(
     return prob
 
 
-def oscillation_contrast(t_grid, prob, oscillation: int, rabi0: float):
-    """Peak-to-trough contrast of the given oscillation number (1-based)."""
-    period = 2 * math.pi / rabi0
-    lo = (oscillation - 1) * period
-    hi = oscillation * period
-    mask = (t_grid >= lo) & (t_grid <= hi)
-    if mask.sum() < 4:
-        raise ValueError("time grid too coarse for the requested oscillation")
-    return float(np.max(prob[mask]) - np.min(prob[mask]))
-
-
 @dataclass
 class RamseyResult:
     t_wait: np.ndarray
@@ -772,14 +758,14 @@ class RamseyResult:
     exponential_cost: float
 
 
-def ramsey_fringe(phases, t_wait, amplitude0, tau, phase0=0.0):
-    """P(phase) = (1 + A(t) cos(phase + phase0)) / 2 with Gaussian decay.
+def ramsey_fringe(phases, t_wait, amplitude0, tau):
+    """P(phase) = (1 + A(t) cos(phase)) / 2 with Gaussian decay.
 
     Quasi-static Gaussian-distributed detuning noise (slow field drift)
     gives A(t) = A0 exp(-(t/tau)^2 / 2).
     """
     amp = amplitude0 * math.exp(-((t_wait / tau) ** 2) / 2.0)
-    return 0.5 * (1.0 + amp * np.cos(np.asarray(phases) + phase0))
+    return 0.5 * (1.0 + amp * np.cos(np.asarray(phases)))
 
 
 def fringe_amplitude(phases, populations):
@@ -795,7 +781,6 @@ def ramsey_coherence(
     phase_grid,
     tau: float,
     amplitude0: float = 0.97,
-    phase0: float = 0.0,
     noise: float = 0.0,
     rng=None,
 ) -> RamseyResult:
@@ -814,7 +799,7 @@ def ramsey_coherence(
 
     amplitudes = []
     for t in t_wait_grid:
-        fringe = ramsey_fringe(phase_grid, t, amplitude0, tau, phase0)
+        fringe = ramsey_fringe(phase_grid, t, amplitude0, tau)
         if noise > 0:
             fringe = fringe + rng.normal(0.0, noise, size=fringe.shape)
         amplitudes.append(fringe_amplitude(phase_grid, fringe))

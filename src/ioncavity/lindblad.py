@@ -66,12 +66,6 @@ class DensityMatrix:
     dim: int
     vectors: np.ndarray
 
-    @classmethod
-    def from_matrix(cls, matrix) -> DensityMatrix:
-        """The state of a full ``dim x dim`` matrix, every entry kept."""
-        m = np.asarray(matrix, dtype=complex)
-        return cls(keep=np.arange(m.size), dim=m.shape[0], vectors=vec(m))
-
     @property
     def matrix(self) -> np.ndarray:
         """The full density matrix, one per leading index of ``vectors``."""
@@ -325,13 +319,6 @@ class Liouvillian:
     def is_static(self) -> bool:
         return not self.td_terms
 
-    def apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        """L(t) v, through the same kernel as :func:`evolve`."""
-        v = np.ascontiguousarray(v, dtype=complex)
-        if v.shape != (self._rhs.n,):
-            raise ValueError(f"vector of shape {v.shape} does not match L of size {self._rhs.n}")
-        return self._rhs(t, v, np.empty_like(v))
-
     @cached_property
     def _rhs(self) -> _Rhs:
         return _Rhs(self)
@@ -364,13 +351,6 @@ class Liouvillian:
             static_part=block(self.static_part),
             td_terms=[(block(superop), f) for superop, f in self.td_terms],
         )
-
-    def trace_preservation_defect(self) -> float:
-        """sup-norm of the adjoint applied to the identity, over the kept entries (no entry
-        couples them to the rest); 0 if trace-preserving."""
-        ident = (self.keep % (self.dim + 1) == 0).astype(complex)
-        ops = [self.static_part] + [superop for superop, _ in self.td_terms]
-        return float(max(np.max(np.abs(op.conj().T @ ident)) for op in ops))
 
 
 def build_liouvillian(
@@ -1094,14 +1074,6 @@ def photon_flux(
     if include_dark:
         flux = flux + np.array(chain.dark_counts)
     return flux
-
-
-def manifold_populations(rho: DensityMatrix, layout: HilbertLayout) -> dict:
-    """Population of each manifold, one per state."""
-    return {
-        label: sum(state_population(rho, layout, s) for s in layout.atom[label].sublevels())
-        for label in ("S1/2", "D3/2", "D5/2", "P1/2", "P3/2")
-    }
 
 
 def state_population(rho: DensityMatrix, layout: HilbertLayout, state) -> float | np.ndarray:

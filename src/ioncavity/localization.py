@@ -8,8 +8,8 @@ perpendicular to the cavity axis, and (c) the reduction of the coupling
 from transverse spread sigma_x. The waist-scan profile is fit by SciPy's
 trust-region least squares (``fitting.least_squares_fit``, whose relative
 difference steps suit spreads of a few nanometres) with sigma_x, sigma_z,
-amplitude, center and offset free; sigma_y is not identifiable from these
-measurements and is never fit.
+amplitude, center and offset free; the spread along the remaining
+transverse axis does not enter these measurements.
 """
 
 from __future__ import annotations
@@ -29,13 +29,10 @@ class WavepacketSpread:
     """RMS spreads in meters; z along the cavity axis."""
 
     sigma_x: float
-    sigma_y: float | None = None  # not measurable here; carried, never fit
     sigma_z: float = 0.0
 
     def __post_init__(self):
         if self.sigma_x < 0 or self.sigma_z < 0:
-            raise ValueError("spreads must be non-negative")
-        if self.sigma_y is not None and self.sigma_y < 0:
             raise ValueError("spreads must be non-negative")
 
 
@@ -46,18 +43,15 @@ class ScanDataset:
     position: np.ndarray
     counts: np.ndarray
     stderr: np.ndarray | None = None
-    background: float = 0.0
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.counts = np.asarray(self.counts, dtype=float)
         if self.position.shape != self.counts.shape:
             raise BinningMismatchError("position and counts have different shapes")
-        if self.background < 0:
-            raise ValueError("background must be non-negative")
 
     @classmethod
-    def from_csv(cls, path, background: float = 0.0) -> "ScanDataset":
+    def from_csv(cls, path) -> "ScanDataset":
         """Columns: position_or_voltage, counts [, stderr]; header optional."""
         pos, cnt, err = [], [], []
         with open(path, newline="") as fh:
@@ -73,9 +67,7 @@ class ScanDataset:
                 if len(values) >= 3:
                     err.append(values[2])
         stderr = np.array(err) if len(err) == len(pos) and err else None
-        return cls(
-            position=np.array(pos), counts=np.array(cnt), stderr=stderr, background=background
-        )
+        return cls(position=np.array(pos), counts=np.array(cnt), stderr=stderr)
 
 
 def visibility_factor(sigma_z: float, wavelength: float) -> float:
@@ -88,10 +80,6 @@ def visibility_to_sigma(visibility: float, wavelength: float) -> float:
     if not 0.0 < visibility <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
     return wavelength / (2 * math.pi) * math.sqrt(-math.log(visibility) / 2.0)
-
-
-def sigma_to_visibility(sigma_z: float, wavelength: float) -> float:
-    return visibility_factor(sigma_z, wavelength)
 
 
 def standing_wave_profile(
@@ -113,11 +101,11 @@ def standing_wave_profile(
     return envelope * modulation
 
 
-def axial_scan_rate(z, amplitude, visibility, wavelength, background=0.0, phase=0.0):
-    """Count rate across the standing wave: bg + A (1 - V cos(2 k z + phase)) / 2."""
+def axial_scan_rate(z, amplitude, visibility, wavelength, background=0.0):
+    """Count rate across the standing wave: bg + A (1 - V cos(2 k z)) / 2."""
     z = np.asarray(z, dtype=float)
     k = 2 * math.pi / wavelength
-    return background + amplitude * (1 - visibility * np.cos(2 * k * z + phase)) / 2.0
+    return background + amplitude * (1 - visibility * np.cos(2 * k * z)) / 2.0
 
 
 def coupling_reduction(sigma_x: float, waist: float) -> float:
@@ -127,17 +115,6 @@ def coupling_reduction(sigma_x: float, waist: float) -> float:
     if waist <= 0:
         raise ValueError("waist must be positive")
     return 1.0 / math.sqrt(1.0 + 2.0 * sigma_x**2 / waist**2)
-
-
-def fringe_count_to_angle(n_fringes: float, span: float, wavelength: float) -> float:
-    """Trap-axis tilt from perpendicular: theta = arctan(n (lambda/2) / span)."""
-    if span <= 0:
-        raise ValueError("span must be positive")
-    return math.atan(n_fringes * (wavelength / 2.0) / span)
-
-
-def angle_to_fringe_count(angle_rad: float, span: float, wavelength: float) -> float:
-    return span * math.tan(angle_rad) / (wavelength / 2.0)
 
 
 def waist_scan_model(params, x, wavelength, waist, angle_rad):
@@ -186,21 +163,3 @@ def fit_waist_scan(
     result.params[0] = abs(result.params[0])
     result.params[1] = abs(result.params[1])
     return result
-
-
-def coupling_reduction_quadrature(sigma_x: float, waist: float) -> float:
-    """Direct quadrature of the Gaussian-averaged mode profile (oracle route)."""
-    from scipy.integrate import quad
-
-    if sigma_x == 0:
-        return 1.0
-    norm = 1.0 / (math.sqrt(2 * math.pi) * sigma_x)
-    value, _ = quad(
-        lambda x: norm * math.exp(-(x**2) / (2 * sigma_x**2)) * math.exp(-(x**2) / waist**2),
-        -12 * sigma_x,
-        12 * sigma_x,
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=400,
-    )
-    return value

@@ -80,16 +80,6 @@ class Polarization:
                 )
 
     @classmethod
-    def from_spherical(cls, c_minus, c_zero, c_plus, axis=Z) -> "Polarization":
-        """Build from spherical components (q = -1, 0, +1) in the ``axis`` frame."""
-        v = (
-            complex(c_minus) * spherical_unit_vector(-1, axis)
-            + complex(c_zero) * spherical_unit_vector(0, axis)
-            + complex(c_plus) * spherical_unit_vector(+1, axis)
-        )
-        return cls(vector=v)
-
-    @classmethod
     def sigma_minus(cls, k=Z) -> "Polarization":
         """Circular polarization driving q = -1 for propagation along +z."""
         return cls(vector=spherical_unit_vector(-1), k=k)
@@ -101,12 +91,6 @@ class Polarization:
     @classmethod
     def linear(cls, direction, k=None) -> "Polarization":
         return cls(vector=np.asarray(direction, dtype=float).astype(complex), k=k)
-
-    def spherical_components(self, axis=Z):
-        """(c_-1, c_0, c_+1) with c_q = e_q^dagger . eps; norm-preserving."""
-        return tuple(
-            np.vdot(spherical_unit_vector(q, axis), self.vector) for q in (-1, 0, 1)
-        )
 
     def component(self, q: int, axis=Z) -> complex:
         return np.vdot(spherical_unit_vector(q, axis), self.vector)

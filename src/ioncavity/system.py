@@ -102,7 +102,6 @@ class CavityParams:
     g: float  # peak coupling actually seen by the ion (may include reduction), rad/s
     kappa: float  # field decay rate, rad/s
     delta_cav: float  # detuning from the P3/2 <-> D5/2 transition, rad/s
-    geometry: CavityGeometry | None = None
 
     def __post_init__(self):
         if self.g < 0 or self.kappa < 0:
@@ -113,7 +112,7 @@ class CavityParams:
         cls, geometry: CavityGeometry, gamma_pd: float, delta_cav: float, coupling_scale=1.0
     ) -> "CavityParams":
         g0 = max_coupling(geometry, gamma_pd)
-        return cls(g=coupling_scale * g0, kappa=geometry.kappa, delta_cav=delta_cav, geometry=geometry)
+        return cls(g=coupling_scale * g0, kappa=geometry.kappa, delta_cav=delta_cav)
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,7 @@ def standard_model(
     geometry = default_geometry()
     gamma_pd = gamma_pd_amplitude(atom)
     if coupling_scale == 0.0 or gamma_pd == 0.0:
-        cavity = CavityParams(
-            g=0.0, kappa=geometry.kappa, delta_cav=delta_cav, geometry=geometry
-        )
+        cavity = CavityParams(g=0.0, kappa=geometry.kappa, delta_cav=delta_cav)
     else:
         cavity = CavityParams.from_geometry(geometry, gamma_pd, delta_cav, coupling_scale)
     lasers = []

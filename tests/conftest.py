@@ -1,8 +1,14 @@
+"""Shared fixtures, and the reference helpers the tests check the package against."""
+
+import math
+
 import numpy as np
 import pytest
 
 from ioncavity.atom import load_atom
-from ioncavity.hilbert import HilbertLayout
+from ioncavity.constants import TWO_PI
+from ioncavity.hilbert import HilbertLayout, vec
+from ioncavity.lindblad import DensityMatrix, state_population
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +42,60 @@ def assert_density_matrix(rho, tol=1e-8):
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
     assert abs(np.trace(m).real - 1.0) < tol
     assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() > -1e-7
+
+
+def khz(value):
+    """Angular frequency (rad/s) from a value in kHz."""
+    return TWO_PI * 1e3 * value
+
+
+def density_matrix(matrix) -> DensityMatrix:
+    """The state of a full ``dim x dim`` matrix, every entry kept."""
+    m = np.asarray(matrix, dtype=complex)
+    return DensityMatrix(keep=np.arange(m.size), dim=m.shape[0], vectors=vec(m))
+
+
+def trace_preservation_defect(liouv) -> float:
+    """sup-norm of the adjoint of ``liouv`` applied to the identity, over its kept entries
+    (no entry couples them to the rest); 0 if trace-preserving."""
+    ident = (liouv.keep % (liouv.dim + 1) == 0).astype(complex)
+    ops = [liouv.static_part] + [superop for superop, _ in liouv.td_terms]
+    return float(max(np.max(np.abs(op.conj().T @ ident)) for op in ops))
+
+
+def manifold_populations(rho, layout) -> dict:
+    """Population of each manifold, one per state."""
+    return {
+        label: sum(state_population(rho, layout, s) for s in layout.atom[label].sublevels())
+        for label in ("S1/2", "D3/2", "D5/2", "P1/2", "P3/2")
+    }
+
+
+def oscillation_contrast(t_grid, prob, oscillation: int, rabi0: float):
+    """Peak-to-trough contrast of the given oscillation number (1-based)."""
+    period = 2 * math.pi / rabi0
+    lo = (oscillation - 1) * period
+    hi = oscillation * period
+    mask = (t_grid >= lo) & (t_grid <= hi)
+    if mask.sum() < 4:
+        raise ValueError("time grid too coarse for the requested oscillation")
+    return float(np.max(prob[mask]) - np.min(prob[mask]))
+
+
+def coupling_reduction_quadrature(sigma_x: float, waist: float) -> float:
+    """Direct quadrature of the Gaussian-averaged mode profile: the oracle for
+    ``localization.coupling_reduction``."""
+    from scipy.integrate import quad
+
+    if sigma_x == 0:
+        return 1.0
+    norm = 1.0 / (math.sqrt(2 * math.pi) * sigma_x)
+    value, _ = quad(
+        lambda x: norm * math.exp(-(x**2) / (2 * sigma_x**2)) * math.exp(-(x**2) / waist**2),
+        -12 * sigma_x,
+        12 * sigma_x,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=400,
+    )
+    return value

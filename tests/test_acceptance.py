@@ -14,13 +14,12 @@ import pytest
 
 from ioncavity.atom import load_atom
 from ioncavity.cavity import CavityGeometry, coupling_rate, max_coupling, mode_waist
-from ioncavity.constants import TWO_PI, khz, mhz, to_mhz
+from ioncavity.constants import TWO_PI, mhz, to_mhz
 from ioncavity.experiments import (
     annotate_peaks,
     entangle_bichromatic,
     find_peaks,
     map_state,
-    oscillation_contrast,
     photon_pulse,
     raman_spectrum,
     ramsey_fringe,
@@ -32,7 +31,6 @@ from ioncavity.lindblad import build_liouvillian, evolve, state_population, stea
 from ioncavity.localization import (
     ScanDataset,
     coupling_reduction,
-    coupling_reduction_quadrature,
     fit_waist_scan,
     visibility_to_sigma,
     waist_scan_model,
@@ -45,6 +43,8 @@ from ioncavity.raman import (
     enumerate_paths,
 )
 from ioncavity.system import beam_a_polarization, beam_b_polarization, gamma_pd_amplitude, standard_model
+
+from conftest import coupling_reduction_quadrature, khz, oscillation_contrast
 
 ATOM = load_atom()
 DELTA_CAV = -mhz(400.0)

@@ -319,6 +319,28 @@ def test_solver_failure_exits_3(command, tmp_path, capsys):
     assert payload["kind"] == "solver"
 
 
+@pytest.mark.parametrize("n_max", [None, 2])
+def test_pulse_commands_pass_the_configured_photon_cutoff(n_max, tmp_path, monkeypatch):
+    """pulse and overlap hand solver.n_max (default 1) to every photon_pulse they run."""
+    from ioncavity import experiments
+
+    received = []
+
+    def recording_pulse(model, duration, bin_width, designated_channel, **options):
+        received.append(options["n_max"])
+        n_bins = int(round(duration / bin_width))
+        return experiments.PulseShape(
+            bin_edges=np.arange(n_bins + 1) * bin_width, probabilities=np.full((2, n_bins), 0.1),
+            designated_channel=designated_channel, total_efficiency=0.0, leak_fraction=0.0,
+        )
+
+    monkeypatch.setattr(experiments, "photon_pulse", recording_pulse)
+    config = {"solver": {"n_max": n_max}} if n_max else None
+    for command in ("pulse", "overlap"):
+        assert run_cli([command], tmp_path, config=config) == 0
+    assert received == [n_max or 1] * 3
+
+
 def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
     import importlib.util
 

@@ -8,18 +8,16 @@ from ioncavity.errors import FitNonConvergenceError
 from ioncavity.localization import (
     ScanDataset,
     WavepacketSpread,
-    angle_to_fringe_count,
     axial_scan_rate,
     coupling_reduction,
-    coupling_reduction_quadrature,
     fit_waist_scan,
-    fringe_count_to_angle,
-    sigma_to_visibility,
     standing_wave_profile,
     visibility_factor,
     visibility_to_sigma,
     waist_scan_model,
 )
+
+from conftest import coupling_reduction_quadrature
 
 LAM_854 = 854e-9
 LAM_866 = 866e-9
@@ -29,7 +27,7 @@ THETA = math.radians(4.0)
 
 def test_point_particle_full_visibility():
     x = np.linspace(-20e-6, 20e-6, 401)
-    profile = standing_wave_profile(WavepacketSpread(0.0, None, 0.0), LAM_866, W0, THETA, x)
+    profile = standing_wave_profile(WavepacketSpread(0.0, 0.0), LAM_866, W0, THETA, x)
     assert profile.min() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -43,7 +41,7 @@ def test_profile_matches_quadrature_oracle():
     from scipy.integrate import dblquad
 
     sx, sz = 4.7e-6, 48e-9
-    spread = WavepacketSpread(sx, None, sz)
+    spread = WavepacketSpread(sx, sz)
 
     def intensity_eff(x0):
         z0 = x0 * math.tan(THETA)
@@ -92,7 +90,7 @@ def test_visibility_domain_errors():
 @settings(max_examples=60, deadline=None)
 def test_visibility_round_trip(v):
     sigma = visibility_to_sigma(v, LAM_854)
-    assert sigma_to_visibility(sigma, LAM_854) == pytest.approx(v, rel=1e-12)
+    assert visibility_factor(sigma, LAM_854) == pytest.approx(v, rel=1e-12)
 
 
 def test_coupling_reduction_quoted_value():
@@ -112,15 +110,6 @@ def test_coupling_reduction_monotone_to_zero():
     values = [coupling_reduction(s, W0) for s in np.linspace(0, 300e-6, 60)]
     assert all(np.diff(values) < 0)
     assert values[-1] < 0.04
-
-
-def test_fringe_count_round_trip():
-    n = angle_to_fringe_count(THETA, 60e-6, LAM_866)
-    assert n == pytest.approx(9.69, abs=0.02)
-    assert fringe_count_to_angle(n, 60e-6, LAM_866) == pytest.approx(THETA, rel=1e-12)
-    assert fringe_count_to_angle(0.0, 60e-6, LAM_866) == 0.0
-    angles = [fringe_count_to_angle(k, 60e-6, LAM_866) for k in range(12)]
-    assert all(np.diff(angles) > 0)
 
 
 def test_fit_recovers_noiseless_parameters():

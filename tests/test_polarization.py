@@ -39,7 +39,7 @@ def test_sigma_minus_matches_helicity():
 
 def test_linear_perpendicular_splits_into_circular():
     pol = Polarization.linear(Y, k=X)
-    cm, c0, cp = pol.spherical_components()
+    cm, c0, cp = (pol.component(q) for q in (-1, 0, 1))
     assert abs(cm) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert abs(cp) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert abs(c0) == pytest.approx(0.0, abs=1e-14)
@@ -64,15 +64,6 @@ def test_perpendicular_mode_projections():
 def test_longitudinal_component_rejected():
     with pytest.raises(PolarizationError):
         Polarization(vector=Z.astype(complex), k=Z)
-
-
-def test_spherical_round_trip_norm_preserving():
-    pol = Polarization.from_spherical(0.3 + 0.1j, 0.5, -0.2 + 0.7j)
-    cm, c0, cp = pol.spherical_components()
-    total = abs(cm) ** 2 + abs(c0) ** 2 + abs(cp) ** 2
-    assert total == pytest.approx(1.0, abs=1e-12)
-    again = Polarization.from_spherical(cm, c0, cp)
-    assert np.allclose(again.vector, pol.vector, atol=1e-12)
 
 
 @given(data=st.data())
