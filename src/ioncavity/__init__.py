@@ -32,7 +32,7 @@ from .raman import (
     resonance_detuning,
     select_optimal_pair,
 )
-from .system import CavityParams, Envelope, LaserField, SystemModel, Tone, standard_model
+from .system import CavityParams, LaserField, SystemModel, Tone, standard_model
 
 __all__ = [
     "AtomData",
@@ -41,7 +41,6 @@ __all__ = [
     "CavityParams",
     "DensityMatrix",
     "DetectionChain",
-    "Envelope",
     "HilbertLayout",
     "LaserField",
     "LevelManifold",

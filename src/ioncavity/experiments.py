@@ -469,7 +469,10 @@ def _accumulate_joint(kappa, layout, traj, channel_rotations, atom_states):
     return np.trapezoid(integrand, times, axis=0), times, integrand
 
 
-def _coherence_drift(times, integrand, row, col, clamp=TWO_PI * 150e3):
+_DRIFT_CLAMP = TWO_PI * 150e3  # rad/s
+
+
+def _coherence_drift(times, integrand, row, col):
     """Residual rotation rate (rad/s) of a de-rotated cross coherence.
 
     Fits the unwrapped phase of the cross source term linearly over the
@@ -488,7 +491,7 @@ def _coherence_drift(times, integrand, row, col, clamp=TWO_PI * 150e3):
     phase = np.unwrap(np.angle(chi[mask]))
     t = times[mask]
     slope = np.polyfit(t - t[0], phase, 1, w=mag[mask] ** 2)[0]
-    return float(np.clip(slope, -clamp, clamp))
+    return float(np.clip(slope, -_DRIFT_CLAMP, _DRIFT_CLAMP))
 
 
 def _two_tone(

@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import connected_components
 from .atom import decay_channels, dipole_pairs, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
 from .hilbert import HilbertLayout, commutator_superoperator, vec
-from .system import Envelope, SystemModel
+from .system import SystemModel
 
 TRANSITION_MANIFOLDS = {
     "drive": ("S1/2", "P3/2"),
@@ -98,37 +98,17 @@ class DensityMatrix:
             worst = min(worst, np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).min())
         return float(worst)
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):
-        n = self.dim
-        herm = np.max(np.abs(self.vectors - self._entries(self.keep % n * n + self.keep // n).conj()))
-        if herm > herm_tol:
-            raise ValueError(f"not Hermitian: max asymmetry {herm:.2e}")
-        off = np.max(np.abs(self._entries(np.arange(n) * (n + 1)).sum(axis=-1).real - 1.0))
-        if off > trace_tol:
-            raise ValueError(f"trace differs from 1 by {off:.2e}")
-        min_eig = self.min_eigenvalue()
-        if min_eig < -eig_tol:
-            raise ValueError(f"negative eigenvalue {min_eig:.2e}")
-        return self
-
 
 @dataclass
 class HamiltonianParts:
-    """Static and explicitly time-dependent pieces of H in the rotating frame."""
+    """H in the rotating frame: a static part, and a beat term per further drive tone."""
 
     static: sp.csr_matrix  # diagonal + repumps + cavity couplings
     drive_coupling: sp.csr_matrix | None  # first-tone coupling + h.c. (Hermitian)
     beat_operators: list  # [(A_k, freq_k)] for extra drive tones; term A e^{-i f t} + h.c.
-    envelope: object  # callable t -> [0, 1] scaling all drive terms
-
-    @property
-    def is_static(self) -> bool:
-        env_const = getattr(self.envelope, "is_constant", False)
-        return env_const and not self.beat_operators
 
     def full_static(self) -> sp.csr_matrix:
-        if not self.is_static:
-            raise ValueError("Hamiltonian has explicit time dependence")
+        """The static part with the first drive tone, which is always on."""
         if self.drive_coupling is None:
             return self.static
         return (self.static + self.drive_coupling).tocsr()
@@ -218,7 +198,6 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
     drive = model.laser("drive")
     drive_coupling = None
     beats = []
-    envelope = drive.envelope if drive else Envelope()
     if drive is not None:
         a1 = _laser_coupling(layout, "drive", drive.polarization, drive.tones[0].amplitude)
         drive_coupling = (a1 + a1.conj().T).tocsr()
@@ -226,14 +205,11 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
             a_k = _laser_coupling(layout, "drive", drive.polarization, tone.amplitude)
             beats.append((a_k.tocsr(), tone.detuning - drive.tones[0].detuning))
 
-    parts = HamiltonianParts(
-        static=h_static, drive_coupling=drive_coupling, beat_operators=beats, envelope=envelope
-    )
-    if parts.is_static:
-        h_full = parts.full_static()
-        asym = abs(h_full - h_full.conj().T).max()
-        if asym > 1e-12 * max(1.0, abs(h_full).max()):
-            raise ValueError(f"static Hamiltonian not Hermitian: {asym:.2e}")
+    parts = HamiltonianParts(static=h_static, drive_coupling=drive_coupling, beat_operators=beats)
+    h_full = parts.full_static()
+    asym = abs(h_full - h_full.conj().T).max()
+    if asym > 1e-12 * max(1.0, abs(h_full).max()):
+        raise ValueError(f"static Hamiltonian not Hermitian: {asym:.2e}")
     return parts
 
 
@@ -274,16 +250,16 @@ def operator_dump(model: SystemModel, layout: HilbertLayout) -> dict[str, str]:
 class _Rhs:
     """v -> L(t) v by direct CSR matvecs, accumulated into a caller's buffer.
 
-    One matvec of the static part, then one of all time-dependent terms
-    side by side in a single CSR [T_1 T_2 ...], applied to the stacked
-    [c_1(t) v; c_2(t) v; ...]. The native kernel checks no sizes or types:
-    ``v`` and ``out`` must be contiguous complex arrays of length ``n``.
+    One matvec of the static part, then one of all beat terms side by side
+    in a single CSR [T_1 T_2 ...], applied to the stacked
+    [e^{-i w_1 t} v; e^{-i w_2 t} v; ...]. The native kernel checks no sizes or
+    types: ``v`` and ``out`` must be contiguous complex arrays of length ``n``.
     """
 
     def __init__(self, liouv: Liouvillian):
         self.n = liouv.static_part.shape[0]
         self.static = _csr_arrays(liouv.static_part)
-        self.coefficients = [f for _, f in liouv.td_terms]
+        self.rates = -1j * np.array([w for _, w in liouv.td_terms])[:, None]
         self.scaled = np.empty((len(liouv.td_terms), self.n), dtype=complex)
         self.scaled_flat = self.scaled.reshape(-1)
         if liouv.td_terms:
@@ -292,11 +268,9 @@ class _Rhs:
     def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         out.fill(0.0)
         csr_matvec(self.n, self.n, *self.static, v, out)
-        if self.coefficients:
-            c = [f(t) for f in self.coefficients]
-            if any(c):
-                np.multiply(np.array(c)[:, None], v, out=self.scaled)
-                csr_matvec(self.n, self.scaled_flat.size, *self.stacked, self.scaled_flat, out)
+        if self.rates.size:
+            np.multiply(np.exp(self.rates * t), v, out=self.scaled)
+            csr_matvec(self.n, self.scaled_flat.size, *self.stacked, self.scaled_flat, out)
         return out
 
 
@@ -308,12 +282,13 @@ def _csr_arrays(op):
 
 @dataclass
 class Liouvillian:
-    """The generator L(t) = static_part + sum_k f_k(t) T_k on the entries ``keep`` of vec(rho)."""
+    """The generator L(t) = static_part + sum_k e^{-i w_k t} T_k on the entries ``keep``
+    of vec(rho)."""
 
     dim: int
     keep: np.ndarray
     static_part: sp.csr_matrix
-    td_terms: list = field(default_factory=list)  # [(superop T_k, f_k(t))]
+    td_terms: list = field(default_factory=list)  # [(superop T_k, w_k in rad/s)]
 
     @property
     def is_static(self) -> bool:
@@ -349,13 +324,11 @@ class Liouvillian:
             self,
             keep=self.keep[local],
             static_part=block(self.static_part),
-            td_terms=[(block(superop), f) for superop, f in self.td_terms],
+            td_terms=[(block(superop), w) for superop, w in self.td_terms],
         )
 
 
-def build_liouvillian(
-    model: SystemModel, layout: HilbertLayout, extra_hamiltonian: sp.spmatrix | None = None
-) -> Liouvillian:
+def build_liouvillian(model: SystemModel, layout: HilbertLayout) -> Liouvillian:
     """Assemble L(rho) = -i[H, rho] + sum_c D[c] rho in vectorized form.
 
     The static part is summed in one pass from one set of COO triplets,
@@ -364,19 +337,13 @@ def build_liouvillian(
         G = -iH - (1/2) sum_c c^dag c,
 
     which is the commutator plus every dissipator under column stacking
-    for a Hermitian H (conj(H) = H^T). A drive of constant envelope is part
-    of H; a pulsed drive and every further tone stay time-dependent terms.
+    for a Hermitian H (conj(H) = H^T). The first drive tone is part of H.
+    A further tone at beat frequency f, the term A e^{-i f t} + h.c. of H,
+    gives the commutator of A at w = +f and that of A^dag at w = -f.
     """
     parts = build_hamiltonian(model, layout)
     collapses = collapse_operators(model, layout)
-    env = parts.envelope
-    env_const = getattr(env, "is_constant", False)
-
-    h = parts.static
-    if extra_hamiltonian is not None:
-        h = h + extra_hamiltonian
-    if parts.drive_coupling is not None and env_const:
-        h = h + parts.drive_coupling
+    h = parts.full_static()
     n = layout.dim
     jumps = sp.vstack([c for _, c in collapses] or [sp.csr_matrix((n, n))])
     g = -1j * h - 0.5 * (jumps.conj().T @ jumps)
@@ -388,19 +355,9 @@ def build_liouvillian(
     static.eliminate_zeros()
 
     td_terms = []
-    if parts.drive_coupling is not None and not env_const:
-        drive_super = commutator_superoperator(parts.drive_coupling)
-        td_terms.append((drive_super, lambda t, e=env: e(t)))
     for a_op, freq in parts.beat_operators:
-        m_super = commutator_superoperator(a_op)
-        n_super = commutator_superoperator(a_op.conj().T.tocsr())
-        td_terms.append(
-            (m_super, lambda t, f=freq, e=env: e(t) * np.exp(-1j * f * t))
-        )
-        td_terms.append(
-            (n_super, lambda t, f=freq, e=env: e(t) * np.exp(+1j * f * t))
-        )
-
+        td_terms.append((commutator_superoperator(a_op), freq))
+        td_terms.append((commutator_superoperator(a_op.conj().T.tocsr()), -freq))
     return Liouvillian(dim=n, keep=np.arange(n * n), static_part=static, td_terms=td_terms)
 
 
@@ -774,8 +731,9 @@ class _ReducedSteadyState:
         return h
 
 
-def _inverse_iteration(L, scale, start=None, iterations=50):
-    """Null vector of L by inverse iteration with a tiny shift, 1e-9 * scale.
+def _inverse_iteration(L, scale, start=None):
+    """Null vector of L by at most 50 sweeps of inverse iteration with a tiny shift,
+    1e-9 * scale.
 
     It takes one sweep more than the first to meet ||L v|| <= 1e-12 * scale:
     that bound still leaves a few 1e-10 of a slow relaxation mode in the fig4
@@ -789,7 +747,7 @@ def _inverse_iteration(L, scale, start=None, iterations=50):
     v = start if start is not None else rng.standard_normal(L.shape[0]) + 0j
     v /= np.linalg.norm(v)
     converged = False
-    for _ in range(iterations):
+    for _ in range(50):
         v = lu.solve(v)
         v /= np.linalg.norm(v)
         if converged:
@@ -798,7 +756,7 @@ def _inverse_iteration(L, scale, start=None, iterations=50):
     return v
 
 
-def _check_uniqueness(lu, L, scale, iterations=40):
+def _check_uniqueness(lu, L, scale):
     """Probe for a second null vector of L: a degenerate stationary manifold.
 
     ``lu`` factors A, L with its first row (the population of basis state 0)
@@ -842,7 +800,7 @@ def _check_uniqueness(lu, L, scale, iterations=40):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(L.shape[0]) + 1j * rng.standard_normal(L.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iterations):
+        for _ in range(40):
             v[0] = 0.0
             v = lu.solve(v)
             v /= np.linalg.norm(v)

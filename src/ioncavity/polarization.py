@@ -80,13 +80,13 @@ class Polarization:
                 )
 
     @classmethod
-    def sigma_minus(cls, k=Z) -> "Polarization":
+    def sigma_minus(cls) -> "Polarization":
         """Circular polarization driving q = -1 for propagation along +z."""
-        return cls(vector=spherical_unit_vector(-1), k=k)
+        return cls(vector=spherical_unit_vector(-1), k=Z)
 
     @classmethod
-    def sigma_plus(cls, k=Z) -> "Polarization":
-        return cls(vector=spherical_unit_vector(+1), k=k)
+    def sigma_plus(cls) -> "Polarization":
+        return cls(vector=spherical_unit_vector(+1), k=Z)
 
     @classmethod
     def linear(cls, direction, k=None) -> "Polarization":

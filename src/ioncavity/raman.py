@@ -243,14 +243,14 @@ def stark_shift_ground(state: ZeemanState, setting: RamanSetting, delta_drv: flo
     return total
 
 
-def resonance_detuning(path: RamanPath, setting: RamanSetting, iterations: int = 3) -> float:
+def resonance_detuning(path: RamanPath, setting: RamanSetting) -> float:
     """Drive detuning at which the two-photon resonance holds for ``path``.
 
     delta_drv = delta_cav + Zeeman(final) - Zeeman(initial)
                 + Stark(final) - Stark(initial),
     with the ground-state Stark shift evaluated self-consistently at the
-    returned detuning (fixed point; converges in a couple of steps since
-    the shift varies slowly on the scale of the detuning itself).
+    returned detuning (three fixed-point steps; it converges in a couple
+    since the shift varies slowly on the scale of the detuning itself).
     """
     dz = zeeman_shift(path.final, setting.b_gauss) - zeeman_shift(
         path.initial, setting.b_gauss
@@ -258,7 +258,7 @@ def resonance_detuning(path: RamanPath, setting: RamanSetting, iterations: int =
     delta = setting.delta_cav + dz
     if setting.drive_rabi == 0.0:
         return delta
-    for _ in range(iterations):
+    for _ in range(3):
         shift = stark_shift_ground(path.initial, setting, delta)
         delta = setting.delta_cav + dz - shift
     return delta

@@ -46,35 +46,12 @@ class Tone:
 
 
 @dataclass(frozen=True)
-class Envelope:
-    """Piecewise-constant pulse envelope: unity on [t_on, t_off), else zero.
-
-    ``t_off = None`` means always on (CW).
-    """
-
-    t_on: float = 0.0
-    t_off: float | None = None
-
-    def __call__(self, t: float) -> float:
-        if t < self.t_on:
-            return 0.0
-        if self.t_off is not None and t >= self.t_off:
-            return 0.0
-        return 1.0
-
-    @property
-    def is_constant(self) -> bool:
-        return self.t_on <= 0.0 and self.t_off is None
-
-
-@dataclass(frozen=True)
 class LaserField:
     """A classical laser beam addressing one atomic transition."""
 
     role: str
     tones: tuple[Tone, ...]
     polarization: Polarization
-    envelope: Envelope = field(default_factory=Envelope)
 
     def __post_init__(self):
         if self.role not in LASER_ROLES:
@@ -89,10 +66,6 @@ class LaserField:
     @property
     def detuning(self) -> float:
         return self.tones[0].detuning
-
-    @property
-    def rabi(self) -> float:
-        return self.tones[0].rabi
 
 
 @dataclass(frozen=True)
@@ -178,7 +151,7 @@ def beam_a_polarization() -> Polarization:
 
 def beam_b_polarization() -> Polarization:
     """Circular sigma-minus polarization, propagating along B."""
-    return Polarization.sigma_minus(k=Z)
+    return Polarization.sigma_minus()
 
 
 def repump_polarization() -> Polarization:
@@ -191,9 +164,9 @@ def pi_drive_polarization() -> Polarization:
     return Polarization.linear(Z, k=X)
 
 
-def default_geometry(kappa: float = 2 * math.pi * 50e3) -> CavityGeometry:
+def default_geometry() -> CavityGeometry:
     return CavityGeometry(
-        length=19.96e-3, mirror_radius=10.02e-3, wavelength=854e-9, kappa=kappa
+        length=19.96e-3, mirror_radius=10.02e-3, wavelength=854e-9, kappa=2 * math.pi * 50e3
     )
 
 
@@ -203,7 +176,6 @@ def standard_model(
     drive_detuning: float,
     drive_polarization: Polarization | None = None,
     drive_tones: tuple[Tone, ...] | None = None,
-    drive_envelope: Envelope | None = None,
     delta_cav: float = -2 * math.pi * 400e6,
     b_gauss: float = 4.77,
     orientation: str = "perpendicular",
@@ -236,7 +208,6 @@ def standard_model(
                 role="drive",
                 tones=tones,
                 polarization=drive_polarization or beam_a_polarization(),
-                envelope=drive_envelope or Envelope(),
             )
         )
     if repump_854_rabi > 0:

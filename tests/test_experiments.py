@@ -647,18 +647,6 @@ def test_minimum_degree_order_is_structural():
     assert not np.array_equal(orders[0], np.arange(orders[0].size))
 
 
-def test_reductions_agree_bit_for_bit():
-    """Two reductions of one model and grid return bit-identical block vectors at a
-    detuning of the grid: a reduction's construction is deterministic."""
-    model, grid = _bundled_spectrum("fig4")
-    d0 = model.laser("drive").detuning
-    first, last = _scan_solver(model, grid), _scan_solver(model, grid)
-    x = d0 - grid[grid.size // 2]
-    (a, info_a), (b, info_b) = first.solve(x), last.solve(x)
-    assert np.array_equal(a.vectors, b.vectors) and info_a == info_b
-    assert info_a["path"] == "lu"
-
-
 @pytest.mark.parametrize("figure", ["fig4", "fig5"])
 def test_scan_points_match_fresh_minimum_degree_solves(figure):
     """Every point, a low-rank update of the scan's one LU, equals a fresh MMD LU of
@@ -683,13 +671,17 @@ def test_scan_points_match_fresh_minimum_degree_solves(figure):
 def test_batched_scan_points_match_single_point_solves(figure):
     """Every grid point, solved in the scan's chunks, equals the single-point solve
     of a second reduction to 1e-12 of the largest entry and meets the 1e-10 x
-    scale residual."""
+    scale residual. A reduction's construction is deterministic: both solve the
+    first chunk to bit-identical vectors and infos."""
     model, grid = _bundled_spectrum(figure)
     xs = model.laser("drive").detuning - grid
     batched, single = _scan_solver(model, grid), _scan_solver(model, grid)
     step = batched.CHUNK
     for start in range(0, xs.size, step):
         states, infos = batched.solve_many(xs[start : start + step])
+        if start == 0:
+            again, again_infos = single.solve_many(xs[:step])
+            assert np.array_equal(states.vectors, again.vectors) and infos == again_infos
         for j, info in enumerate(infos):
             assert info["path"] == "lu" and info["residual"] <= 1e-10 * info["residual_scale"]
             want, _ = single.solve(xs[start + j])

@@ -31,7 +31,7 @@ def test_spherical_basis_orthonormal():
 
 
 def test_sigma_minus_matches_helicity():
-    pol = Polarization.sigma_minus(k=Z)
+    pol = Polarization.sigma_minus()
     assert abs(pol.component(-1)) == pytest.approx(1.0, abs=1e-14)
     assert abs(pol.component(0)) == pytest.approx(0.0, abs=1e-14)
     assert abs(pol.component(+1)) == pytest.approx(0.0, abs=1e-14)
