@@ -23,6 +23,11 @@ scan shared one reduction and changed its LU ordering: the bundled fig5
 spectrum (the sigma-minus beam), chosen as for fig4, and the H/V flux of one
 n_max = 2 steady state.
 
+The `thermal_rabi_fig9` entry holds both curves of `reproduce fig9` (the
+Doppler and the sideband-cooled carrier Rabi flops, 800 times each), captured
+from the brute-force sum over every occupation triple before `thermal_rabi`
+summed the axial mode in closed form. They are compared to 1e-12 absolute.
+
 Regenerate only when the physics is meant to change, never to make this
 test pass. Name the entries to rewrite; the others are left as they are:
 
@@ -51,6 +56,7 @@ from ioncavity.system import beam_b_polarization, standard_model
 
 GOLDEN = Path(__file__).parent / "data" / "golden_solvers.json"
 GOLDEN_REL = 1e-9
+THERMAL_RABI_ABS = 1e-12
 
 
 @contextmanager
@@ -232,6 +238,17 @@ def check_overlap_values():
     }
 
 
+def thermal_rabi_fig9_values():
+    """Both curves of `reproduce fig9`: Doppler (10, 5, 5) and the bundled sideband-cooled nbar."""
+    cfg = cli.merge_config(cli._bundled_config("fig9"))
+    r = cfg["rabi"]
+    rabi0, t = cli._rabi_grid(cfg)
+    return {
+        "doppler": experiments.thermal_rabi(rabi0, r["eta"], cli.DOPPLER_NBAR, t).tolist(),
+        "sideband_cooled": experiments.thermal_rabi(rabi0, r["eta"], tuple(r["nbar"]), t).tolist(),
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -333,6 +350,17 @@ def test_golden_entangle_check_overlap(golden):
     assert_report(got, want, "entangle with overlap check")
 
 
+def test_golden_thermal_rabi_fig9(golden):
+    """Both fig9 curves to 1e-12 absolute, and no excitation at zero pulse length."""
+    got, want = thermal_rabi_fig9_values(), golden["thermal_rabi_fig9"]
+    for curve in ("doppler", "sideband_cooled"):
+        values, expected = np.array(got[curve]), np.array(want[curve])
+        assert values.shape == expected.shape, curve
+        assert values[0] == 0.0, f"{curve} at t = 0: {values[0]!r}"
+        err = np.abs(values - expected).max()
+        assert err <= THERMAL_RABI_ABS, f"{curve}: largest difference {err:.2e}"
+
+
 ENTRIES = {
     "spectrum": spectrum_values,
     "spectrum_fig5": spectrum_fig5_values,
@@ -342,6 +370,7 @@ ENTRIES = {
     "entangle_report": entangle_report_values,
     "map": map_values,
     "entangle_check_overlap": check_overlap_values,
+    "thermal_rabi_fig9": thermal_rabi_fig9_values,
 }
 
 
