@@ -28,6 +28,7 @@ from .io_utils import config_hash, write_csv, write_json, write_svg_plot
 from .polarization import Polarization
 from .raman import RamanSetting, effective_coupling, effective_decay, enumerate_paths, select_optimal_pair
 from .system import (
+    CavityParams,
     beam_a_polarization,
     beam_b_polarization,
     gamma_pd_amplitude,
@@ -305,7 +306,7 @@ def model_from_config(cfg, drive_detuning=None, drive_rabi=None, polarization=No
     detuning = drive_detuning
     if detuning is None:
         detuning = mhz(drv["detuning_2pi_mhz"]) if drv["detuning_2pi_mhz"] is not None else 0.0
-    return standard_model(
+    model = standard_model(
         drive_rabi=rabi,
         drive_detuning=detuning,
         drive_polarization=(polarization or POLARIZATIONS[drv["polarization"]])(),
@@ -320,6 +321,10 @@ def model_from_config(cfg, drive_detuning=None, drive_rabi=None, polarization=No
         atom=load_atom(cfg["atom"]["overrides"] or None),
         detection=detection_from_config(cfg),
     )
+    # standard_model builds the default geometry; the configured one replaces it
+    geometry, gamma_pd = geometry_from_config(cfg), gamma_pd_amplitude(model.atom)
+    cavity = CavityParams.from_geometry(geometry, gamma_pd, model.cavity.delta_cav, cfg["cavity"]["coupling_scale"])
+    return replace(model, cavity=cavity)
 
 
 def raman_setting_from_config(cfg, rabi_override=None, polarization=None) -> RamanSetting:
@@ -417,8 +422,8 @@ def cmd_plan(cfg, args):
             f"  &  {b.final.label}({b.channel}) {b.amplitude:.4f}"
         )
     g0 = max_coupling(geometry_from_config(cfg), gamma_pd_amplitude(setting.atom))
-    omega_eff = effective_coupling(1.0, 1.0, setting.drive_rabi, -mhz(400.0), g0)
-    gamma_eff = effective_decay(setting.drive_rabi, -mhz(400.0), setting.atom["P3/2"].decay_rate)
+    omega_eff = effective_coupling(1.0, 1.0, setting.drive_rabi, setting.delta_cav, g0)
+    gamma_eff = effective_decay(setting.drive_rabi, setting.delta_cav, setting.atom["P3/2"].decay_rate)
     columns = ["initial", "final", "channel", "alpha", "beta", "alpha_beta", "detuning_2pi_mhz"]
     keys = columns[:5] + ["strength", "detuning_2pi_mhz"]
     return Result(

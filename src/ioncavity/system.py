@@ -84,8 +84,10 @@ class CavityParams:
     def from_geometry(
         cls, geometry: CavityGeometry, gamma_pd: float, delta_cav: float, coupling_scale=1.0
     ) -> "CavityParams":
-        g0 = max_coupling(geometry, gamma_pd)
-        return cls(g=coupling_scale * g0, kappa=geometry.kappa, delta_cav=delta_cav)
+        """The geometry's peak coupling times ``coupling_scale`` (g = 0 when
+        either the scale or the P3/2 -> D5/2 amplitude decay ``gamma_pd`` is 0)."""
+        g = 0.0 if coupling_scale == 0.0 or gamma_pd == 0.0 else coupling_scale * max_coupling(geometry, gamma_pd)
+        return cls(g=g, kappa=geometry.kappa, delta_cav=delta_cav)
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,7 @@ def standard_model(
     positions; set a repump Rabi to 0 to switch that beam off.
     """
     atom = atom or load_atom()
-    geometry = default_geometry()
-    gamma_pd = gamma_pd_amplitude(atom)
-    if coupling_scale == 0.0 or gamma_pd == 0.0:
-        cavity = CavityParams(g=0.0, kappa=geometry.kappa, delta_cav=delta_cav)
-    else:
-        cavity = CavityParams.from_geometry(geometry, gamma_pd, delta_cav, coupling_scale)
+    cavity = CavityParams.from_geometry(default_geometry(), gamma_pd_amplitude(atom), delta_cav, coupling_scale)
     lasers = []
     if drive_rabi > 0 or drive_tones:
         tones = drive_tones or (Tone(rabi=drive_rabi, detuning=drive_detuning),)

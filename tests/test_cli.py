@@ -32,6 +32,34 @@ def test_plan_emits_tables_and_strength_pair(tmp_path, capsys):
     assert "ranked orthogonal-channel pairs" in text
 
 
+def test_plan_evaluates_at_the_configured_cavity_detuning(tmp_path):
+    """-300 MHz instead of -400 MHz: coupling x 4/3 (1/|delta|), decay x 16/9 (1/delta^2)."""
+    payloads = []
+    for name, config in (("default", None), ("near", {"cavity": {"detuning_2pi_mhz": -300.0}})):
+        out = tmp_path / name
+        out.mkdir()
+        assert run_cli(["plan"], out, config=config) == 0
+        payloads.append(json.loads((out / "plan.json").read_text()))
+    default, near = payloads
+    assert near["effective_coupling_unit_2pi_mhz"] == pytest.approx(
+        default["effective_coupling_unit_2pi_mhz"] * 4 / 3, rel=1e-12)
+    assert near["effective_decay_2pi_mhz"] == pytest.approx(default["effective_decay_2pi_mhz"] * 16 / 9, rel=1e-12)
+
+
+def test_configured_cavity_reaches_the_model():
+    """The cavity keys set the model's g and kappa, not the built-in default geometry."""
+    from ioncavity.cavity import max_coupling
+    from ioncavity.cli import geometry_from_config, model_from_config
+    from ioncavity.system import gamma_pd_amplitude
+
+    cfg = merge_config({"cavity": {"length_mm": 19.9, "kappa_2pi_khz": 100.0, "coupling_scale": 0.5}})
+    model = model_from_config(cfg)
+    g0 = max_coupling(geometry_from_config(cfg), gamma_pd_amplitude(model.atom))
+    assert model.cavity.kappa == pytest.approx(2 * math.pi * 100e3, rel=1e-12)
+    assert model.cavity.g == pytest.approx(0.5 * g0, rel=1e-12)
+    assert model.cavity.g != pytest.approx(0.5 * model_from_config(merge_config({})).cavity.g, rel=1e-3)
+
+
 def test_csv_output_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     out_a.mkdir(), out_b.mkdir()
