@@ -105,10 +105,6 @@ def dipole_projection(pol: Polarization, q: int, quantization_axis=Z) -> complex
     axis = np.asarray(quantization_axis, dtype=float)
     if not np.isclose(np.linalg.norm(axis), 1.0, atol=1e-9):
         raise ValueError("quantization axis must be a unit vector")
-    if pol.k is not None:
-        longitudinal = abs(np.dot(pol.k, pol.vector))
-        if longitudinal > 1e-9:
-            raise PolarizationError("polarization not transverse to propagation")
     return pol.component(q, axis)
 
 

@@ -10,17 +10,11 @@ resonant (Zeeman plus second-order Stark shifts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .atom import AtomData, ZeemanState, dipole_pairs, load_atom, zeeman_shift
-from .errors import PolarizationError, SelectionRuleError
+from .errors import SelectionRuleError
 from .polarization import CavityModeBasis, Polarization
-
-# Paths whose resonance detunings agree closer than this are one line.
-MERGE_TOLERANCE = 2 * math.pi * 1e3  # rad/s
 
 
 @dataclass(frozen=True)
@@ -90,15 +84,8 @@ class RamanSetting:
 
 
 def enumerate_paths(setting: RamanSetting) -> list[RamanLine]:
-    """All Raman lines with nonzero strength, merged by (initial, final).
-
-    Raises :class:`PolarizationError` if the drive polarization carries
-    a longitudinal component (checked at Polarization construction, and
-    re-checked here for polarizations built directly from components).
-    """
+    """All Raman lines with nonzero strength, merged by (initial, final)."""
     pol = setting.drive_polarization
-    if pol.k is not None and abs(np.dot(pol.k, pol.vector)) > 1e-9:
-        raise PolarizationError("drive polarization must be transverse")
     atom = setting.atom
     basis = setting.mode_basis
     c = {q: pol.component(q) for q in (-1, 0, 1)}
@@ -135,9 +122,9 @@ def enumerate_paths(setting: RamanSetting) -> list[RamanLine]:
 def merge_lines(paths, setting: RamanSetting) -> list[RamanLine]:
     """Group paths into spectral lines by (initial, final) state.
 
-    Degeneracy is exact analytically; detunings are additionally checked
-    against a 1 kHz tolerance to guard the grouping against any future
-    path-dependent shift model.
+    The paths of a line share their initial and final states, and those
+    (with the setting) are all `resonance_detuning` reads, so the line's
+    detuning is that of its first path.
     """
     groups: dict[tuple, list[RamanPath]] = {}
     for path in paths:
@@ -145,9 +132,6 @@ def merge_lines(paths, setting: RamanSetting) -> list[RamanLine]:
         groups.setdefault(key, []).append(path)
     lines = []
     for group in groups.values():
-        detunings = [resonance_detuning(p, setting) for p in group]
-        if max(detunings) - min(detunings) > MERGE_TOLERANCE:
-            raise SelectionRuleError("paths grouped into one line are not degenerate")
         amplitude = abs(sum(p.amp_drive * p.amp_emit for p in group))
         if amplitude < 1e-15:
             continue
@@ -157,7 +141,7 @@ def merge_lines(paths, setting: RamanSetting) -> list[RamanLine]:
                 final=group[0].final,
                 channel=group[0].channel,
                 amplitude=amplitude,
-                detuning=float(np.mean(detunings)),
+                detuning=float(resonance_detuning(group[0], setting)),
                 paths=tuple(group),
             )
         )
