@@ -42,7 +42,6 @@ class ScanDataset:
 
     position: np.ndarray
     counts: np.ndarray
-    stderr: np.ndarray | None = None
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -52,22 +51,19 @@ class ScanDataset:
 
     @classmethod
     def from_csv(cls, path) -> "ScanDataset":
-        """Columns: position_or_voltage, counts [, stderr]; header optional."""
-        pos, cnt, err = [], [], []
+        """Columns: position_or_voltage, counts; further columns are ignored; header optional."""
+        pos, cnt = [], []
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
                 if not row or row[0].startswith("#"):
                     continue
                 try:
-                    values = [float(x) for x in row[: 3 if len(row) >= 3 else 2]]
+                    values = [float(x) for x in row[:2]]
                 except ValueError:
                     continue  # header line
                 pos.append(values[0])
                 cnt.append(values[1])
-                if len(values) >= 3:
-                    err.append(values[2])
-        stderr = np.array(err) if len(err) == len(pos) and err else None
-        return cls(position=np.array(pos), counts=np.array(cnt), stderr=stderr)
+        return cls(position=np.array(pos), counts=np.array(cnt))
 
 
 def visibility_factor(sigma_z: float, wavelength: float) -> float:

@@ -186,4 +186,3 @@ def test_csv_ingestion(tmp_path):
     data = ScanDataset.from_csv(path)
     assert len(data.position) == 3
     assert data.counts[1] == 12.0
-    assert data.stderr is not None and data.stderr[2] == 0.9
