@@ -706,51 +706,46 @@ _THERMAL_WEIGHT_CUTOFF = 1e-7  # thermal tail weight dropped per motional mode
 _THERMAL_MAX_N = 400  # largest occupation kept per motional mode
 
 
-def _thermal_weights(nb):
-    """One mode's thermal occupation weights (1 - r) r^n, r = nbar/(1+nbar),
-    cut where the tail weight falls below ``_THERMAL_WEIGHT_CUTOFF`` (at most
-    ``_THERMAL_MAX_N`` quanta) and renormalized; and r."""
-    r = nb / (1.0 + nb)
-    p = r ** np.arange(_THERMAL_MAX_N + 1) / (1.0 + nb)
-    k = min(int(np.searchsorted(np.cumsum(p), 1 - _THERMAL_WEIGHT_CUTOFF)) + 1, _THERMAL_MAX_N)
-    p = p[: k + 1]
-    return p / p.sum(), r
-
-
 def thermal_rabi(rabi0: float, lamb_dicke, nbar, t_grid):
     """Carrier Rabi oscillation averaged over thermal motional occupation.
 
     P(t) = sum_n p(nbar, n) sin^2(Omega_n t / 2) with
     Omega_n = Omega_0 prod_m (1 - eta_m^2 n_m), the second-order
-    Lamb-Dicke carrier frequency, and p the truncated thermal weights of
-    `_thermal_weights` (nbar = 0 gives the ground state). The radial pairs
-    merge by their factor f23 = f2 f3; the axial sum is geometric in n1,
+    Lamb-Dicke carrier frequency. Each mode's thermal weights
+    p(n) = (1 - r) r^n, r = nbar/(1+nbar), are cut where the tail weight
+    falls below ``_THERMAL_WEIGHT_CUTOFF`` (at most ``_THERMAL_MAX_N``
+    quanta) and renormalized. The radial pairs merge by f23 = f2 f3, and
+    the axial sum, geometric in n1, is summed exactly:
     sum_n p1(n) e^{i theta (1 - eta1^2 n)} = p1(0) e^{i theta} (1 - q^K) / (1 - q)
-    with theta = Omega_0 f23 t, q = r1 e^{-i theta eta1^2} and K axial levels,
-    so it is summed exactly. Warns outside the Lamb-Dicke regime.
+    with theta = Omega_0 f23 t, q = r1 e^{-i theta eta1^2} and K axial
+    levels. Warns outside the Lamb-Dicke regime.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     etas, nbars = tuple(lamb_dicke), tuple(nbar)
     if any(e**2 * (nb + 1) > 0.3 for e, nb in zip(etas, nbars)):
         warnings.warn("outside the Lamb-Dicke validity regime: eta^2 (nbar+1) > 0.3")
 
+    def weights(nb):
+        r = nb / (1.0 + nb)
+        p = r ** np.arange(_THERMAL_MAX_N + 1) / (1.0 + nb)
+        k = min(int(np.searchsorted(np.cumsum(p), 1 - _THERMAL_WEIGHT_CUTOFF)) + 1, _THERMAL_MAX_N)
+        return p[: k + 1] / p[: k + 1].sum(), r
+
     eta1, eta2, eta3 = etas
-    (p1, r1), (p2, _), (p3, _) = (_thermal_weights(nb) for nb in nbars)
+    (p1, r1), (p2, _), (p3, _) = (weights(nb) for nb in nbars)
     f23 = np.outer(1.0 - eta2**2 * np.arange(p2.size), 1.0 - eta3**2 * np.arange(p3.size))
     f23, pair = np.unique(f23, return_inverse=True)
-    w23 = np.bincount(pair.ravel(), weights=np.outer(p2, p3).ravel())
-
+    w23 = p1[0] * np.bincount(pair.ravel(), weights=np.outer(p2, p3).ravel())
     k1 = p1.size
 
     def axial(t):
-        """sum_n r1^n e^{i theta (1 - eta1^2 n)} over the k1 axial levels, one row per f23."""
-        def cis(c):  # e^{i c theta}, theta = Omega_0 f23 t
+        def cis(c):  # e^{i c theta}, one row per f23
             return np.exp(np.outer(1j * rabi0 * c * f23, t))
 
         return (cis(1.0) - r1**k1 * cis(1.0 - k1 * eta1**2)) / (1.0 - r1 * cis(-(eta1**2)))
 
     # the series at t = 0 goes through the same expression, so P(0) is exactly 0
-    return 0.5 * ((p1[0] * w23) @ (axial(0.0) - axial(t_grid))).real
+    return 0.5 * (w23 @ (axial(0.0) - axial(t_grid))).real
 
 
 @dataclass
