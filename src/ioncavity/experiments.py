@@ -722,6 +722,8 @@ def thermal_rabi(rabi0: float, lamb_dicke, nbar, t_grid):
     """
     t_grid = np.asarray(t_grid, dtype=float)
     etas, nbars = tuple(lamb_dicke), tuple(nbar)
+    if min(nbars) < 0:
+        raise ValueError("thermal occupations must be non-negative")
     if any(e**2 * (nb + 1) > 0.3 for e, nb in zip(etas, nbars)):
         warnings.warn("outside the Lamb-Dicke validity regime: eta^2 (nbar+1) > 0.3")
 

@@ -279,6 +279,8 @@ def test_thermal_rabi_ground_state_is_undamped():
     t = np.linspace(0.0, 10 * 2 * math.pi / rabi0, 2000)
     p = thermal_rabi(rabi0, (0.12, 0.05, 0.05), (0.0, 0.0, 0.0), t)
     assert np.allclose(p, np.sin(rabi0 * t / 2) ** 2, atol=1e-12)
+    with pytest.raises(ValueError):
+        thermal_rabi(rabi0, (0.12, 0.05, 0.05), (-0.5, 0.0, 0.0), t)
 
 
 def test_thermal_rabi_cooled_contrast():
