@@ -876,7 +876,37 @@ def evolve(
     y_full = vec(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0).astype(complex)
     block = liouv.restrict(np.flatnonzero(y_full))
     keep = block.keep
-    n2 = y_full.size
+    propagate = _propagator(block)
+    vectors, n_steps, n_rejected = propagate(liouv, block, y_full[keep], t_grid, rtol, atol, max_steps)
+
+    traces = vectors.compress(keep % (liouv.dim + 1) == 0, axis=1).sum(axis=1).real
+    max_drift = float(np.max(np.abs(traces - traces[0])))
+    if max_drift > 1e-7:
+        raise StiffnessError(
+            f"trace drifted by {max_drift:.2e} (> 1e-7); Liouvillian may not be "
+            "trace-preserving or tolerances are too loose",
+            fastest_timescale=_fastest_timescale(liouv),
+        )
+    return Trajectory(
+        times=t_grid,
+        keep=keep,
+        dim=liouv.dim,
+        vectors=vectors,
+        n_steps=n_steps,
+        n_rejected=n_rejected,
+        max_trace_drift=max_drift,
+    )
+
+
+def _propagator(block: Liouvillian):
+    """The one place :func:`evolve` picks its propagator for a restricted block."""
+    return _dp5
+
+
+def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
+    """The DP5 loop: (states at ``t_grid``, accepted steps, rejected steps)."""
+    keep = block.keep
+    n2 = liouv.dim**2
     t = float(t_grid[0])
 
     rhs = block._rhs
@@ -885,7 +915,7 @@ def evolve(
     # Preallocated rows: y, then the stages k0..k6. Each stage input is one
     # dot of the h-scaled tableau with the real view of these rows.
     stack = np.empty((8, keep.size), dtype=complex)
-    stack[0] = vectors[0] = y_full[keep]
+    stack[0] = vectors[0] = y0
     stack_re = stack.view(float)
     stage_in = np.empty((6, keep.size), dtype=complex)
     stage_in_re = stage_in.view(float)
@@ -951,24 +981,7 @@ def evolve(
             n_rejected += 1  # FSAL stage k0 still holds f(t, y)
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h = h_try * min(5.0, max(0.2, factor))
-
-    traces = vectors.compress(keep % (liouv.dim + 1) == 0, axis=1).sum(axis=1).real
-    max_drift = float(np.max(np.abs(traces - traces[0])))
-    if max_drift > 1e-7:
-        raise StiffnessError(
-            f"trace drifted by {max_drift:.2e} (> 1e-7); Liouvillian may not be "
-            "trace-preserving or tolerances are too loose",
-            fastest_timescale=_fastest_timescale(liouv),
-        )
-    return Trajectory(
-        times=t_grid,
-        keep=keep,
-        dim=liouv.dim,
-        vectors=vectors,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-        max_trace_drift=max_drift,
-    )
+    return vectors, n_steps, n_rejected
 
 
 def _rms(v, n2):

@@ -5,10 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from ioncavity import lindblad
 from ioncavity.atom import load_atom
 from ioncavity.constants import TWO_PI
 from ioncavity.hilbert import HilbertLayout, vec
 from ioncavity.lindblad import DensityMatrix, state_population
+
+
+def send_static_blocks_to_dp5(patch):
+    """Make `evolve` step static blocks with its DP5 loop, as it did when the golden
+    entries that pin DP5's own error and step counts were captured."""
+    patch.setattr(lindblad, "_propagator", lambda block: lindblad._dp5)
+
+
+@pytest.fixture
+def dp5_static(monkeypatch):
+    """`evolve` takes the DP5 loop for every block, static or not."""
+    send_static_blocks_to_dp5(monkeypatch)
 
 
 @pytest.fixture(scope="session")

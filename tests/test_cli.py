@@ -9,6 +9,8 @@ import pytest
 from ioncavity.cli import REPRODUCE_COMMAND, default_config, main, merge_config
 from ioncavity.errors import ConfigError
 
+from conftest import send_static_blocks_to_dp5
+
 
 def run_cli(args, tmp_path, config=None):
     argv = ["--out", str(tmp_path)]
@@ -395,7 +397,9 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 # GOLDEN_REL x the largest |entry| of that file's matrix, as test_golden holds
 # the joint matrix: a relative check per entry would pin the round-off imaginary
 # part of a real diagonal entry (5e-17 against 0.64) to its own digits.
-# JSON outputs are parsed strictly: NaN or Infinity in one fails the case.
+# The static pulses of DP5_PINNED were captured from the DP5 loop and hold its
+# own error, so they run on it (the `dp5_static` fixture), and so does their
+# regeneration. JSON outputs are parsed strictly: NaN or Infinity in one fails the case.
 # Plots are not covered. Regenerate only when an output is meant to change; name the
 # cases to rewrite, the others are left as they are:
 #
@@ -405,6 +409,8 @@ GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
 GOLDEN_REL = 1e-9
 RESIDUAL_ABS = 1e-6
 JOINT_STATES = ("entangle_state.csv", "map_state.csv")
+# static pulses whose outputs were captured from the DP5 loop, with its own error
+DP5_PINNED = ("pulse", "overlap", "map")
 
 _SIGMA_MINUS = {"lasers": {"drive": {"polarization": "sigma_minus"}}}
 _SMOKE_SPECTRUM = {
@@ -595,7 +601,9 @@ def golden_cli():
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
-def test_cli_outputs_match_golden(case, golden_cli, tmp_path):
+def test_cli_outputs_match_golden(case, golden_cli, tmp_path, request):
+    if case in DP5_PINNED:
+        request.getfixturevalue("dp5_static")
     got, want = cli_outputs(case, tmp_path), json.loads(json.dumps(golden_cli[case]))
     got_residuals, want_residuals = _pop_residuals(got["files"]), _pop_residuals(want["files"])
     got_states, want_states = _pop_joint_states(got["files"]), _pop_joint_states(want["files"])
@@ -615,7 +623,9 @@ if __name__ == "__main__":
         sys.exit(f"unknown golden cases {unknown}; choose from {list(CLI_CASES)}")
     values = json.loads(GOLDEN_CLI.read_text()) if GOLDEN_CLI.exists() else {}
     for name in names:
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            if name in DP5_PINNED:
+                send_static_blocks_to_dp5(patch)
             values[name] = cli_outputs(name, tmp)
     GOLDEN_CLI.parent.mkdir(exist_ok=True)
     GOLDEN_CLI.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n", newline="\n")

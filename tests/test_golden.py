@@ -23,6 +23,16 @@ scan shared one reduction and changed its LU ordering: the bundled fig5
 spectrum (the sigma-minus beam), chosen as for fig4, and the H/V flux of one
 n_max = 2 steady state.
 
+The `pulse`, `map` and `entangle_check_overlap` entries pin DP5's own error
+and step counts on static generators too, so their tests send static blocks
+to the DP5 loop (the `dp5_static` fixture), and so does their regeneration.
+The `exact_pulse`, `exact_positivity` and `exact_dark_manifold` entries hold
+the 2 us pulse and the runs of `test_positivity_along_trajectory` and
+`test_dark_manifold_accumulation` propagated by the dense `expm` of the
+reachable block at the output spacing (as `perfbench/reference.py` propagates
+a pulse), with the largest difference from DP5 at rtol = 1e-11 that was
+measured when they were captured.
+
 The `thermal_rabi_fig9` entry holds both curves of `reproduce fig9` (the
 Doppler and the sideband-cooled carrier Rabi flops, 800 times each), captured
 from the brute-force sum over every occupation triple before `thermal_rabi`
@@ -45,18 +55,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ioncavity import cli, experiments
+from ioncavity.atom import load_atom
 from ioncavity.constants import TWO_PI, mhz
-from ioncavity.hilbert import HilbertLayout
-from ioncavity.lindblad import build_liouvillian, photon_flux, steady_state
+from ioncavity.hilbert import HilbertLayout, vec
+from ioncavity.lindblad import Trajectory, build_liouvillian, evolve, photon_flux, steady_state
 from ioncavity.polarization import Polarization
 from ioncavity.raman import RamanSetting, enumerate_paths
 from ioncavity.system import beam_b_polarization, standard_model
 
+from conftest import send_static_blocks_to_dp5
+
 GOLDEN = Path(__file__).parent / "data" / "golden_solvers.json"
 GOLDEN_REL = 1e-9
 THERMAL_RABI_ABS = 1e-12
+DP5_PINNED = ("pulse", "map", "entangle_check_overlap")
 
 
 @contextmanager
@@ -145,8 +160,8 @@ def n_max2_values():
     return {"detuning": line.detuning, "flux_h_hz": float(flux[0]), "flux_v_hz": float(flux[1])}
 
 
-def pulse_values():
-    """2 us sigma-minus pulse on the S1/2,-1/2 -> D5/2,-5/2 (H) line, repumps off."""
+def pulse_model():
+    """sigma-minus drive on the S1/2,-1/2 -> D5/2,-5/2 (H) line, repumps off."""
     rabi = mhz(106.0)
     setting = RamanSetting(
         b_gauss=4.77,
@@ -159,15 +174,26 @@ def pulse_values():
         ln for ln in enumerate_paths(setting)
         if ln.initial.label == "S1/2,-1/2" and ln.final.label == "D5/2,-5/2"
     )
-    model = standard_model(
+    return standard_model(
         drive_rabi=rabi,
         drive_detuning=line.detuning,
         drive_polarization=beam_b_polarization(),
         repump_854_rabi=0.0,
         repump_866_rabi=0.0,
     )
+
+
+def pulse_shape(**options):
+    """The 2 us pulse of `pulse_model` in 200 ns bins."""
+    return experiments.photon_pulse(
+        pulse_model(), 2e-6, bin_width=200e-9, designated_channel="H", **options
+    )
+
+
+def pulse_values():
+    """2 us sigma-minus pulse on the S1/2,-1/2 -> D5/2,-5/2 (H) line, repumps off."""
     with recorded_evolve_counts() as counts:
-        shape = experiments.photon_pulse(model, 2e-6, bin_width=200e-9, designated_channel="H")
+        shape = pulse_shape()
     return {
         "total_efficiency": shape.total_efficiency,
         "leak_fraction": shape.leak_fraction,
@@ -236,6 +262,99 @@ def check_overlap_values():
         "raised_warnings": [str(w.message) for w in caught],
         "single_tone_pulses": pulses,
     }
+
+
+def exact_evolve(liouv, rho0, t_grid, **_):
+    """`evolve` by the dense `expm` of the reachable block at the (uniform) output
+    spacing, applied once per interval."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    spacing = np.diff(t_grid)
+    assert np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0)
+    y = vec(rho0).astype(complex)
+    block = liouv.restrict(np.flatnonzero(y))
+    step = scipy.linalg.expm(block.static_part.toarray() * spacing[0])
+    vectors = [y[block.keep]]
+    for _ in spacing:
+        vectors.append(step @ vectors[-1])
+    return Trajectory(
+        times=t_grid, keep=block.keep, dim=liouv.dim, vectors=np.array(vectors),
+        n_steps=0, n_rejected=0, max_trace_drift=0.0,
+    )
+
+
+def fine_dp5_evolve(liouv, rho0, t_grid, **_):
+    """`evolve` on its DP5 loop at rtol = 1e-11, the cross-check of `exact_evolve`."""
+    with pytest.MonkeyPatch.context() as patch:
+        send_static_blocks_to_dp5(patch)
+        return evolve(liouv, rho0, t_grid, rtol=1e-11)
+
+
+def largest_difference(got, want):
+    """max |got - want| over the largest |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def exact_pulse_values():
+    """Bin probabilities, efficiency and leak of the 2 us pulse, by `exact_evolve`."""
+    values = {}
+    for name, propagate in (("exact", exact_evolve), ("dp5", fine_dp5_evolve)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "evolve", propagate)
+            shape = pulse_shape()
+        values[name] = {
+            "probabilities": shape.probabilities.tolist(),
+            "total_efficiency": shape.total_efficiency,
+            "leak_fraction": shape.leak_fraction,
+        }
+    exact = values["exact"]
+    exact["dp5_rtol_1e-11_difference"] = largest_difference(
+        values["dp5"]["probabilities"], exact["probabilities"]
+    )
+    return exact
+
+
+def positivity_run():
+    """The run of `test_positivity_along_trajectory`: 2pi x 99 MHz sigma-minus drive,
+    repumps on, 5 us from |S1/2,-1/2>."""
+    atom = load_atom()
+    model = standard_model(drive_rabi=mhz(99.0), drive_detuning=-mhz(407.0),
+                           drive_polarization=beam_b_polarization(), atom=atom)
+    layout = HilbertLayout(atom=atom, n_max=1)
+    rho0 = layout.basis_state(atom.state("S1/2", -0.5))
+    return build_liouvillian(model, layout), rho0, np.linspace(0.0, 5e-6, 26)
+
+
+def dark_manifold_run():
+    """The run of `test_dark_manifold_accumulation`: no drive, 8 us from |D5/2,-5/2>."""
+    atom = load_atom()
+    model = standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom)
+    layout = HilbertLayout(atom=atom, n_max=1)
+    rho0 = layout.basis_state(atom.state("D5/2", -2.5))
+    return build_liouvillian(model, layout), rho0, np.linspace(0.0, 8e-6, 9)
+
+
+def populations(traj):
+    """The diagonal of rho at every output time: shape (times, dim)."""
+    return traj._entries(np.arange(traj.dim) * (traj.dim + 1)).real
+
+
+def exact_run_values(run):
+    liouv, rho0, t_grid = run()
+    exact = populations(exact_evolve(liouv, rho0, t_grid))
+    fine = populations(fine_dp5_evolve(liouv, rho0, t_grid))
+    return {
+        "populations": exact.tolist(),
+        "dp5_rtol_1e-11_difference": largest_difference(fine, exact),
+    }
+
+
+def exact_positivity_values():
+    return exact_run_values(positivity_run)
+
+
+def exact_dark_manifold_values():
+    return exact_run_values(dark_manifold_run)
 
 
 def thermal_rabi_fig9_values():
@@ -316,7 +435,7 @@ def test_golden_n_max2(golden):
     assert_rel(got["flux_v_hz"], want["flux_v_hz"], "n_max = 2 V flux")
 
 
-def test_golden_pulse(golden):
+def test_golden_pulse(golden, dp5_static):
     got, want = pulse_values(), golden["pulse"]
     assert got["dp5_steps_rejected"] == want["dp5_steps_rejected"]
     assert_rel(got["total_efficiency"], want["total_efficiency"], "H-pulse efficiency")
@@ -332,14 +451,14 @@ def test_golden_entangle(golden):
     assert_report(entangle_report_values(run), golden["entangle_report"], "entangle report")
 
 
-def test_golden_map(golden):
+def test_golden_map(golden, dp5_static):
     got, want = map_values(), golden["map"]
     assert got.keys() == want.keys()
     for name in want:
         assert_report(got[name], want[name], f"map {name}")
 
 
-def test_golden_entangle_check_overlap(golden):
+def test_golden_entangle_check_overlap(golden, dp5_static):
     """The single-tone overlap check: same pulses, same warning outcome, same report."""
     got, want = check_overlap_values(), golden["entangle_check_overlap"]
     assert got["raised_warnings"] == want["raised_warnings"]
@@ -371,6 +490,9 @@ ENTRIES = {
     "map": map_values,
     "entangle_check_overlap": check_overlap_values,
     "thermal_rabi_fig9": thermal_rabi_fig9_values,
+    "exact_pulse": exact_pulse_values,
+    "exact_positivity": exact_positivity_values,
+    "exact_dark_manifold": exact_dark_manifold_values,
 }
 
 
@@ -380,7 +502,11 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown golden entries {unknown}; choose from {list(ENTRIES)}")
     values = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    values.update({name: ENTRIES[name]() for name in names})
+    for name in names:
+        with pytest.MonkeyPatch.context() as patch:
+            if name in DP5_PINNED:
+                send_static_blocks_to_dp5(patch)
+            values[name] = ENTRIES[name]()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n", newline="\n")
     print(f"wrote {', '.join(names)} to {GOLDEN}")

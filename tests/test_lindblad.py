@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ioncavity import lindblad
@@ -1015,9 +1015,10 @@ def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
 
 
 @given(data=st.data())
-@settings(max_examples=6, deadline=None)
-def test_evolve_repeats_the_reference_dp5_loop(atom, layout, data):
-    """Static and beat models: the same steps and rejections, the same states to 1e-12."""
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evolve_repeats_the_reference_dp5_loop(atom, layout, data, dp5_static):
+    """Static and beat models: the same steps and rejections, the same states to 1e-12.
+    Static blocks go to the DP5 loop too (the patch is the same for every example)."""
     rho0 = layout.basis_state(atom.state("S1/2", -0.5))
     t_grid = np.linspace(0.0, 0.3e-6, 4)
     for model in data.draw(random_models(atom)):
