@@ -248,30 +248,37 @@ def operator_dump(model: SystemModel, layout: HilbertLayout) -> dict[str, str]:
 
 
 class _Rhs:
-    """v -> L(t) v by direct CSR matvecs, accumulated into a caller's buffer.
+    """v -> L(t) v by one direct CSR matvec, accumulated into a caller's buffer.
 
-    One matvec of the static part, then one of all beat terms side by side
-    in a single CSR [T_1 T_2 ...], applied to the stacked
-    [e^{-i w_1 t} v; e^{-i w_2 t} v; ...]. The native kernel checks no sizes or
-    types: ``v`` and ``out`` must be contiguous complex arrays of length ``n``.
+    The static part and every beat term sit side by side in one CSR
+    [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v; ...], so
+    each row sums its static entries and then its beat entries, as one product of
+    each would. :meth:`apply` takes v in row 0 of a stacked input from
+    :meth:`inputs`. The native kernel checks no sizes or types: ``v`` and ``out``
+    must be contiguous complex arrays of length ``n``.
     """
 
     def __init__(self, liouv: Liouvillian):
         self.n = liouv.static_part.shape[0]
-        self.static = _csr_arrays(liouv.static_part)
         self.rates = -1j * np.array([w for _, w in liouv.td_terms])[:, None]
-        self.scaled = np.empty((len(liouv.td_terms), self.n), dtype=complex)
-        self.scaled_flat = self.scaled.reshape(-1)
-        if liouv.td_terms:
-            self.stacked = _csr_arrays(sp.hstack([op for op, _ in liouv.td_terms]))
+        self.fused = _csr_arrays(sp.hstack([liouv.static_part] + [op for op, _ in liouv.td_terms]))
+        self.stacked = self.inputs(1)[0]
+
+    def inputs(self, count: int) -> np.ndarray:
+        """``count`` stacked inputs of shape (1 + beat terms, n)."""
+        return np.empty((count, 1 + self.rates.size, self.n), dtype=complex)
+
+    def apply(self, t: float, stacked: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """L(t) stacked[0] into ``out``; the scaled copies overwrite the other rows."""
+        if self.rates.size:
+            np.multiply(np.exp(self.rates * t), stacked[0], out=stacked[1:])
+        out.fill(0.0)
+        csr_matvec(self.n, stacked.size, *self.fused, stacked.reshape(-1), out)
+        return out
 
     def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out.fill(0.0)
-        csr_matvec(self.n, self.n, *self.static, v, out)
-        if self.rates.size:
-            np.multiply(np.exp(self.rates * t), v, out=self.scaled)
-            csr_matvec(self.n, self.scaled_flat.size, *self.stacked, self.scaled_flat, out)
-        return out
+        self.stacked[0] = v
+        return self.apply(t, self.stacked, out)
 
 
 def _csr_arrays(op):
@@ -899,8 +906,151 @@ def evolve(
 
 
 def _propagator(block: Liouvillian):
-    """The one place :func:`evolve` picks its propagator for a restricted block."""
-    return _dp5
+    """The one place :func:`evolve` picks its propagator for a restricted block:
+    the Chebyshev expansion for a static generator, DP5 for one with beat terms."""
+    return _dp5 if block.td_terms else _chebyshev
+
+
+# -- exact propagation of a static generator -----------------------------------
+#
+# e^{A h} = e^{c h} e^{i tau X} with X = (A - c) / (i R) and tau = R h, and by
+# Jacobi-Anger e^{i tau x} = J_0(tau) + 2 sum_k i^k J_k(tau) T_k(x): a series in
+# Chebyshev polynomials of X whose terms each cost one sparse product (Tal-Ezer &
+# Kosloff, J. Chem. Phys. 81, 3967 (1984); for Liouvillians, Huisinga et al.,
+# J. Chem. Phys. 110, 5538 (1999)). If the spectrum of A lies in the rectangle
+# c +- (R_re + i R_im), that of X lies in [-1, 1] + i[-d, d] with R = max(R_re, R_im)
+# and d = R_re / R, where |T_k| grows at most like rho^k, rho = d + sqrt(1 + d^2).
+
+_CHEB_TAU = 350.0  # largest tau = R h of one sub-step
+_CHEB_SPREAD = 100.0  # largest R_re h: sum_k |J_k(tau)| rho^k <= e^{R_re h} stays representable
+_CHEB_CUT = 1e-17  # the series ends where |J_k(tau)| rho^k falls below this
+_CHEB_ROWS = 32  # Chebyshev vectors held between two accumulations
+
+
+def _chebyshev(liouv, block, y0, t_grid, rtol, atol, max_steps):
+    """Propagate a static block to rounding accuracy: (states at ``t_grid``, sparse
+    products, 0). ``rtol`` and ``atol`` do not apply; ``max_steps`` bounds the
+    products, whose number is known before the first one."""
+    a = block.static_part
+    m = a.shape[0]
+    centre, radius, half_re = _spectral_rectangle(a)
+    d = half_re / radius if radius else 0.0
+    rho = d + math.sqrt(1.0 + d * d)
+
+    # one coefficient set per distinct spacing; spacings that differ by rounding share one
+    spacing = np.diff(t_grid)
+    _, which = np.unique(np.rint(spacing / (t_grid[-1] - t_grid[0]) * 1e12), return_inverse=True)
+    plans = []
+    for level in range(which.max() + 1):
+        h = float(np.mean(spacing[which == level]))
+        n_sub = max(1, math.ceil(h * max(radius / _CHEB_TAU, half_re / _CHEB_SPREAD)))
+        coef = _chebyshev_coefficients(radius * h / n_sub, rho, centre * h / n_sub)
+        plans.append((n_sub, coef))
+    products = sum(plans[level][0] * (plans[level][1].size - 1) for level in which)
+    if products > max_steps:
+        raise StiffnessError(
+            f"step budget {max_steps} exhausted: the Chebyshev propagation needs "
+            f"{products} sparse products",
+            fastest_timescale=_fastest_timescale(liouv),
+        )
+
+    x = (a - centre * sp.identity(m, format="csr")) * (-1j / radius) if radius else a
+    x = sp.csr_matrix(x)
+    indptr, indices = x.indptr, x.indices
+    rows = np.empty((_CHEB_ROWS, m), dtype=complex)
+    views = list(rows)
+    # v_0 = w, v_1 = X w and v_{k+1} = v_{k-1} + (-1)^k 2X v_k give v_k = s_k T_k(X) w,
+    # s_k = +, +, -, -, ...; ``coef`` carries the signs. A full ``rows`` holds
+    # v_first .. v_{first+ROWS-1}; all but the last two go into the sum, and those two
+    # move up, so ``first`` stays even and row j always takes the sign of (-1)^j.
+    two_x = 2.0 * x.data
+    chunk = [(two_x if j % 2 == 0 else -two_x, views[j], views[j + 1], views[j - 1])
+             for j in range(1, _CHEB_ROWS - 1)]
+    partial = np.empty(m, dtype=complex)
+    vectors = np.empty((t_grid.size, m), dtype=complex)
+    vectors[0] = y0
+    w = y0.copy()
+    for i, level in enumerate(which):
+        n_sub, coef = plans[level]
+        for _ in range(n_sub):
+            views[0][:] = w
+            np.multiply(w, coef[0], out=w)
+            if coef.size == 1:
+                continue
+            views[1].fill(0.0)
+            csr_matvec(m, m, indptr, indices, x.data, views[0], views[1])
+            first = 0
+            while True:
+                count = min(len(chunk), coef.size - 2 - first)
+                for data, src, dst, prev in chunk[:count]:
+                    dst[:] = prev
+                    csr_matvec(m, m, indptr, indices, data, src, dst)
+                if first + count + 2 == coef.size:
+                    break
+                np.dot(coef[first + 1 : first + count + 1], rows[1 : count + 1], out=partial)
+                w += partial
+                rows[:2] = rows[count : count + 2]
+                first += count
+            np.dot(coef[first + 1 :], rows[1 : count + 2], out=partial)
+            w += partial
+        vectors[i + 1] = w
+    return vectors, products, 0
+
+
+def _spectral_rectangle(a):
+    """(c, R, R_re) of a rectangle c +- (R_re + i R_im) that holds the spectrum of the
+    Lindblad generator ``a``, with R = max(R_re, R_im). The Gershgorin discs of its
+    Hermitian and skew-Hermitian parts bound the real and imaginary parts of its field
+    of values, which holds the spectrum, and no eigenvalue of a Lindblad generator has
+    a positive real part. The real extent is cut there: centred on the spectrum, no
+    partial sum of the series outgrows the states it sums to, while the Gershgorin
+    centre can sit above the spectrum and let them grow by e^{R_re h}."""
+    ah = a.conj().T
+    bounds = []
+    for part in ((a + ah) * 0.5, (a - ah) * -0.5j):
+        centres = part.diagonal().real
+        radii = np.asarray(abs(part).sum(axis=1)).ravel() - np.abs(centres)
+        bounds.append((float(np.min(centres - radii)), float(np.max(centres + radii))))
+    (re_lo, re_hi), (im_lo, im_hi) = bounds
+    re_hi = min(re_hi, 0.0)
+    half_re, half_im = 0.5 * (re_hi - re_lo), 0.5 * (im_hi - im_lo)
+    return complex(re_lo + re_hi, im_lo + im_hi) / 2, max(half_re, half_im), half_re
+
+
+def _chebyshev_coefficients(tau, rho, ch):
+    """2 i^k J_k(tau) e^{ch} (k = 0 halved), times the signs s_k of :func:`_chebyshev`,
+    up to the last k with |J_k(tau)| rho^k >= _CHEB_CUT."""
+    j = _bessel_j(tau, rho)
+    k = np.arange(j.size)
+    coef = np.where(k % 2, 2j, 2.0) * j * np.exp(ch)  # i^k s_k = 1, i, 1, i, ...
+    coef[0] /= 2.0
+    return coef
+
+
+def _bessel_j(tau, rho):
+    """J_0(tau), ..., J_K(tau), K the last order with |J_K| rho^K >= _CHEB_CUT, by
+    Miller's backward recurrence J_{k-1} = (2k / tau) J_k - J_{k+1} normalized by
+    J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.27 and 9.1.46)."""
+    if tau == 0.0:
+        return np.ones(1)
+    n = int(tau + 10.0 * tau ** (1.0 / 3.0) + 20.0)
+    log_cut, log_rho = math.log(_CHEB_CUT), math.log(rho)
+    while True:
+        start = n + 40  # J_start / J_n is far below rounding, so is the error of J_n
+        j = [0.0] * (start + 2)
+        j[start] = 1e-300
+        for k in range(start, 0, -1):
+            j[k - 1] = (2.0 * k / tau) * j[k] - j[k + 1]
+            if abs(j[k - 1]) > 1e250:  # rescale before the growing values overflow
+                j[k - 1 :] = [v * 1e-250 for v in j[k - 1 :]]
+        j = np.array(j[: n + 1])
+        j /= j[0] + 2.0 * np.sum(j[2::2])
+        with np.errstate(divide="ignore"):
+            weighted = np.log(np.abs(j)) + log_rho * np.arange(n + 1)
+        last = int(np.flatnonzero(weighted >= log_cut)[-1])
+        if last < n - 10:
+            return j[: last + 1]
+        n *= 2
 
 
 def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
@@ -913,17 +1063,17 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
     vectors = np.empty((t_grid.size, keep.size), dtype=complex)
 
     # Preallocated rows: y, then the stages k0..k6. Each stage input is one
-    # dot of the h-scaled tableau with the real view of these rows.
+    # dot of the h-scaled tableau with the real view of these rows, written to
+    # row 0 of that stage's stacked input, where the fused right-hand side reads it.
     stack = np.empty((8, keep.size), dtype=complex)
     stack[0] = vectors[0] = y0
     stack_re = stack.view(float)
-    stage_in = np.empty((6, keep.size), dtype=complex)
-    stage_in_re = stage_in.view(float)
-    y, y_new = stack[0], stage_in[5]
+    stage_in = rhs.inputs(6)
+    y, y_new = stack[0], stage_in[5, 0]
     h_rows = np.empty_like(_DP_ROWS)
-    # stage i: (tableau row, rows it combines, input (real view), c_i, input, k_i)
+    # stage i: (tableau row, rows it combines, input (real view), c_i, stacked input, k_i)
     stages = [
-        (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in_re[i - 1], _DP_C[i],
+        (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in[i - 1, 0].view(float), _DP_C[i],
          stage_in[i - 1], stack[i + 1])
         for i in range(1, 7)
     ]
@@ -959,9 +1109,9 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
 
         np.multiply(_DP_ROWS, h_try, out=h_rows)
         h_rows[:6, 0] = 1.0
-        for row, combined, y_i_re, c_i, y_i, k_i in stages:
+        for row, combined, y_i_re, c_i, stacked_i, k_i in stages:
             np.dot(row, combined, out=y_i_re)
-            rhs(t + c_i * h_try, y_i, k_i)
+            rhs.apply(t + c_i * h_try, stacked_i, k_i)
         np.dot(h_rows[6, 1:], stack_re[1:], out=err_vec)
         np.maximum(np.abs(y, out=scale), np.abs(y_new), out=scale)
         scale *= rtol

@@ -469,6 +469,28 @@ def test_golden_entangle_check_overlap(golden, dp5_static):
     assert_report(got, want, "entangle with overlap check")
 
 
+EXACT_REL = 1e-10  # the propagator of static blocks against the dense-expm references
+
+
+def test_golden_exact_pulse(golden):
+    """The 2 us pulse on the default path: bin probabilities within EXACT_REL of the
+    largest, efficiency and leak within EXACT_REL relative."""
+    want, shape = golden["exact_pulse"], pulse_shape()
+    assert largest_difference(shape.probabilities, want["probabilities"]) <= EXACT_REL
+    for key in ("total_efficiency", "leak_fraction"):
+        value = getattr(shape, key)
+        assert abs(value - want[key]) <= EXACT_REL * abs(want[key]), key
+
+
+@pytest.mark.parametrize("name, run", [("exact_positivity", positivity_run),
+                                       ("exact_dark_manifold", dark_manifold_run)])
+def test_golden_exact_runs(golden, name, run):
+    """Every population at every output time within EXACT_REL of the largest."""
+    liouv, rho0, t_grid = run()
+    got = populations(evolve(liouv, rho0, t_grid))
+    assert largest_difference(got, golden[name]["populations"]) <= EXACT_REL
+
+
 def test_golden_thermal_rabi_fig9(golden):
     """Both fig9 curves to 1e-12 absolute, and no excitation at zero pulse length."""
     got, want = thermal_rabi_fig9_values(), golden["thermal_rabi_fig9"]

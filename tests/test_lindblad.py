@@ -1028,3 +1028,108 @@ def test_evolve_repeats_the_reference_dp5_loop(atom, layout, data, dp5_static):
         assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
         for got, want in zip(traj.states, states):
             assert np.max(np.abs(got.matrix - want)) <= 1e-12
+
+
+# -- the Chebyshev propagator of static blocks ---------------------------------
+
+
+def _fig4_model(atom):
+    """The bundled fig4 spectrum's model (beam A, both repumps) on its first line."""
+    from ioncavity import cli
+    from ioncavity.raman import enumerate_paths
+
+    cfg = cli.merge_config(cli._bundled_config("fig4"))
+    line = enumerate_paths(cli.raman_setting_from_config(cfg))[0]
+    return cli.model_from_config(cfg, drive_detuning=float(line.detuning))
+
+
+CHEBYSHEV_CASES = {
+    # name: (model, initial sublevel, block size)
+    "sigma_minus_pulse": (
+        lambda atom: standard_model(drive_rabi=mhz(106.0), drive_detuning=-mhz(406.0),
+                                    drive_polarization=beam_b_polarization(),
+                                    repump_854_rabi=0.0, repump_866_rabi=0.0, atom=atom),
+        ("S1/2", -0.5), 384,
+    ),
+    "fig4_from_S": (_fig4_model, ("S1/2", -0.5), 1296),
+    "fig4_from_P": (_fig4_model, ("P3/2", 1.5), 1296),
+    # slow 2 MHz dynamics under a wide spectrum (R ~ 7.8e9 /s): long series, small steps
+    "weak_drive_with_repumps": (
+        lambda atom: standard_model(drive_rabi=mhz(2.0), drive_detuning=-mhz(403.0),
+                                    drive_polarization=beam_b_polarization(), atom=atom),
+        ("S1/2", -0.5), 1296,
+    ),
+    "no_drive": (lambda atom: standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom),
+                 ("D5/2", -2.5), 960),
+}
+
+
+def dense_propagation(liouv, rho0, t_grid):
+    """Block vectors at ``t_grid`` by the dense `expm` of the reachable block, one per spacing."""
+    from scipy.linalg import expm
+
+    y = vec(rho0).astype(complex)
+    block = liouv.restrict(np.flatnonzero(y))
+    dense = block.static_part.toarray()
+    steps = {}
+    vectors = [y[block.keep]]
+    for h in np.diff(t_grid):
+        key = round(h * 1e15)
+        if key not in steps:
+            steps[key] = expm(dense * h)
+        vectors.append(steps[key] @ vectors[-1])
+    return np.array(vectors)
+
+
+@pytest.mark.parametrize("case", sorted(CHEBYSHEV_CASES))
+def test_chebyshev_matches_dense_expm(atom, layout, case):
+    """Every output of the static path within 1e-10 of the largest entry of dense
+    `expm` propagation, its trace kept to rounding, its products counted as steps."""
+    build, (manifold, m), size = CHEBYSHEV_CASES[case]
+    liouv = build_liouvillian(build(atom), layout)
+    rho0 = layout.basis_state(atom.state(manifold, m))
+    t_grid = np.linspace(0.0, 2e-6, 21)
+    traj = evolve(liouv, rho0, t_grid)
+    assert traj.keep.size == size
+    want = dense_propagation(liouv, rho0, t_grid)
+    assert np.abs(traj.vectors - want).max() <= 1e-10 * np.abs(want).max()
+    assert traj.max_trace_drift < 1e-12
+    assert traj.n_steps > 0 and traj.n_rejected == 0
+
+
+def test_chebyshev_takes_each_spacing_of_the_grid(atom, layout):
+    """A grid with two spacings: one coefficient set each, both exact."""
+    build, (manifold, m), _ = CHEBYSHEV_CASES["sigma_minus_pulse"]
+    liouv = build_liouvillian(build(atom), layout)
+    rho0 = layout.basis_state(atom.state(manifold, m))
+    t_grid = np.array([0.0, 0.1, 0.2, 0.25, 0.3, 0.35, 0.45]) * 1e-6
+    traj = evolve(liouv, rho0, t_grid)
+    want = dense_propagation(liouv, rho0, t_grid)
+    assert np.abs(traj.vectors - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_chebyshev_budget_is_known_before_the_first_product(atom, layout):
+    """max_steps bounds the sparse products: the exact count passes, one fewer raises."""
+    build, (manifold, m), _ = CHEBYSHEV_CASES["sigma_minus_pulse"]
+    liouv = build_liouvillian(build(atom), layout)
+    rho0 = layout.basis_state(atom.state(manifold, m))
+    t_grid = np.linspace(0.0, 0.5e-6, 6)
+    needed = evolve(liouv, rho0, t_grid).n_steps
+    assert evolve(liouv, rho0, t_grid, max_steps=needed).n_steps == needed
+    with pytest.raises(StiffnessError, match=f"step budget {needed - 1} exhausted"):
+        evolve(liouv, rho0, t_grid, max_steps=needed - 1)
+
+
+def test_bessel_recurrence_matches_scipy():
+    """Miller's recurrence gives J_k(tau) to rounding, and ends where |J_k| rho^k < 1e-17."""
+    from scipy.special import jv
+
+    for tau in (0.0, 0.3, 7.0, 120.0, 350.0):
+        for rho in (1.0, 1.05, 2.4):
+            j = lindblad._bessel_j(tau, rho)
+            k = np.arange(j.size)
+            assert np.abs(j - jv(k, tau)).max() <= 1e-14
+            tail = np.arange(j.size, j.size + 50)
+            with np.errstate(divide="ignore"):
+                weighted = np.log(np.abs(jv(tail, tau))) + tail * math.log(rho)
+            assert np.all(weighted < math.log(lindblad._CHEB_CUT))
