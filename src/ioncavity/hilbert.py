@@ -11,6 +11,7 @@ density matrices use column stacking: vec(A rho B) = (B^T kron A) vec(rho).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,16 +64,8 @@ class HilbertLayout:
     # -- operator builders -------------------------------------------------
 
     def destroy(self, channel: str) -> sp.csr_matrix:
-        """Annihilation operator of one cavity mode."""
-        nd = self.mode_dim
-        a = sp.diags(np.sqrt(np.arange(1, nd)), 1, format="csr")
-        eye_a = sp.identity(18, format="csr")
-        eye_m = sp.identity(nd, format="csr")
-        if channel == "H":
-            return sp.kron(eye_a, sp.kron(a, eye_m), format="csr")
-        if channel == "V":
-            return sp.kron(eye_a, sp.kron(eye_m, a), format="csr")
-        raise ValueError("channel must be 'H' or 'V'")
+        """Annihilation operator of one cavity mode (shared and read-only)."""
+        return _destroy(self.n_max, channel)
 
     def number(self, channel: str) -> sp.csr_matrix:
         a = self.destroy(channel)
@@ -94,6 +87,24 @@ class HilbertLayout:
         i = self.index(state, n_h, n_v)
         rho[i, i] = 1.0
         return rho
+
+
+@functools.cache
+def _destroy(n_max: int, channel: str) -> sp.csr_matrix:
+    """Annihilation operator of one cavity mode at cutoff ``n_max``, built once."""
+    nd = n_max + 1
+    a = sp.diags(np.sqrt(np.arange(1, nd)), 1, format="csr")
+    eye_a = sp.identity(18, format="csr")
+    eye_m = sp.identity(nd, format="csr")
+    if channel == "H":
+        op = sp.kron(eye_a, sp.kron(a, eye_m), format="csr")
+    elif channel == "V":
+        op = sp.kron(eye_a, sp.kron(eye_m, a), format="csr")
+    else:
+        raise ValueError("channel must be 'H' or 'V'")
+    for array in (op.data, op.indices, op.indptr):
+        array.setflags(write=False)
+    return op
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -24,15 +24,23 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def spherical_unit_vector(q: int, axis=Z) -> np.ndarray:
-    """Spherical basis vector e_q in the frame whose z-axis is ``axis``."""
-    ex, ey, ez = _frame(axis)
+    """Spherical basis vector e_q in the frame whose z-axis is ``axis`` (read-only)."""
+    if q not in (-1, 0, 1):
+        raise ValueError("q must be -1, 0 or +1")
+    if axis is Z:
+        return _Z_UNIT_VECTORS[q]
+    return _unit_vector(q, *_frame(axis))
+
+
+def _unit_vector(q, ex, ey, ez):
     if q == 0:
-        return ez.astype(complex)
-    if q == 1:
-        return -(ex + 1j * ey) / np.sqrt(2.0)
-    if q == -1:
-        return (ex - 1j * ey) / np.sqrt(2.0)
-    raise ValueError("q must be -1, 0 or +1")
+        v = ez.astype(complex)
+    elif q == 1:
+        v = -(ex + 1j * ey) / np.sqrt(2.0)
+    else:
+        v = (ex - 1j * ey) / np.sqrt(2.0)
+    v.setflags(write=False)
+    return v
 
 
 def _frame(axis):
@@ -48,6 +56,10 @@ def _frame(axis):
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
     return x, y, z
+
+
+# the frame of Z is (X, Y, Z), so these are the vectors _frame(Z) gives
+_Z_UNIT_VECTORS = {q: _unit_vector(q, X, Y, Z) for q in (-1, 0, 1)}
 
 
 @dataclass(frozen=True)
