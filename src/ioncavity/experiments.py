@@ -704,6 +704,7 @@ def map_state(alpha: float, phi: float, **options) -> JointStateReport:
 
 _THERMAL_WEIGHT_CUTOFF = 1e-7  # thermal tail weight dropped per motional mode
 _THERMAL_MAX_N = 400  # largest occupation kept per motional mode
+_THERMAL_BLOCK = 64  # times per block of the closed form's (f23 x times) phase arrays
 
 
 def thermal_rabi(rabi0: float, lamb_dicke, nbar, t_grid):
@@ -746,8 +747,13 @@ def thermal_rabi(rabi0: float, lamb_dicke, nbar, t_grid):
 
         return (cis(1.0) - r1**k1 * cis(1.0 - k1 * eta1**2)) / (1.0 - r1 * cis(-(eta1**2)))
 
-    # the series at t = 0 goes through the same expression, so P(0) is exactly 0
-    return 0.5 * (w23 @ (axial(0.0) - axial(t_grid))).real
+    # the series at t = 0 goes through the same expression, so P(0) is exactly 0;
+    # blocks of times bound the (f23 x times) phase arrays
+    at_zero = axial(0.0)
+    prob = np.empty(t_grid.size)
+    for i in range(0, t_grid.size, _THERMAL_BLOCK):
+        prob[i : i + _THERMAL_BLOCK] = 0.5 * (w23 @ (at_zero - axial(t_grid[i : i + _THERMAL_BLOCK]))).real
+    return prob
 
 
 @dataclass
