@@ -864,17 +864,20 @@ def evolve(
     atol: float = 1e-12,
     max_steps: int = 20_000_000,
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) integration.
+    """The state at every time of ``t_grid`` (increasing), from ``rho0`` at its first.
 
-    ``t_grid`` must be increasing; the integrator clamps steps to hit
-    every requested time exactly. Raises :class:`StiffnessError` with a
-    fastest-timescale diagnostic if the step size underflows, and
-    reports the worst trace drift across the run (guaranteed <= 1e-7
-    for a trace-preserving Liouvillian at these tolerances).
+    A static generator is propagated to rounding accuracy by a Chebyshev
+    expansion; ``n_steps`` counts its sparse products, which ``max_steps``
+    bounds before the first one. A generator with beat terms is integrated by
+    adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) at ``rtol`` and
+    ``atol``, clamping steps to hit every requested time exactly; it raises
+    :class:`StiffnessError` with a fastest-timescale diagnostic if the step
+    size underflows or ``max_steps`` runs out. Both report the worst trace
+    drift across the run and raise past 1e-7.
 
     Only the entries reachable from the support of ``rho0`` are stepped
     (:meth:`Liouvillian.restrict`) and returned, one block vector per output
-    time; the others stay exactly zero. The error norm is the RMS over all
+    time; the others stay exactly zero. The DP5 error norm is the RMS over all
     ``dim**2`` entries, so the step sequence is the one the full vector would take.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -955,7 +958,6 @@ def _chebyshev(liouv, block, y0, t_grid, rtol, atol, max_steps):
         )
 
     x = (a - centre * sp.identity(m, format="csr")) * (-1j / radius) if radius else a
-    x = sp.csr_matrix(x)
     indptr, indices = x.indptr, x.indices
     rows = np.empty((_CHEB_ROWS, m), dtype=complex)
     views = list(rows)
