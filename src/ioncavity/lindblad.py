@@ -975,7 +975,7 @@ def _chebyshev(liouv, block, y0, t_grid, rtol, atol, max_steps):
     for i, level in enumerate(which):
         n_sub, coef = plans[level]
         for _ in range(n_sub):
-            views[0][:] = w
+            rows[0] = w
             np.multiply(w, coef[0], out=w)
             if coef.size == 1:
                 continue
