@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ioncavity import cli
 from ioncavity.cli import REPRODUCE_COMMAND, default_config, main, merge_config
 from ioncavity.errors import ConfigError
 
@@ -164,6 +165,15 @@ def test_reproduce_fig3a_and_fig10(tmp_path):
     assert payload["sigma_z_nm"] == pytest.approx(13.66, abs=0.05)
     assert main(["--out", str(tmp_path), "reproduce", "fig10"]) == 0
     assert (tmp_path / "fig10" / "ramsey_amplitudes.csv").exists()
+
+
+def test_reproduce_fig4_and_fig5(tmp_path):
+    for figure, n_peaks in (("fig4", 10), ("fig5", 6)):
+        assert main(["--out", str(tmp_path), "reproduce", figure]) == 0
+        payload = json.loads((tmp_path / figure / "spectrum.json").read_text())
+        assert payload["n_peaks"] == len(payload["peaks"]) == n_peaks
+        rows = [l for l in (tmp_path / figure / "spectrum.csv").read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == "detuning_2pi_mhz,rate_h_hz,rate_v_hz,converged,residual"
 
 
 def test_reproduce_fig9_and_fig3b(tmp_path):
@@ -387,7 +397,7 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 # -- golden CLI outputs --------------------------------------------------------
 #
 # `tests/data/golden_cli.json` holds, for every (command, action) on the smoke
-# configs above, `spectrum --dump-operators` and `reproduce fig3a/fig3b/fig10`,
+# configs above, `spectrum --dump-operators` and `reproduce fig3a/fig3b/fig8/fig10`,
 # what the CLI wrote: file names, CSV meta lines and headers, JSON keys and
 # plan.txt and stdout line by line, with every number to GOLDEN_REL. The one
 # exception is the spectrum's `residual` column: it is the round-off of the LU
@@ -399,7 +409,9 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 # part of a real diagonal entry (5e-17 against 0.64) to its own digits.
 # The static pulses of DP5_PINNED were captured from the DP5 loop and hold its
 # own error, so they run on it (the `dp5_static` fixture), and so does their
-# regeneration. JSON outputs are parsed strictly: NaN or Infinity in one fails the case.
+# regeneration. A `reproduce` case with a config runs its figure's bundled config
+# with the case's keys laid over it (fig8 on a 2 us pulse in place of 80 us).
+# JSON outputs are parsed strictly: NaN or Infinity in one fails the case.
 # Plots are not covered. Regenerate only when an output is meant to change; name the
 # cases to rewrite, the others are left as they are:
 #
@@ -469,8 +481,36 @@ CLI_CASES = {
     "cavity_g0": (None, ["cavity", "g0"]),
     "reproduce_fig3a": (None, ["reproduce", "fig3a"]),
     "reproduce_fig3b": (None, ["reproduce", "fig3b"]),
+    "reproduce_fig8": ({"pulse": {"duration_us": 2.0, "bin_ns": 500.0}}, ["reproduce", "fig8"]),
     "reproduce_fig10": (None, ["reproduce", "fig10"]),
 }
+
+# handlers no golden case runs -> the smoke test that runs each
+SMOKE_TESTS = {
+    ("reproduce", "fig4"): "test_reproduce_fig4_and_fig5",
+    ("reproduce", "fig5"): "test_reproduce_fig4_and_fig5",
+    ("reproduce", "fig6a"): "test_reproduce_fig6_sideband_figures",
+    ("reproduce", "fig6b"): "test_reproduce_fig6_sideband_figures",
+    ("reproduce", "fig9"): "test_reproduce_fig9_and_fig3b",
+}
+
+
+def _handler_key(args):
+    """The key of `COMMANDS`, or ("reproduce", figure), that CLI arguments select."""
+    words = [arg for arg in args if not arg.startswith("--")]
+    return (words[0], words[1] if len(words) > 1 else None)
+
+
+def test_every_handler_is_run_by_a_golden_case_or_a_smoke_test():
+    import inspect
+
+    golden = {_handler_key(args) for _, args in CLI_CASES.values()}
+    keys = set(cli.COMMANDS) | {("reproduce", figure) for figure in cli.REPRODUCE_COMMAND}
+    for key in sorted(keys - golden):
+        assert key in SMOKE_TESTS, f"{key} is run by no golden case and no named smoke test"
+        source = inspect.getsource(globals()[SMOKE_TESTS[key]])
+        assert f'"{key[1]}"' in source, f"{SMOKE_TESTS[key]} does not run {key}"
+    assert not golden - keys and not set(SMOKE_TESTS) - keys
 
 _NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
@@ -519,21 +559,34 @@ def _file_record(path, out):
     return _text_lines(text)
 
 
+def _overlay(base, over):
+    """``base`` with the keys of ``over`` laid over it, nested dicts key by key."""
+    merged = dict(base)
+    for key, value in over.items():
+        merged[key] = _overlay(base[key], value) if isinstance(value, dict) and key in base else value
+    return merged
+
+
 def cli_outputs(case, tmp):
     """Run one golden case through `main` in process; record what it wrote."""
     import contextlib
     import io
 
+    from unittest import mock
+
     config, args = CLI_CASES[case]
     tmp = Path(tmp)
     out = tmp / "out"
     argv = ["--out", str(out)]
-    if config is not None:
+    bundled = original = cli._bundled_config
+    if config is not None and args[0] == "reproduce":
+        bundled = lambda figure: _overlay(original(figure), config)  # noqa: E731
+    elif config is not None:
         cfg_path = tmp / "config.json"
         cfg_path.write_text(json.dumps(config))
         argv = ["--config", str(cfg_path)] + argv
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    with contextlib.redirect_stdout(stdout), mock.patch.object(cli, "_bundled_config", bundled):
         code = main(argv + args)
     files = {
         path.relative_to(out).as_posix(): _file_record(path, out)
