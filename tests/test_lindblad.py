@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ioncavity import lindblad
@@ -1014,20 +1014,29 @@ def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
     return states, n_steps, n_rejected
 
 
-@given(data=st.data())
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_evolve_repeats_the_reference_dp5_loop(atom, layout, data, dp5_static):
+def test_evolve_repeats_the_reference_dp5_loop(atom, layout, dp5_static):
     """Static and beat models: the same steps and rejections, the same states to 1e-12.
-    Static blocks go to the DP5 loop too (the patch is the same for every example)."""
+    Static blocks go to the DP5 loop too. The draws are fixed: some models make the
+    reference loop take tens of thousands of steps, and a fixed draw keeps the time
+    of the test fixed; at least one of them carries beat terms."""
     rho0 = layout.basis_state(atom.state("S1/2", -0.5))
     t_grid = np.linspace(0.0, 0.3e-6, 4)
-    for model in data.draw(random_models(atom)):
-        liouv = build_liouvillian(model, layout)
-        traj = evolve(liouv, rho0, t_grid, rtol=1e-6)
-        states, n_steps, n_rejected = reference_evolve(liouv, rho0, t_grid, rtol=1e-6)
-        assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
-        for got, want in zip(traj.states, states):
-            assert np.max(np.abs(got.matrix - want)) <= 1e-12
+    beat_blocks = []
+
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def check(data):
+        for model in data.draw(random_models(atom)):
+            liouv = build_liouvillian(model, layout)
+            traj = evolve(liouv, rho0, t_grid, rtol=1e-6)
+            states, n_steps, n_rejected = reference_evolve(liouv, rho0, t_grid, rtol=1e-6)
+            assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
+            for got, want in zip(traj.states, states):
+                assert np.max(np.abs(got.matrix - want)) <= 1e-12
+            beat_blocks.append(bool(liouv.restrict(np.flatnonzero(vec(rho0))).td_terms))
+
+    check()
+    assert any(beat_blocks)
 
 
 # -- the Chebyshev propagator of static blocks ---------------------------------
