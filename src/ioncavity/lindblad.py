@@ -251,16 +251,15 @@ class _Rhs:
     """v -> L(t) v by one direct CSR matvec, accumulated into a caller's buffer.
 
     The static part and every beat term sit side by side in one CSR
-    [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v; ...], so
-    each row sums its static entries and then its beat entries, as one product of
-    each would. :meth:`apply` takes v in row 0 of a stacked input from
-    :meth:`inputs`. The native kernel checks no sizes or types: ``v`` and ``out``
-    must be contiguous complex arrays of length ``n``.
+    [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v; ...] from
+    :meth:`inputs`, so each row sums its static entries and then its beat entries,
+    as one product of each would. The native kernel checks no sizes or types:
+    ``v`` and ``out`` must be contiguous complex arrays of length ``n``.
     """
 
     def __init__(self, liouv: Liouvillian):
         self.n = liouv.static_part.shape[0]
-        self.rates = -1j * np.array([w for _, w in liouv.td_terms])[:, None]
+        self.rates = -1j * np.array([w for _, w in liouv.td_terms])
         self.fused = _csr_arrays(sp.hstack([liouv.static_part] + [op for op, _ in liouv.td_terms]))
         self.stacked = self.inputs(1)[0]
 
@@ -268,17 +267,13 @@ class _Rhs:
         """``count`` stacked inputs of shape (1 + beat terms, n)."""
         return np.empty((count, 1 + self.rates.size, self.n), dtype=complex)
 
-    def apply(self, t: float, stacked: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """L(t) stacked[0] into ``out``; the scaled copies overwrite the other rows."""
-        if self.rates.size:
-            np.multiply(np.exp(self.rates * t), stacked[0], out=stacked[1:])
+    def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        stacked = self.stacked
+        stacked[0] = v
+        np.multiply(np.exp(self.rates * t)[:, None], v, out=stacked[1:])
         out.fill(0.0)
         csr_matvec(self.n, stacked.size, *self.fused, stacked.reshape(-1), out)
         return out
-
-    def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self.stacked[0] = v
-        return self.apply(t, self.stacked, out)
 
 
 def _csr_arrays(op):
@@ -1066,17 +1061,22 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
 
     # Preallocated rows: y, then the stages k0..k6. Each stage input is one
     # dot of the h-scaled tableau with the real view of these rows, written to
-    # row 0 of that stage's stacked input, where the fused right-hand side reads it.
+    # row 0 of that stage's stacked input; one broadcast product fills its beat
+    # rows from this step's phase table, and one matvec accumulates k_i.
     stack = np.empty((8, keep.size), dtype=complex)
     stack[0] = vectors[0] = y0
     stack_re = stack.view(float)
     stage_in = rhs.inputs(6)
     y, y_new = stack[0], stage_in[5, 0]
     h_rows = np.empty_like(_DP_ROWS)
-    # stage i: (tableau row, rows it combines, input (real view), c_i, stacked input, k_i)
+    times = np.empty(6)
+    phases = np.empty((6, rhs.rates.size), dtype=complex)  # e^{-i w_k (t + c_i h)}
+    n, (indptr, indices, data) = rhs.n, rhs.fused
+    # stage i: (tableau row, rows it combines, input (real view), input, its phases,
+    # its beat rows, the whole stacked input flat, k_i)
     stages = [
-        (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in[i - 1, 0].view(float), _DP_C[i],
-         stage_in[i - 1], stack[i + 1])
+        (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in[i - 1, 0].view(float), stage_in[i - 1, 0],
+         phases[i - 1, :, None], stage_in[i - 1, 1:], stage_in[i - 1].reshape(-1), stack[i + 1])
         for i in range(1, 7)
     ]
     err_vec = np.empty(2 * y.size)  # the error estimate as (re, im) pairs, then / scale
@@ -1111,9 +1111,15 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
 
         np.multiply(_DP_ROWS, h_try, out=h_rows)
         h_rows[:6, 0] = 1.0
-        for row, combined, y_i_re, c_i, stacked_i, k_i in stages:
+        np.multiply(_DP_C[1:], h_try, out=times)
+        times += t
+        np.multiply(times[:, None], rhs.rates, out=phases)
+        np.exp(phases, out=phases)
+        stack[2:].fill(0.0)
+        for row, combined, y_i_re, y_i, phase, beats, flat, k_i in stages:
             np.dot(row, combined, out=y_i_re)
-            rhs.apply(t + c_i * h_try, stacked_i, k_i)
+            np.multiply(phase, y_i, out=beats)
+            csr_matvec(n, flat.size, indptr, indices, data, flat, k_i)
         np.dot(h_rows[6, 1:], stack_re[1:], out=err_vec)
         np.maximum(np.abs(y, out=scale), np.abs(y_new), out=scale)
         scale *= rtol
