@@ -213,22 +213,26 @@ def build_hamiltonian(model: SystemModel, layout: HilbertLayout) -> HamiltonianP
     return parts
 
 
+def _collapse_table(model: SystemModel, layout: HilbertLayout):
+    """Every collapse operator, in one order: (labels, lower, upper, sqrt rates) of the
+    spontaneous sub-channels (upper sub-state -> lower sub-state, q), lower and upper
+    by atomic index, each sqrt(rate) |lower><upper| on the atom (x) identity on the
+    modes; then the labelled sqrt(2 kappa) a of each cavity mode, if kappa > 0."""
+    channels = [
+        (f"spont:{up.label}->{lo.label},q={q:+d}", layout.atom_index(lo), layout.atom_index(up), math.sqrt(rate))
+        for upper_label in ("P3/2", "P1/2", "D5/2", "D3/2")
+        for up, lo, q, rate in decay_channels(layout.atom, upper_label)
+    ]
+    labels, lower, upper, amplitudes = zip(*channels) if channels else ((),) * 4
+    kappa = model.cavity.kappa
+    cavity = [(f"cavity:{ch}", math.sqrt(2 * kappa) * layout.destroy(ch)) for ch in ("H", "V") if kappa > 0]
+    return list(labels), np.array(lower, dtype=int), np.array(upper, dtype=int), np.array(amplitudes), cavity
+
+
 def collapse_operators(model: SystemModel, layout: HilbertLayout):
     """Labelled collapse operators: spontaneous sub-channels plus cavity decay."""
-    ops = []
-    for upper_label in ("P3/2", "P1/2", "D5/2", "D3/2"):
-        for up, lo, q, rate in decay_channels(layout.atom, upper_label):
-            label = f"spont:{up.label}->{lo.label},q={q:+d}"
-            c_op = _lift(
-                layout, [layout.atom_index(lo)], [layout.atom_index(up)], [math.sqrt(rate)]
-            )
-            ops.append((label, c_op))
-    if model.cavity.kappa > 0:
-        for channel in ("H", "V"):
-            ops.append(
-                (f"cavity:{channel}", math.sqrt(2 * model.cavity.kappa) * layout.destroy(channel))
-            )
-    return ops
+    *spont, cavity = _collapse_table(model, layout)
+    return [(label, _lift(layout, [lo], [up], [a])) for label, lo, up, a in zip(*spont)] + cavity
 
 
 def operator_dump(model: SystemModel, layout: HilbertLayout) -> dict[str, str]:
@@ -248,19 +252,17 @@ def operator_dump(model: SystemModel, layout: HilbertLayout) -> dict[str, str]:
 
 
 class _Rhs:
-    """v -> L(t) v by one direct CSR matvec, accumulated into a caller's buffer.
-
-    The static part and every beat term sit side by side in one CSR
-    [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v; ...] from
-    :meth:`inputs`, so each row sums its static entries and then its beat entries,
-    as one product of each would. The native kernel checks no sizes or types:
-    ``v`` and ``out`` must be contiguous complex arrays of length ``n``.
-    """
+    """v -> L(t) v by one CSR matvec: the static part and every beat term sit side by
+    side in one CSR [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v;
+    ...] of :meth:`inputs`, so each row sums its static entries and then its beat
+    entries, as one product of each would. The native kernel checks no sizes or
+    types: ``v`` and ``out`` must be contiguous complex arrays of length ``n``."""
 
     def __init__(self, liouv: Liouvillian):
-        self.n = liouv.static_part.shape[0]
+        fused = sp.csr_matrix(sp.hstack([liouv.static_part] + [op for op, _ in liouv.td_terms]))
+        self.n = fused.shape[0]
         self.rates = -1j * np.array([w for _, w in liouv.td_terms])
-        self.fused = _csr_arrays(sp.hstack([liouv.static_part] + [op for op, _ in liouv.td_terms]))
+        self.fused = fused.indptr, fused.indices, fused.data.astype(complex)
         self.stacked = self.inputs(1)[0]
 
     def inputs(self, count: int) -> np.ndarray:
@@ -268,18 +270,11 @@ class _Rhs:
         return np.empty((count, 1 + self.rates.size, self.n), dtype=complex)
 
     def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        stacked = self.stacked
-        stacked[0] = v
-        np.multiply(np.exp(self.rates * t)[:, None], v, out=stacked[1:])
+        self.stacked[0] = v
+        np.multiply(np.exp(self.rates * t)[:, None], v, out=self.stacked[1:])
         out.fill(0.0)
-        csr_matvec(self.n, stacked.size, *self.fused, stacked.reshape(-1), out)
+        csr_matvec(self.n, self.stacked.size, *self.fused, self.stacked.reshape(-1), out)
         return out
-
-
-def _csr_arrays(op):
-    """(indptr, indices, complex data) of ``op`` as CSR, for ``csr_matvec``."""
-    op = sp.csr_matrix(op)
-    return op.indptr, op.indices, np.ascontiguousarray(op.data, dtype=complex)
 
 
 @dataclass
@@ -291,10 +286,6 @@ class Liouvillian:
     keep: np.ndarray
     static_part: sp.csr_matrix
     td_terms: list = field(default_factory=list)  # [(superop T_k, w_k in rad/s)]
-
-    @property
-    def is_static(self) -> bool:
-        return not self.td_terms
 
     @cached_property
     def _rhs(self) -> _Rhs:
@@ -344,14 +335,22 @@ def build_liouvillian(model: SystemModel, layout: HilbertLayout) -> Liouvillian:
     gives the commutator of A at w = +f and that of A^dag at w = -f.
     """
     parts = build_hamiltonian(model, layout)
-    collapses = collapse_operators(model, layout)
-    h = parts.full_static()
-    n = layout.dim
-    jumps = sp.vstack([c for _, c in collapses] or [sp.csr_matrix((n, n))])
-    g = -1j * h - 0.5 * (jumps.conj().T @ jumps)
-    eye = sp.identity(n)
-    triplets = [_kron_triplets(eye, g), _kron_triplets(g.conj(), eye)]
-    triplets += [_kron_triplets(c.conj(), c) for _, c in collapses]
+    n, m = layout.dim, layout.mode_dim**2
+    # Spontaneous channel j, a_j |lo_j><up_j| (x) 1, has its entries at (lo_j m + mu,
+    # up_j m + mu) for the m mode states mu, and kron(conj c_j, c_j) at every pair (mu, nu).
+    _, lower, upper, amplitudes, cavity = _collapse_table(model, layout)
+    cavity = [c for _, c in cavity]
+    lo, up = (index[:, None] * m + np.arange(m) for index in (lower, upper))
+    stacked = sp.csr_matrix(
+        (np.repeat(amplitudes, m), ((lo + n * np.arange(len(lo))[:, None]).ravel(), up.ravel())),
+        shape=(len(lo) * n, n),
+    )
+    jumps = sp.vstack([stacked] + cavity)  # every c in channel order, one block of n rows each
+    g = -1j * parts.full_static() - 0.5 * (jumps.conj().T @ jumps)
+    spont = ((lo[:, :, None] * n + lo[:, None, :]).ravel(), (up[:, :, None] * n + up[:, None, :]).ravel(),
+             np.repeat(amplitudes.conj() * amplitudes, m * m))
+    triplets = [_kron_triplets(sp.identity(n), g), _kron_triplets(g.conj(), sp.identity(n)), spont]
+    triplets += [_kron_triplets(c.conj(), c) for c in cavity]
     rows, cols, values = (np.concatenate(x) for x in zip(*triplets))
     static = sp.csr_matrix((values, (rows, cols)), shape=(n * n, n * n))
     static.eliminate_zeros()
@@ -435,7 +434,7 @@ def steady_state(
     space is needed; see :meth:`_ReducedSteadyState.solve_many`).
     One call factors the block once, the uniqueness probe included.
     """
-    if not liouv.is_static:
+    if liouv.td_terms:
         raise SteadyStateError("steady state requires a time-independent Liouvillian")
     state, info = _ReducedSteadyState(liouv).solve(check_unique=check_unique)
     if return_info:
@@ -1059,21 +1058,19 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
     rhs = block._rhs
     vectors = np.empty((t_grid.size, keep.size), dtype=complex)
 
-    # Preallocated rows: y, then the stages k0..k6. Each stage input is one
-    # dot of the h-scaled tableau with the real view of these rows, written to
-    # row 0 of that stage's stacked input; one broadcast product fills its beat
-    # rows from this step's phase table, and one matvec accumulates k_i.
+    # Preallocated rows: y, then the stages k0..k6. A stage is three calls: one dot
+    # of the h-scaled tableau with the real view of these rows into row 0 of its
+    # stacked input, one product by this step's phases into its beat rows, and one
+    # matvec that accumulates k_i. Stage i holds (tableau row, rows it combines,
+    # input as reals, input, phases, beat rows, stacked input flat, k_i).
     stack = np.empty((8, keep.size), dtype=complex)
     stack[0] = vectors[0] = y0
     stack_re = stack.view(float)
     stage_in = rhs.inputs(6)
     y, y_new = stack[0], stage_in[5, 0]
     h_rows = np.empty_like(_DP_ROWS)
-    times = np.empty(6)
     phases = np.empty((6, rhs.rates.size), dtype=complex)  # e^{-i w_k (t + c_i h)}
     n, (indptr, indices, data) = rhs.n, rhs.fused
-    # stage i: (tableau row, rows it combines, input (real view), input, its phases,
-    # its beat rows, the whole stacked input flat, k_i)
     stages = [
         (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in[i - 1, 0].view(float), stage_in[i - 1, 0],
          phases[i - 1, :, None], stage_in[i - 1, 1:], stage_in[i - 1].reshape(-1), stack[i + 1])
@@ -1111,10 +1108,7 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
 
         np.multiply(_DP_ROWS, h_try, out=h_rows)
         h_rows[:6, 0] = 1.0
-        np.multiply(_DP_C[1:], h_try, out=times)
-        times += t
-        np.multiply(times[:, None], rhs.rates, out=phases)
-        np.exp(phases, out=phases)
+        np.exp(np.multiply.outer(_DP_C[1:] * h_try + t, rhs.rates), out=phases)
         stack[2:].fill(0.0)
         for row, combined, y_i_re, y_i, phase, beats, flat, k_i in stages:
             np.dot(row, combined, out=y_i_re)
