@@ -578,15 +578,16 @@ def cli_outputs(case, tmp):
     tmp = Path(tmp)
     out = tmp / "out"
     argv = ["--out", str(out)]
-    bundled = original = cli._bundled_config
+    overlay = contextlib.nullcontext()
     if config is not None and args[0] == "reproduce":
-        bundled = lambda figure: _overlay(original(figure), config)  # noqa: E731
+        bundled = cli._bundled_config
+        overlay = mock.patch.object(cli, "_bundled_config", lambda figure: _overlay(bundled(figure), config))
     elif config is not None:
         cfg_path = tmp / "config.json"
         cfg_path.write_text(json.dumps(config))
         argv = ["--config", str(cfg_path)] + argv
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), mock.patch.object(cli, "_bundled_config", bundled):
+    with contextlib.redirect_stdout(stdout), overlay:
         code = main(argv + args)
     files = {
         path.relative_to(out).as_posix(): _file_record(path, out)
