@@ -42,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .atom import decay_channels, dipole_pairs, zeeman_shift
 from .errors import SteadyStateError, StiffnessError
@@ -292,23 +292,52 @@ class Liouvillian:
         return _Rhs(self)
 
     def restrict(self, seed) -> Liouvillian:
-        """The block of L reachable from the vectorized entries ``seed``.
+        """The weak block of the vectorized entries ``seed``: the block the steady
+        state solves.
 
         Keeps the connected components of the sparsity graph of
-        |static_part| + sum |td_terms| that hold a seed entry (the symmetry
-        reduction of Buca & Prosen, New J. Phys. 14, 073007 (2012)). No
-        nonzero entry couples a kept index to a dropped one, so a state
-        supported on the kept entries never leaves them, and the dropped
-        entries of a solution seeded there are exactly zero.
+        |static_part| + sum |td_terms|, edges taken both ways, that hold a seed
+        entry (the symmetry reduction of Buca & Prosen, New J. Phys. 14, 073007
+        (2012)). No nonzero entry couples a kept index to a dropped one in either
+        direction: no outside entry feeds the block, as :func:`_check_uniqueness`
+        needs, and the dropped entries of a solution seeded there are exactly zero.
 
         ``seed`` indexes vec(rho), and so does the ``keep`` of the returned copy,
         sorted: restricting a block composes the two.
         """
+        return self._search(seed, directed=False)
+
+    def reachable(self, seed) -> Liouvillian:
+        """The forward closure of the vectorized entries ``seed``: the block
+        :func:`evolve` steps.
+
+        Keeps every entry reached from a seed entry along the edges j -> i of the
+        sparsity graph, one wherever L[i, j] != 0. No kept entry feeds a dropped
+        one, so a state seeded there leaves the dropped entries exactly zero. It
+        is the part of the weak block (:meth:`restrict`) such a state reaches: 150
+        of its 384 entries from |S1/2,-1/2> under a sigma-minus drive. ``seed``
+        and ``keep`` index vec(rho) as in :meth:`restrict`.
+        """
+        return self._search(seed, directed=True)
+
+    def _search(self, seed, directed: bool) -> Liouvillian:
+        """This generator on the entries a breadth-first search reaches from a
+        virtual source with an edge to each seed entry, along the edges j -> i of
+        the sparsity graph, or along both ways of each unless ``directed``."""
         graph = abs(self.static_part)
         for superop, _ in self.td_terms:
             graph = graph + abs(superop)
-        _, labels = connected_components(graph, directed=True, connection="weak")
-        local = np.flatnonzero(np.isin(labels, labels[np.isin(self.keep, seed)]))
+        graph.eliminate_zeros()
+        graph = graph.tocoo()
+        m = self.keep.size
+        start = np.flatnonzero(np.isin(self.keep, seed))
+        search = sp.csr_matrix(
+            (np.ones(graph.nnz + start.size),
+             (np.r_[graph.col, np.full(start.size, m)], np.r_[graph.row, start])),
+            shape=(m + 1, m + 1),
+        )
+        order = breadth_first_order(search, m, directed=directed, return_predecessors=False)
+        local = np.sort(order[1:])  # the source comes first
 
         def block(op):
             return op[local][:, local]
@@ -414,8 +443,8 @@ def steady_state(
 ):
     """Stationary density matrix of a static Liouvillian.
 
-    Direct sparse solve of the vectorized system, restricted to the
-    entries reachable from the populations (:meth:`Liouvillian.restrict`),
+    Direct sparse solve of the vectorized system, restricted to the weak
+    block of the populations (:meth:`Liouvillian.restrict`),
     with one row replaced by the trace constraint; falls back to shifted
     inverse iteration on the same block if the factorization fails. The
     residual ||L rho|| must come out below 1e-10 * ||L||, both on the block
@@ -445,10 +474,10 @@ def steady_state(
 class _ReducedSteadyState:
     """Steady states of L(x) = L0 + x S on one reduction, for a diagonal S.
 
-    The block keeps the entries of ``liouv`` (L0) reachable from the
-    populations. A diagonal ``shift`` S adds self-loops only, so the
-    connected components, and with them the kept entries, are the same for
-    every x: a detuning scan restricts once.
+    The block keeps the entries of ``liouv`` (L0) weakly connected to the
+    populations (:meth:`Liouvillian.restrict`). A diagonal ``shift`` S adds
+    self-loops only, so the connected components, and with them the kept
+    entries, are the same for every x: a detuning scan restricts once.
 
     A(x) is the block of L(x) with its first row (the population of basis
     state 0) replaced by the trace constraint. S adds nothing to that row,
@@ -837,7 +866,7 @@ _DP_ROWS[6, 1:] = _DP_ERR
 @dataclass
 class Trajectory(DensityMatrix):
     """A run of :func:`evolve`: ``vectors[i]`` is the state at ``times[i]``, on the
-    block :meth:`Liouvillian.restrict` keeps."""
+    block :meth:`Liouvillian.reachable` keeps."""
 
     times: np.ndarray
     n_steps: int
@@ -869,16 +898,17 @@ def evolve(
     size underflows or ``max_steps`` runs out. Both report the worst trace
     drift across the run and raise past 1e-7.
 
-    Only the entries reachable from the support of ``rho0`` are stepped
-    (:meth:`Liouvillian.restrict`) and returned, one block vector per output
-    time; the others stay exactly zero. The DP5 error norm is the RMS over all
-    ``dim**2`` entries, so the step sequence is the one the full vector would take.
+    Only the entries reachable from the support of ``rho0`` along the directed
+    edges of L are stepped (:meth:`Liouvillian.reachable`) and returned, one
+    block vector per output time; the others have no input from them and stay
+    exactly zero. The DP5 error norm is the RMS over all ``dim**2`` entries, so
+    the step sequence is the one the full vector would take.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be an increasing array of at least two times")
     y_full = vec(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0).astype(complex)
-    block = liouv.restrict(np.flatnonzero(y_full))
+    block = liouv.reachable(np.flatnonzero(y_full))
     keep = block.keep
     propagate = _propagator(block)
     vectors, n_steps, n_rejected = propagate(liouv, block, y_full[keep], t_grid, rtol, atol, max_steps)

@@ -458,16 +458,24 @@ def assert_min_eigenvalue_by_time(traj):
 
 
 def test_min_eigenvalue_by_block_on_the_sigma_minus_pulse(atom, layout):
-    """The 384 entries of a sigma-minus pulse from |S1/2,-1/2> are 32 whole diagonal
-    blocks of rho: four 9x9, four 3x3 and 24 1x1."""
+    """The weak block of a sigma-minus pulse from |S1/2,-1/2> has 384 entries, 32 whole
+    diagonal blocks of rho: four 9x9, four 3x3 and 24 1x1. The 150 entries the pulse
+    steps join into two 8x8, two 3x3 and 50 1x1 blocks, with 46 entries of those blocks
+    never reached: they read 0, as they do on the weak block."""
     model = standard_model(drive_rabi=mhz(106.0), drive_detuning=-mhz(406.0),
                            drive_polarization=beam_b_polarization(),
                            repump_854_rabi=0.0, repump_866_rabi=0.0, atom=atom)
     rho0 = layout.basis_state(atom.state("S1/2", -0.5))
-    traj = evolve(build_liouvillian(model, layout), rho0, np.linspace(0.0, 1e-6, 11), rtol=1e-6)
-    sizes = _block_sizes(traj.keep, layout.dim)
+    liouv = build_liouvillian(model, layout)
+    weak = liouv.restrict(np.flatnonzero(vec(rho0))).keep
+    sizes = _block_sizes(weak, layout.dim)
     assert sorted(zip(*np.unique(sizes, return_counts=True))) == [(1, 24), (3, 4), (9, 4)]
-    assert np.sum(sizes**2) == traj.keep.size == 384
+    assert np.sum(sizes**2) == weak.size == 384
+    traj = evolve(liouv, rho0, np.linspace(0.0, 1e-6, 11), rtol=1e-6)
+    sizes = _block_sizes(traj.keep, layout.dim)
+    assert sorted(zip(*np.unique(sizes, return_counts=True))) == [(1, 50), (3, 2), (8, 2)]
+    assert np.sum(sizes**2) - 46 == traj.keep.size == 150
+    assert np.isin(traj.keep, weak).all()
     assert_min_eigenvalue_by_time(traj)
 
 
@@ -694,6 +702,46 @@ def test_reachable_subspace_is_exact(atom, layout, data):
         embedded = np.zeros_like(full)
         embedded[keep] = block._rhs(t, v[keep], np.empty(keep.size, dtype=complex))
         assert np.max(np.abs(full - embedded)) <= 1e-12 * np.max(np.abs(full))
+
+
+def evolution_seeds(layout, data):
+    """|S1/2,-1/2>, and the superposition cos(a)|S,-1/2> + e^{i phi} sin(a)|S,+1/2> that
+    `map_state` prepares, at a drawn a and phi."""
+    atom = layout.atom
+    alpha, phi = data.draw(st.floats(0.1, 1.4)), data.draw(st.floats(0.0, 2 * math.pi))
+    psi = np.zeros(layout.dim, dtype=complex)
+    psi[layout.index(atom.state("S1/2", -0.5), 0, 0)] = math.cos(alpha)
+    psi[layout.index(atom.state("S1/2", 0.5), 0, 0)] = np.exp(1j * phi) * math.sin(alpha)
+    return layout.basis_state(atom.state("S1/2", -0.5)), np.outer(psi, psi.conj())
+
+
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_evolve_block_is_the_forward_closure(atom, layout, data):
+    """The block `evolve` steps is forward-closed: no nonzero L[i, j] of any term takes
+    a kept j to a dropped i, so a dropped entry stays 0. It holds the seed, lies in
+    the weak block of :meth:`Liouvillian.restrict`, and is what repeated products
+    of |L| reach from the seed."""
+    for model in data.draw(random_models(atom)):
+        liouv = build_liouvillian(model, layout)
+        terms = [liouv.static_part] + [op for op, _ in liouv.td_terms]
+        for rho0 in evolution_seeds(layout, data):
+            seed = np.flatnonzero(vec(rho0))
+            keep = liouv.reachable(seed).keep
+            weak = liouv.restrict(seed).keep
+            assert np.isin(seed, keep).all() and np.isin(keep, weak).all()
+            dropped = np.setdiff1d(np.arange(liouv.dim**2), keep)
+            for op in terms:
+                assert op.tocsr()[dropped][:, keep].count_nonzero() == 0
+            reached = np.isin(np.arange(liouv.dim**2), seed)
+            while True:
+                rows = np.concatenate([op.tocsc()[:, reached].nonzero()[0] for op in terms])
+                if reached[rows].all():
+                    break
+                reached[rows] = True
+            assert np.array_equal(np.flatnonzero(reached), keep)
+            traj = evolve(liouv, rho0, np.linspace(0.0, 0.1e-6, 3), rtol=1e-6)
+            assert np.array_equal(traj.keep, keep)
 
 
 def test_steady_state_reports_its_path(atom, layout):
@@ -1016,9 +1064,10 @@ def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
 
 def test_evolve_repeats_the_reference_dp5_loop(atom, layout, dp5_static):
     """Static and beat models: the same steps and rejections, the same states to 1e-12.
-    Static blocks go to the DP5 loop too. The draws are fixed: some models make the
-    reference loop take tens of thousands of steps, and a fixed draw keeps the time
-    of the test fixed; at least one of them carries beat terms."""
+    The reference steps the weak block; every entry of it that `evolve` drops stays
+    exactly 0 there. Static blocks go to the DP5 loop too. The draws are fixed: some
+    models make the reference loop take tens of thousands of steps, and a fixed draw
+    keeps the time of the test fixed; at least one of them carries beat terms."""
     rho0 = layout.basis_state(atom.state("S1/2", -0.5))
     t_grid = np.linspace(0.0, 0.3e-6, 4)
     beat_blocks = []
@@ -1033,6 +1082,7 @@ def test_evolve_repeats_the_reference_dp5_loop(atom, layout, dp5_static):
             assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
             for got, want in zip(traj.states, states):
                 assert np.max(np.abs(got.matrix - want)) <= 1e-12
+                assert not np.delete(vec(want), traj.keep).any()  # the weak block's rest stays 0
             beat_blocks.append(bool(liouv.restrict(np.flatnonzero(vec(rho0))).td_terms))
 
     check()
@@ -1053,28 +1103,29 @@ def _fig4_model(atom):
 
 
 CHEBYSHEV_CASES = {
-    # name: (model, initial sublevel, block size)
+    # name: (model, initial sublevel, weak block size, evolved block size)
     "sigma_minus_pulse": (
         lambda atom: standard_model(drive_rabi=mhz(106.0), drive_detuning=-mhz(406.0),
                                     drive_polarization=beam_b_polarization(),
                                     repump_854_rabi=0.0, repump_866_rabi=0.0, atom=atom),
-        ("S1/2", -0.5), 384,
+        ("S1/2", -0.5), 384, 150,
     ),
-    "fig4_from_S": (_fig4_model, ("S1/2", -0.5), 1296),
-    "fig4_from_P": (_fig4_model, ("P3/2", 1.5), 1296),
+    "fig4_from_S": (_fig4_model, ("S1/2", -0.5), 1296, 1296),
+    "fig4_from_P": (_fig4_model, ("P3/2", 1.5), 1296, 1296),
     # slow 2 MHz dynamics under a wide spectrum (R ~ 7.8e9 /s): long series, small steps
     "weak_drive_with_repumps": (
         lambda atom: standard_model(drive_rabi=mhz(2.0), drive_detuning=-mhz(403.0),
                                     drive_polarization=beam_b_polarization(), atom=atom),
-        ("S1/2", -0.5), 1296,
+        ("S1/2", -0.5), 1296, 1296,
     ),
     "no_drive": (lambda atom: standard_model(drive_rabi=0.0, drive_detuning=0.0, atom=atom),
-                 ("D5/2", -2.5), 960),
+                 ("D5/2", -2.5), 960, 960),
 }
 
 
 def dense_propagation(liouv, rho0, t_grid):
-    """Block vectors at ``t_grid`` by the dense `expm` of the reachable block, one per spacing."""
+    """(keep, block vectors at ``t_grid``) by the dense `expm` of the weak block of the
+    support of ``rho0`` (:meth:`Liouvillian.restrict`), one `expm` per spacing."""
     from scipy.linalg import expm
 
     y = vec(rho0).astype(complex)
@@ -1087,39 +1138,48 @@ def dense_propagation(liouv, rho0, t_grid):
         if key not in steps:
             steps[key] = expm(dense * h)
         vectors.append(steps[key] @ vectors[-1])
-    return np.array(vectors)
+    return block.keep, np.array(vectors)
+
+
+def on_block(traj, keep):
+    """The vectors of ``traj`` on the entries ``keep``, 0 at those it does not step,
+    which must all lie in ``keep``."""
+    assert np.isin(traj.keep, keep).all()
+    return traj._entries(keep)
 
 
 @pytest.mark.parametrize("case", sorted(CHEBYSHEV_CASES))
 def test_chebyshev_matches_dense_expm(atom, layout, case):
-    """Every output of the static path within 1e-10 of the largest entry of dense
-    `expm` propagation, its trace kept to rounding, its products counted as steps."""
-    build, (manifold, m), size = CHEBYSHEV_CASES[case]
+    """Every output of the static path, scattered into the weak block, within 1e-10 of
+    the largest entry of dense `expm` propagation there; its trace kept to rounding,
+    its products counted as steps."""
+    build, (manifold, m), weak_size, size = CHEBYSHEV_CASES[case]
     liouv = build_liouvillian(build(atom), layout)
     rho0 = layout.basis_state(atom.state(manifold, m))
     t_grid = np.linspace(0.0, 2e-6, 21)
     traj = evolve(liouv, rho0, t_grid)
     assert traj.keep.size == size
-    want = dense_propagation(liouv, rho0, t_grid)
-    assert np.abs(traj.vectors - want).max() <= 1e-10 * np.abs(want).max()
+    keep, want = dense_propagation(liouv, rho0, t_grid)
+    assert keep.size == weak_size
+    assert np.abs(on_block(traj, keep) - want).max() <= 1e-10 * np.abs(want).max()
     assert traj.max_trace_drift < 1e-12
     assert traj.n_steps > 0 and traj.n_rejected == 0
 
 
 def test_chebyshev_takes_each_spacing_of_the_grid(atom, layout):
     """A grid with two spacings: one coefficient set each, both exact."""
-    build, (manifold, m), _ = CHEBYSHEV_CASES["sigma_minus_pulse"]
+    build, (manifold, m), _, _ = CHEBYSHEV_CASES["sigma_minus_pulse"]
     liouv = build_liouvillian(build(atom), layout)
     rho0 = layout.basis_state(atom.state(manifold, m))
     t_grid = np.array([0.0, 0.1, 0.2, 0.25, 0.3, 0.35, 0.45]) * 1e-6
     traj = evolve(liouv, rho0, t_grid)
-    want = dense_propagation(liouv, rho0, t_grid)
-    assert np.abs(traj.vectors - want).max() <= 1e-10 * np.abs(want).max()
+    keep, want = dense_propagation(liouv, rho0, t_grid)
+    assert np.abs(on_block(traj, keep) - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_chebyshev_budget_is_known_before_the_first_product(atom, layout):
     """max_steps bounds the sparse products: the exact count passes, one fewer raises."""
-    build, (manifold, m), _ = CHEBYSHEV_CASES["sigma_minus_pulse"]
+    build, (manifold, m), _, _ = CHEBYSHEV_CASES["sigma_minus_pulse"]
     liouv = build_liouvillian(build(atom), layout)
     rho0 = layout.basis_state(atom.state(manifold, m))
     t_grid = np.linspace(0.0, 0.5e-6, 6)
