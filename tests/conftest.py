@@ -4,24 +4,47 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ioncavity import lindblad
 from ioncavity.atom import load_atom
 from ioncavity.constants import TWO_PI
 from ioncavity.hilbert import HilbertLayout, vec
-from ioncavity.lindblad import DensityMatrix, state_population
+from ioncavity.lindblad import DensityMatrix, Trajectory, evolve, state_population
 
 
-def send_static_blocks_to_dp5(patch):
-    """Make `evolve` step static blocks with its DP5 loop, as it did when the golden
-    entries that pin DP5's own error and step counts were captured."""
-    patch.setattr(lindblad, "_propagator", lambda block: lindblad._dp5)
+def dp5_evolve(liouv, rho0, t_grid, rtol, atol=1e-12):
+    """`evolve` with its DP5 loop run directly on the block, static or not."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    y = vec(rho0).astype(complex)
+    block = liouv.reachable(np.flatnonzero(y))
+    vectors, n_steps, n_rejected = lindblad._dp5(liouv, block, y[block.keep], t_grid, rtol, atol, 20_000_000)
+    return Trajectory(
+        times=t_grid, keep=block.keep, dim=liouv.dim, vectors=vectors,
+        n_steps=n_steps, n_rejected=n_rejected, max_trace_drift=0.0,
+    )
 
 
-@pytest.fixture
-def dp5_static(monkeypatch):
-    """`evolve` takes the DP5 loop for every block, static or not."""
-    send_static_blocks_to_dp5(monkeypatch)
+def exact_evolve(liouv, rho0, t_grid, **options):
+    """`evolve` with the states of a static block from the dense `expm` of the weak
+    block at the (uniform) output spacing, applied once per interval. The step
+    counts stay those `evolve` reports, and a block with beat terms keeps the
+    whole `evolve` run."""
+    traj = evolve(liouv, rho0, t_grid, **options)
+    y = vec(rho0).astype(complex)
+    block = liouv.restrict(np.flatnonzero(y))
+    if block.td_terms:
+        return traj
+    spacing = np.diff(traj.times)
+    assert np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0)
+    step = scipy.linalg.expm(block.static_part.toarray() * spacing[0])
+    vectors = [y[block.keep]]
+    for _ in spacing:
+        vectors.append(step @ vectors[-1])
+    return Trajectory(
+        times=traj.times, keep=block.keep, dim=liouv.dim, vectors=np.array(vectors),
+        n_steps=traj.n_steps, n_rejected=traj.n_rejected, max_trace_drift=0.0,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from ioncavity import cli
 from ioncavity.cli import REPRODUCE_COMMAND, default_config, main, merge_config
 from ioncavity.errors import ConfigError
 
-from conftest import send_static_blocks_to_dp5
+from conftest import exact_evolve
 
 
 def run_cli(args, tmp_path, config=None):
@@ -407,10 +407,10 @@ def test_reproduce_all_writes_data_without_matplotlib(tmp_path, monkeypatch):
 # GOLDEN_REL x the largest |entry| of that file's matrix, as test_golden holds
 # the joint matrix: a relative check per entry would pin the round-off imaginary
 # part of a real diagonal entry (5e-17 against 0.64) to its own digits.
-# The static pulses of DP5_PINNED were captured from the DP5 loop and hold its
-# own error, so they run on it (the `dp5_static` fixture), and so does their
-# regeneration. A `reproduce` case with a config runs its figure's bundled config
-# with the case's keys laid over it (fig8 on a 2 us pulse in place of 80 us).
+# Every case runs on the path the CLI ships. The static runs of the EXACT_HELD
+# cases hold the dense `expm` of the weak block (`exact_evolve`, patched in for
+# their regeneration). A `reproduce` case with a config runs its figure's bundled
+# config with the case's keys laid over it (fig8 on a 2 us pulse in place of 80 us).
 # JSON outputs are parsed strictly: NaN or Infinity in one fails the case.
 # Plots are not covered. Regenerate only when an output is meant to change; name the
 # cases to rewrite, the others are left as they are:
@@ -421,8 +421,8 @@ GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
 GOLDEN_REL = 1e-9
 RESIDUAL_ABS = 1e-6
 JOINT_STATES = ("entangle_state.csv", "map_state.csv")
-# static pulses whose outputs were captured from the DP5 loop, with its own error
-DP5_PINNED = ("pulse", "overlap", "map")
+# static runs whose outputs were captured from the dense-expm reference
+EXACT_HELD = ("pulse", "map")
 
 _SIGMA_MINUS = {"lasers": {"drive": {"polarization": "sigma_minus"}}}
 _SMOKE_SPECTRUM = {
@@ -655,9 +655,7 @@ def golden_cli():
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
-def test_cli_outputs_match_golden(case, golden_cli, tmp_path, request):
-    if case in DP5_PINNED:
-        request.getfixturevalue("dp5_static")
+def test_cli_outputs_match_golden(case, golden_cli, tmp_path):
     got, want = cli_outputs(case, tmp_path), json.loads(json.dumps(golden_cli[case]))
     got_residuals, want_residuals = _pop_residuals(got["files"]), _pop_residuals(want["files"])
     got_states, want_states = _pop_joint_states(got["files"]), _pop_joint_states(want["files"])
@@ -671,6 +669,8 @@ def test_cli_outputs_match_golden(case, golden_cli, tmp_path, request):
 if __name__ == "__main__":
     import tempfile
 
+    from ioncavity import experiments
+
     names = sys.argv[1:] or list(CLI_CASES)
     unknown = sorted(set(names) - set(CLI_CASES))
     if unknown:
@@ -678,8 +678,8 @@ if __name__ == "__main__":
     values = json.loads(GOLDEN_CLI.read_text()) if GOLDEN_CLI.exists() else {}
     for name in names:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            if name in DP5_PINNED:
-                send_static_blocks_to_dp5(patch)
+            if name in EXACT_HELD:
+                patch.setattr(experiments, "evolve", exact_evolve)
             values[name] = cli_outputs(name, tmp)
     GOLDEN_CLI.parent.mkdir(exist_ok=True)
     GOLDEN_CLI.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n", newline="\n")

@@ -42,6 +42,7 @@ from ioncavity.system import (
 from conftest import (
     assert_density_matrix,
     density_matrix,
+    dp5_evolve,
     khz,
     manifold_populations,
     trace_preservation_defect,
@@ -1062,10 +1063,11 @@ def reference_evolve(liouv, rho0, t_grid, rtol=1e-8, atol=1e-12):
     return states, n_steps, n_rejected
 
 
-def test_evolve_repeats_the_reference_dp5_loop(atom, layout, dp5_static):
+def test_evolve_repeats_the_reference_dp5_loop(atom, layout):
     """Static and beat models: the same steps and rejections, the same states to 1e-12.
     The reference steps the weak block; every entry of it that `evolve` drops stays
-    exactly 0 there. Static blocks go to the DP5 loop too. The draws are fixed: some
+    exactly 0 there. The DP5 loop runs on the forward closure directly
+    (`dp5_evolve`), so static blocks take it too. The draws are fixed: some
     models make the reference loop take tens of thousands of steps, and a fixed draw
     keeps the time of the test fixed; at least one of them carries beat terms."""
     rho0 = layout.basis_state(atom.state("S1/2", -0.5))
@@ -1077,7 +1079,7 @@ def test_evolve_repeats_the_reference_dp5_loop(atom, layout, dp5_static):
     def check(data):
         for model in data.draw(random_models(atom)):
             liouv = build_liouvillian(model, layout)
-            traj = evolve(liouv, rho0, t_grid, rtol=1e-6)
+            traj = dp5_evolve(liouv, rho0, t_grid, rtol=1e-6)
             states, n_steps, n_rejected = reference_evolve(liouv, rho0, t_grid, rtol=1e-6)
             assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
             for got, want in zip(traj.states, states):
