@@ -558,8 +558,8 @@ def _pulse(cfg, section, label, rabi, detuning_offset=0.0):
     """Photon pulse driven by sigma-minus light on the line from S1/2,-1/2 to ``label``.
 
     ``rabi`` and ``detuning_offset`` (from the line) are in 2pi x MHz; the duration
-    and bins come from ``cfg[section]``, the tolerance, photon cutoff and step
-    budget from ``cfg["solver"]``. Returns (line, shape).
+    and bins come from ``cfg[section]``, the photon cutoff and step budget from
+    ``cfg["solver"]``. Returns (line, shape).
     """
     from .experiments import photon_pulse
 
@@ -570,8 +570,8 @@ def _pulse(cfg, section, label, rabi, detuning_offset=0.0):
     s = cfg[section]
     try:
         shape = photon_pulse(model, s["duration_us"] * 1e-6, bin_width=s["bin_ns"] * 1e-9,
-                             designated_channel=line.channel, rtol=cfg["solver"]["rtol"],
-                             n_max=cfg["solver"]["n_max"], max_steps=cfg["solver"]["max_steps"])
+                             designated_channel=line.channel, n_max=cfg["solver"]["n_max"],
+                             max_steps=cfg["solver"]["max_steps"])
     except BinningMismatchError as exc:
         raise ConfigError(f"{section}.duration_us must be a whole multiple of {section}.bin_ns: {exc}") from exc
     return line, shape

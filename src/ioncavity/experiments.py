@@ -357,7 +357,6 @@ def photon_pulse(
     duration: float,
     bin_width: float = 200e-9,
     designated_channel: str = "H",
-    rtol: float = 1e-6,
     n_max: int = 1,
     max_steps: int = 20_000_000,
 ) -> PulseShape:
@@ -378,7 +377,7 @@ def photon_pulse(
     edges = np.arange(n_bins + 1) * bin_width
     t_grid = np.linspace(0.0, duration, n_bins * _SAMPLES_PER_BIN + 1)
 
-    traj = evolve(build_liouvillian(model, layout), rho0, t_grid, rtol=rtol, max_steps=max_steps)
+    traj = evolve(build_liouvillian(model, layout), rho0, t_grid, max_steps=max_steps)
     flux = photon_flux(traj, layout, model.cavity.kappa, model.detection, include_dark=False)
 
     probs = np.zeros((2, n_bins))
@@ -613,7 +612,7 @@ def _two_tone(
 
     report_warnings = []
     if check_overlap:
-        overlap = _single_tone_overlap(model, branches, channels, duration, rtol)
+        overlap = _single_tone_overlap(model, branches, channels, duration)
         if overlap < OVERLAP_THRESHOLD:
             msg = (
                 f"single-tone pulse shapes overlap only {overlap:.3f} < {OVERLAP_THRESHOLD}; "
@@ -642,7 +641,7 @@ def _two_tone(
     )
 
 
-def _single_tone_overlap(model, branches, channels, duration, rtol):
+def _single_tone_overlap(model, branches, channels, duration):
     """Overlap of the pulse shapes that each drive tone gives on its own.
 
     A lone tone sits on its own line: the one of its branch in the line
@@ -654,7 +653,7 @@ def _single_tone_overlap(model, branches, channels, duration, rtol):
         _, lines = _beam_b_lines(model.atom, model.b_gauss, model.cavity.delta_cav, tone.rabi)
         alone = (Tone(rabi=tone.rabi, detuning=lines[branch].detuning),)
         lasers = tuple(replace(l, tones=alone) if l.role == "drive" else l for l in model.lasers)
-        kwargs = dict(bin_width=duration / 100, designated_channel=ch, rtol=rtol)
+        kwargs = dict(bin_width=duration / 100, designated_channel=ch)
         shapes.append(photon_pulse(replace(model, lasers=lasers), duration, **kwargs))
     return pulse_overlap(*shapes)
 

@@ -909,9 +909,9 @@ def evolve(
         raise ValueError("t_grid must be an increasing array of at least two times")
     y_full = vec(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0).astype(complex)
     block = liouv.reachable(np.flatnonzero(y_full))
-    keep = block.keep
-    propagate = _propagator(block)
-    vectors, n_steps, n_rejected = propagate(liouv, block, y_full[keep], t_grid, rtol, atol, max_steps)
+    keep, y0 = block.keep, y_full[block.keep]
+    vectors, n_steps, n_rejected = (_dp5(liouv, block, y0, t_grid, rtol, atol, max_steps) if block.td_terms
+                                    else _chebyshev(liouv, block, y0, t_grid, max_steps))
 
     traces = vectors.compress(keep % (liouv.dim + 1) == 0, axis=1).sum(axis=1).real
     max_drift = float(np.max(np.abs(traces - traces[0])))
@@ -932,12 +932,6 @@ def evolve(
     )
 
 
-def _propagator(block: Liouvillian):
-    """The one place :func:`evolve` picks its propagator for a restricted block:
-    the Chebyshev expansion for a static generator, DP5 for one with beat terms."""
-    return _dp5 if block.td_terms else _chebyshev
-
-
 # -- exact propagation of a static generator -----------------------------------
 #
 # e^{A h} = e^{c h} e^{i tau X} with X = (A - c) / (i R) and tau = R h, and by
@@ -954,10 +948,10 @@ _CHEB_CUT = 1e-17  # the series ends where |J_k(tau)| rho^k falls below this
 _CHEB_ROWS = 32  # Chebyshev vectors held between two accumulations
 
 
-def _chebyshev(liouv, block, y0, t_grid, rtol, atol, max_steps):
+def _chebyshev(liouv, block, y0, t_grid, max_steps):
     """Propagate a static block to rounding accuracy: (states at ``t_grid``, sparse
-    products, 0). ``rtol`` and ``atol`` do not apply; ``max_steps`` bounds the
-    products, whose number is known before the first one."""
+    products, 0). ``max_steps`` bounds the products, whose number is known before
+    the first one."""
     a = block.static_part
     m = a.shape[0]
     centre, radius, half_re = _spectral_rectangle(a)

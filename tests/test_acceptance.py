@@ -112,7 +112,7 @@ def photon_pulse_80us():
         repump_866_rabi=0.0,
         atom=ATOM,
     )
-    return photon_pulse(model, 80e-6, bin_width=200e-9, designated_channel="H", rtol=1e-6)
+    return photon_pulse(model, 80e-6, bin_width=200e-9, designated_channel="H")
 
 
 @pytest.fixture(scope="module")

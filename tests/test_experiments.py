@@ -185,7 +185,7 @@ def short_pulse_shape(atom):
         repump_866_rabi=0.0,
         atom=atom,
     )
-    return model, photon_pulse(model, 6e-6, bin_width=200e-9, designated_channel="H", rtol=1e-6)
+    return model, photon_pulse(model, 6e-6, bin_width=200e-9, designated_channel="H")
 
 
 def test_pulse_shape_contract(short_pulse_shape):
@@ -207,7 +207,7 @@ def test_pulse_probabilities_scale_with_channel_efficiency(short_pulse_shape, at
         model,
         detection=DetectionChain(apd_efficiency=(0.49 / 2, 0.46 / 2)),
     )
-    shape_half = photon_pulse(half, 6e-6, bin_width=200e-9, designated_channel="H", rtol=1e-6)
+    shape_half = photon_pulse(half, 6e-6, bin_width=200e-9, designated_channel="H")
     assert np.allclose(shape_half.probabilities, 0.5 * shape.probabilities, rtol=1e-6, atol=1e-15)
 
 
@@ -219,7 +219,7 @@ def test_zero_drive_gives_flat_zero_pulse(atom):
         repump_866_rabi=0.0,
         atom=atom,
     )
-    shape = photon_pulse(model, 2e-6, bin_width=500e-9, rtol=1e-7)
+    shape = photon_pulse(model, 2e-6, bin_width=500e-9)
     assert np.max(shape.probabilities) < 1e-15
     assert shape.total_efficiency == 0.0
 
