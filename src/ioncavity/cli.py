@@ -42,18 +42,18 @@ _NUM = (int, float)
 
 
 def _schema():
-    """Nested schema: key -> (type(s), default[, allowed values]) or a nested dict."""
+    """Nested schema: key -> (type(s), default[, allowed values or minimum]) or a nested dict."""
     return {
         "atom": {"overrides": (dict, {})},
         "b_field": {
-            "gauss": (_NUM, 4.77),
+            "gauss": (_NUM, 4.77, 0),
             "orientation": (str, "perpendicular", ("perpendicular", "parallel")),
         },
         "cavity": {
             "length_mm": (_NUM, 19.96),
             "mirror_radius_mm": (_NUM, 10.02),
             "wavelength_nm": (_NUM, 854.0),
-            "kappa_2pi_khz": (_NUM, 50.0),
+            "kappa_2pi_khz": (_NUM, 50.0, 0),
             "detuning_2pi_mhz": (_NUM, -400.0),
             "coupling_scale": (_NUM, 1.0),
         },
@@ -75,7 +75,7 @@ def _schema():
             "repump_866": {"rabi_2pi_mhz": (_NUM, 5.0), "detuning_2pi_mhz": (_NUM, 0.0)},
         },
         "solver": {
-            "n_max": (int, 1),
+            "n_max": (int, 1, 1),
             "rtol": (_NUM, 1e-6),
             "max_steps": (int, 20_000_000),
             "check_unique": (bool, True),
@@ -132,7 +132,7 @@ def _schema():
             "eta": (list, [0.12, 0.05, 0.05]),
             "nbar": (list, [0.04, 0.1, 1.0]),
             "t_max_us": (_NUM, 50.0),
-            "points": (int, 600),
+            "points": (int, 600, 1),
         },
         "ramsey": {
             "tau_us": (_NUM, 250.0),
@@ -191,14 +191,12 @@ def schema_description() -> dict:
             if isinstance(value, dict):
                 out[key] = describe(value)
             else:
-                types, default = value[:2]
-                if not isinstance(types, tuple):
-                    types = (types,)
-                names = sorted(
-                    {"number" if t in (int, float) else
-                     ("null" if t is type(None) else t.__name__) for t in types}
-                )
+                types, default, allowed = (*value, None)[:3]
+                kinds = types if isinstance(types, tuple) else (types,)
+                names = sorted({"number" if t in _NUM else "null" if t is type(None) else t.__name__ for t in kinds})
                 out[key] = {"type": names, "default": default}
+                if isinstance(allowed, _NUM):
+                    out[key]["minimum"] = allowed
         return out
 
     return describe(_schema())
@@ -218,13 +216,15 @@ def _validate(cfg, spec, path, problems):
             else:
                 _validate(value, rule, path + [key], problems)
         else:
-            types = rule[0] if isinstance(rule[0], tuple) else (rule[0],)
-            if isinstance(value, bool) and bool not in types:
+            types, _, allowed = (*rule, None)[:3]
+            if isinstance(value, bool) and types is not bool:
                 problems.append(f"{name} has wrong type bool")
             elif not isinstance(value, types):
                 problems.append(f"{name} has wrong type {type(value).__name__}")
-            elif len(rule) > 2 and value not in rule[2]:
-                problems.append(f"{name} must be one of {sorted(rule[2])}")
+            elif isinstance(allowed, _NUM) and value < allowed:
+                problems.append(f"{name} must be at least {allowed}")
+            elif isinstance(allowed, tuple) and value not in allowed:
+                problems.append(f"{name} must be one of {sorted(allowed)}")
 
 
 POLARIZATIONS = {
@@ -236,8 +236,8 @@ POLARIZATIONS = {
 
 
 def merge_config(user: dict | None) -> dict:
-    """Defaults overlaid with the user's file; unknown keys, wrong types and values
-    outside a key's allowed set rejected, all in one walk of the user's file."""
+    """Defaults overlaid with the user's file; unknown keys, wrong types and values a
+    key does not allow rejected, all in one walk of the user's file."""
     spec = _schema()
     problems: list[str] = []
     user = user or {}
@@ -421,8 +421,9 @@ def cmd_plan(cfg, args):
             f"  {a.initial.label}: {a.final.label}({a.channel}) {a.amplitude:.4f}"
             f"  &  {b.final.label}({b.channel}) {b.amplitude:.4f}"
         )
-    g0 = max_coupling(geometry_from_config(cfg), gamma_pd_amplitude(setting.atom))
-    omega_eff = effective_coupling(1.0, 1.0, setting.drive_rabi, setting.delta_cav, g0)
+    cavity = CavityParams.from_geometry(geometry_from_config(cfg), gamma_pd_amplitude(setting.atom),
+                                        setting.delta_cav, cfg["cavity"]["coupling_scale"])
+    omega_eff = effective_coupling(1.0, 1.0, setting.drive_rabi, setting.delta_cav, cavity.g)
     gamma_eff = effective_decay(setting.drive_rabi, setting.delta_cav, setting.atom["P3/2"].decay_rate)
     columns = ["initial", "final", "channel", "alpha", "beta", "alpha_beta", "detuning_2pi_mhz"]
     keys = columns[:5] + ["strength", "detuning_2pi_mhz"]

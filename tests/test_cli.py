@@ -49,6 +49,19 @@ def test_plan_evaluates_at_the_configured_cavity_detuning(tmp_path):
     assert near["effective_decay_2pi_mhz"] == pytest.approx(default["effective_decay_2pi_mhz"] * 16 / 9, rel=1e-12)
 
 
+def test_plan_evaluates_at_the_configured_coupling_scale(tmp_path):
+    """cavity.coupling_scale scales the effective coupling as it scales the model's g."""
+    coupling = {}
+    for scale in (1.0, 0.5, 0.0):
+        out = tmp_path / str(scale)
+        out.mkdir()
+        assert run_cli(["plan"], out, config={"cavity": {"coupling_scale": scale}}) == 0
+        coupling[scale] = json.loads((out / "plan.json").read_text())["effective_coupling_unit_2pi_mhz"]
+    assert coupling[1.0] > 0
+    assert coupling[0.5] == pytest.approx(0.5 * coupling[1.0], rel=1e-12)
+    assert coupling[0.0] == 0.0
+
+
 def test_configured_cavity_reaches_the_model():
     """The cavity keys set the model's g and kappa, not the built-in default geometry."""
     from ioncavity.cavity import max_coupling
@@ -108,6 +121,21 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as err:
         merge_config({"cavity": {"length_mm": "long"}})
     assert any("wrong type" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("config, command, key", [
+    ({"solver": {"n_max": 0}}, "spectrum", "solver.n_max"),
+    ({"b_field": {"gauss": -1}}, "spectrum", "b_field.gauss"),
+    ({"cavity": {"kappa_2pi_khz": -5}}, "spectrum", "cavity.kappa_2pi_khz"),
+    ({"rabi": {"points": -1}}, "rabi", "rabi.points"),
+])
+def test_out_of_range_value_exits_2(config, command, key, tmp_path, capsys):
+    """A value below its key's minimum is a config error that names the key."""
+    assert run_cli(["--json-errors", command], tmp_path, config=config) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["kind"] == "config"
+    assert any(p.startswith(f"{key} must be at least") for p in payload["problems"])
 
 
 def test_unknown_figure_exits_2(tmp_path, capsys):
@@ -351,7 +379,8 @@ def test_plot_writes_one_polyline_per_curve(tmp_path):
 
 @pytest.mark.parametrize("command", ["pulse", "overlap"])
 def test_solver_failure_exits_3(command, tmp_path, capsys):
-    """Every pulse-driven command spends at most solver.max_steps DP5 steps."""
+    """Every pulse-driven command spends at most solver.max_steps Chebyshev products
+    (its pulses are static)."""
     code = run_cli(["--json-errors", command], tmp_path, config={"solver": {"max_steps": 10}})
     assert code == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

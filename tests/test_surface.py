@@ -37,8 +37,8 @@ OPTION_EXCEPTIONS = {
     "lindblad.evolve.atol": "tests check the absolute tolerance's behaviour",
     "localization.fit_waist_scan.initial": "tests check a fit from a given start",
     "polarization.dipole_projection.quantization_axis": "tests check projections in other frames",
-    "lindblad.steady_state.check_unique": "the single-point API the benchmark's tracer wraps",
-    "lindblad.steady_state.return_info": "the single-point API the benchmark's tracer wraps",
+    "lindblad.steady_state.check_unique": "tests probe a single solve for a second stationary state",
+    "lindblad.steady_state.return_info": "tests read a single solve's residual, block size, LU fill and path",
     "io_utils.write_svg_plot.title": "always empty; dropping it changes every SVG",
 }
 
