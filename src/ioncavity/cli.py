@@ -55,7 +55,7 @@ def _schema():
             "wavelength_nm": (_NUM, 854.0),
             "kappa_2pi_khz": (_NUM, 50.0, 0),
             "detuning_2pi_mhz": (_NUM, -400.0),
-            "coupling_scale": (_NUM, 1.0),
+            "coupling_scale": (_NUM, 1.0, 0),
         },
         "detection": {
             "apd_efficiency": (list, [0.49, 0.46]),
@@ -83,7 +83,7 @@ def _schema():
         "spectrum": {
             "window_2pi_mhz": (_NUM, 1.5),
             "points_per_line": (int, 13),
-            "baseline_points": (int, 24),
+            "baseline_points": (int, 24, 1),
             "dwell_us": (_NUM, 300.0),
         },
         "sidebands": {
@@ -96,7 +96,7 @@ def _schema():
             "micromotion_index": (_NUM, 0.0),
             "target_line": (str, "D5/2,-5/2"),
             "window_2pi_mhz": (_NUM, 2.5),
-            "points": (int, 101),
+            "points": (int, 101, 1),
         },
         "pulse": {
             "duration_us": (_NUM, 80.0),
@@ -117,7 +117,7 @@ def _schema():
             "relative_phase_rad": (_NUM, 0.0),
             "calibrate": (bool, True),
             "check_overlap": (bool, False),
-            "t_points": (int, 200),
+            "t_points": (int, 200, 1),
         },
         "map": {
             "rabi_2pi_mhz": (_NUM, 25.0),
@@ -125,7 +125,7 @@ def _schema():
             "alpha_rad": (_NUM, math.pi / 4),
             "phi_rad": (_NUM, 0.0),
             "calibrate": (bool, True),
-            "t_points": (int, 160),
+            "t_points": (int, 160, 1),
         },
         "rabi": {
             "rabi_2pi_khz": (_NUM, 200.0),
@@ -138,7 +138,7 @@ def _schema():
             "tau_us": (_NUM, 250.0),
             "amplitude0": (_NUM, 0.97),
             "t_wait_us": (list, [10, 25, 50, 80, 120, 170, 230, 300, 380, 470]),
-            "n_phases": (int, 24),
+            "n_phases": (int, 24, 3),
             "noise": (_NUM, 0.0),
         },
         "localize": {
@@ -150,7 +150,7 @@ def _schema():
                 "sigma_x_um": (_NUM, 4.7),
                 "sigma_z_nm": (_NUM, 48.0),
                 "span_um": (_NUM, 60.0),
-                "points": (int, 61),
+                "points": (int, 61, 8),
                 "noise": (_NUM, 0.0),
             },
             "visibility": {"value": (_NUM, 0.98), "wavelength_nm": (_NUM, 854.0)},
@@ -421,8 +421,7 @@ def cmd_plan(cfg, args):
             f"  {a.initial.label}: {a.final.label}({a.channel}) {a.amplitude:.4f}"
             f"  &  {b.final.label}({b.channel}) {b.amplitude:.4f}"
         )
-    cavity = CavityParams.from_geometry(geometry_from_config(cfg), gamma_pd_amplitude(setting.atom),
-                                        setting.delta_cav, cfg["cavity"]["coupling_scale"])
+    cavity = model_from_config(cfg).cavity
     omega_eff = effective_coupling(1.0, 1.0, setting.drive_rabi, setting.delta_cav, cavity.g)
     gamma_eff = effective_decay(setting.drive_rabi, setting.delta_cav, setting.atom["P3/2"].decay_rate)
     columns = ["initial", "final", "channel", "alpha", "beta", "alpha_beta", "detuning_2pi_mhz"]
@@ -642,13 +641,12 @@ def cmd_overlap(cfg, args):
 
 
 def _two_tone_options(cfg, section):
-    """Keyword options of the two-tone driver from ``cfg[section]``."""
+    """Keyword options of the two-tone driver: ``cfg[section]`` and the configured model."""
     s = cfg[section]
     return dict(
         rabi_tone1=mhz(s["rabi_2pi_mhz"]),
         duration=s["duration_us"] * 1e-6,
-        b_gauss=cfg["b_field"]["gauss"],
-        delta_cav=mhz(cfg["cavity"]["detuning_2pi_mhz"]),
+        model=model_from_config(cfg, repumps=False),
         rtol=cfg["solver"]["rtol"],
         t_points=s["t_points"],
         calibrate=s["calibrate"],

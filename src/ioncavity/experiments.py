@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atom import load_atom, zeeman_shift
+from .atom import zeeman_shift
 from .constants import TWO_PI
-from .errors import BinningMismatchError, SteadyStateError
+from .errors import BinningMismatchError, ConfigError, SteadyStateError
 from .hilbert import HilbertLayout
 from .lindblad import (
     _ReducedSteadyState,
@@ -24,7 +24,7 @@ from .lindblad import (
 )
 from .polarization import Polarization
 from .raman import RamanLine, RamanSetting, enumerate_paths, stark_shift_ground
-from .system import SystemModel, Tone, beam_b_polarization, standard_model
+from .system import LaserField, SystemModel, Tone, beam_b_polarization, standard_model
 
 
 # -- result containers -------------------------------------------------------
@@ -420,15 +420,15 @@ OVERLAP_THRESHOLD = 0.95  # single-tone pulse-shape overlap below which a report
 _CHANNELS = ("H", "V")
 
 
-def _beam_b_lines(atom, b_gauss, delta_cav, rabi_for_stark):
-    """The sigma-minus Raman setting and its lines keyed by (initial, final) 2m."""
+def _beam_b_lines(model, rabi_for_stark):
+    """The sigma-minus Raman setting of ``model`` and its lines keyed by (initial, final) 2m."""
     setting = RamanSetting(
-        b_gauss=b_gauss,
-        orientation="perpendicular",
+        b_gauss=model.b_gauss,
+        orientation=model.orientation,
         drive_polarization=Polarization.sigma_minus(),
         drive_rabi=rabi_for_stark,
-        delta_cav=delta_cav,
-        atom=atom,
+        delta_cav=model.cavity.delta_cav,
+        atom=model.atom,
     )
     return setting, {(ln.initial.two_m, ln.final.two_m): ln for ln in enumerate_paths(setting)}
 
@@ -502,8 +502,7 @@ def _two_tone(
     passes,
     rabi_tone1: float,
     duration: float,
-    b_gauss: float = 4.77,
-    delta_cav: float = -TWO_PI * 400e6,
+    model: SystemModel | None = None,
     rtol: float = 1e-6,
     t_points: int = 200,
     calibrate: bool = True,
@@ -530,10 +529,17 @@ def _two_tone(
     fixed sign structure of the two emission amplitudes (Clebsch-Gordan
     and mode-projection phases) is removed, so the coherence phase is
     referenced to ``phase`` alone.
+
+    Each run drives ``model`` (by default the built-in paper model) with
+    the sigma-minus tones in place of its lasers, so the repumps stay off.
     """
-    atom = load_atom()
-    layout = HilbertLayout(atom=atom, n_max=1)
-    _, lines0 = _beam_b_lines(atom, b_gauss, delta_cav, rabi_tone1)
+    model = model or standard_model(drive_rabi=0.0, drive_detuning=0.0)
+    layout = HilbertLayout(atom=model.atom, n_max=1)
+    _, lines0 = _beam_b_lines(model, rabi_tone1)
+    for b in branches:
+        if b not in lines0:
+            raise ConfigError(f"no sigma-minus Raman line for branch (2m_S, 2m_D) = {b} "
+                              f"with B {model.orientation} to the cavity axis")
     line1, line2 = (lines0[b] for b in branches)
     # emission enters through the conjugate coupling (the h.c. term creates the photon)
     amp1, amp2 = (
@@ -549,7 +555,7 @@ def _two_tone(
         on = [abs(c) > 1e-9 for c in amps]
         rabis = (rabi_tone1, rabi_tone1 * ratio)
         rabi_total = math.sqrt(sum(r**2 for r, o in zip(rabis, on) if o))
-        setting, lines = _beam_b_lines(atom, b_gauss, delta_cav, rabi_total)
+        setting, lines = _beam_b_lines(model, rabi_total)
         dets = (lines[branches[0]].detuning, lines[branches[1]].detuning + shift)
         tones = tuple(
             Tone(rabi=r, detuning=d, phase=ph)
@@ -557,17 +563,7 @@ def _two_tone(
             if o
         )
         anchor = tones[0].detuning
-        model = standard_model(
-            drive_rabi=tones[0].rabi,
-            drive_detuning=anchor,
-            drive_polarization=beam_b_polarization(),
-            drive_tones=tones,
-            repump_854_rabi=0.0,
-            repump_866_rabi=0.0,
-            b_gauss=b_gauss,
-            delta_cav=delta_cav,
-            atom=atom,
-        )
+        driven = replace(model, lasers=(LaserField("drive", tones, beam_b_polarization()),))
         if shared:
             rho0 = layout.basis_state(line1.initial)
         else:
@@ -576,14 +572,14 @@ def _two_tone(
             psi[layout.index(line2.initial, 0, 0)] = amps[1] * np.exp(1j * state_phase)
             rho0 = np.outer(psi, psi.conj())
         t_grid = np.linspace(0.0, run_duration, points + 1)
-        traj = evolve(build_liouvillian(model, layout), rho0, t_grid, rtol=rtol)
+        traj = evolve(build_liouvillian(driven, layout), rho0, t_grid, rtol=rtol)
         # each branch co-rotates with its tone's beat; from distinct initial states
         # it also carries its own state's frame energy, which a shared state cancels
         rotations = {}
         for ln, det in zip((line1, line2), dets):
-            frame = zeeman_shift(ln.initial, b_gauss) + stark_shift_ground(ln.initial, setting, det)
+            frame = zeeman_shift(ln.initial, model.b_gauss) + stark_shift_ground(ln.initial, setting, det)
             rotations[ln.channel] = det - anchor + (0.0 if shared else frame)
-        return (model, *_accumulate_joint(model.cavity.kappa, layout, traj, rotations, finals))
+        return (driven, *_accumulate_joint(model.cavity.kappa, layout, traj, rotations, finals))
 
     if calibration is not None:
         shift = float(calibration["tone2_detuning_shift"])
@@ -602,7 +598,7 @@ def _two_tone(
                 if p1 > 0 and p2 > 0:
                     ratio *= math.sqrt(p1 / p2)
 
-    model, sigma, _, _ = run(shift, ratio, amplitudes, phase, duration, t_points)
+    driven, sigma, _, _ = run(shift, ratio, amplitudes, phase, duration, t_points)
 
     emission = float(np.real(np.trace(sigma)))
     joint = sigma / max(emission, 1e-300)
@@ -612,7 +608,7 @@ def _two_tone(
 
     report_warnings = []
     if check_overlap:
-        overlap = _single_tone_overlap(model, branches, channels, duration)
+        overlap = _single_tone_overlap(driven, branches, channels, duration)
         if overlap < OVERLAP_THRESHOLD:
             msg = (
                 f"single-tone pulse shapes overlap only {overlap:.3f} < {OVERLAP_THRESHOLD}; "
@@ -650,7 +646,7 @@ def _single_tone_overlap(model, branches, channels, duration):
     """
     shapes = []
     for tone, branch, ch in zip(model.laser("drive").tones, branches, channels):
-        _, lines = _beam_b_lines(model.atom, model.b_gauss, model.cavity.delta_cav, tone.rabi)
+        _, lines = _beam_b_lines(model, tone.rabi)
         alone = (Tone(rabi=tone.rabi, detuning=lines[branch].detuning),)
         lasers = tuple(replace(l, tones=alone) if l.role == "drive" else l for l in model.lasers)
         kwargs = dict(bin_width=duration / 100, designated_channel=ch)
@@ -669,10 +665,10 @@ def entangle_bichromatic(
     (|D,-5/2>|H> + exp(i phi)|D,-3/2>|V>)/sqrt(2) on the basis
     (D-5/2 x H, D-5/2 x V, D-3/2 x H, D-3/2 x V). Calibration takes two
     probe passes. ``options`` are those of ``_two_tone``: ``rabi_tone1``
-    and ``duration`` (required), ``b_gauss``, ``delta_cav``, ``rtol``,
-    ``t_points``, ``calibrate``, ``calibration`` and ``check_overlap``
-    (warn when the single-tone pulse shapes overlap less than
-    ``OVERLAP_THRESHOLD``).
+    and ``duration`` (required), ``model`` (the atom, B field and cavity
+    to drive; its lasers are replaced), ``rtol``, ``t_points``,
+    ``calibrate``, ``calibration`` and ``check_overlap`` (warn when the
+    single-tone pulse shapes overlap less than ``OVERLAP_THRESHOLD``).
     """
     return _two_tone(
         ((-1, -5), (-1, -3)), (math.sqrt(0.5), math.sqrt(0.5)), relative_phase,

@@ -177,7 +177,6 @@ def standard_model(
     drive_rabi: float,
     drive_detuning: float,
     drive_polarization: Polarization | None = None,
-    drive_tones: tuple[Tone, ...] | None = None,
     delta_cav: float = -2 * math.pi * 400e6,
     b_gauss: float = 4.77,
     orientation: str = "perpendicular",
@@ -198,12 +197,11 @@ def standard_model(
     atom = atom or load_atom()
     cavity = CavityParams.from_geometry(default_geometry(), gamma_pd_amplitude(atom), delta_cav, coupling_scale)
     lasers = []
-    if drive_rabi > 0 or drive_tones:
-        tones = drive_tones or (Tone(rabi=drive_rabi, detuning=drive_detuning),)
+    if drive_rabi > 0:
         lasers.append(
             LaserField(
                 role="drive",
-                tones=tones,
+                tones=(Tone(rabi=drive_rabi, detuning=drive_detuning),),
                 polarization=drive_polarization or beam_a_polarization(),
             )
         )

@@ -1,6 +1,7 @@
 """Shared fixtures, and the reference helpers the tests check the package against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ def dp5_evolve(liouv, rho0, t_grid, rtol, atol=1e-12):
         times=t_grid, keep=block.keep, dim=liouv.dim, vectors=vectors,
         n_steps=n_steps, n_rejected=n_rejected, max_trace_drift=0.0,
     )
+
+
+def with_drive_tones(model, tones):
+    """``model`` with the tones of its drive laser replaced by ``tones``."""
+    assert model.laser("drive") is not None, "model has no drive laser"
+    lasers = tuple(replace(l, tones=tuple(tones)) if l.role == "drive" else l for l in model.lasers)
+    return replace(model, lasers=lasers)
 
 
 def exact_evolve(liouv, rho0, t_grid, **options):

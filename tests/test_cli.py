@@ -128,10 +128,18 @@ def test_unknown_keys_rejected():
     ({"b_field": {"gauss": -1}}, "spectrum", "b_field.gauss"),
     ({"cavity": {"kappa_2pi_khz": -5}}, "spectrum", "cavity.kappa_2pi_khz"),
     ({"rabi": {"points": -1}}, "rabi", "rabi.points"),
+    ({"entangle": {"t_points": 0}}, "entangle", "entangle.t_points"),
+    ({"map": {"t_points": 0}}, "map", "map.t_points"),
+    ({"sidebands": {"points": 0}}, "sidebands", "sidebands.points"),
+    ({"spectrum": {"baseline_points": 0, "points_per_line": 0}}, "spectrum", "spectrum.baseline_points"),
+    pytest.param({"localize": {"fit": {"points": 7}}}, "localize fit", "localize.fit.points",
+                 id="config8-localize_fit-localize.fit.points"),
+    ({"cavity": {"coupling_scale": -0.1}}, "plan", "cavity.coupling_scale"),
+    ({"ramsey": {"n_phases": 2}}, "ramsey", "ramsey.n_phases"),
 ])
 def test_out_of_range_value_exits_2(config, command, key, tmp_path, capsys):
     """A value below its key's minimum is a config error that names the key."""
-    assert run_cli(["--json-errors", command], tmp_path, config=config) == 2
+    assert run_cli(["--json-errors", *command.split()], tmp_path, config=config) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
     assert payload["kind"] == "config"
@@ -285,6 +293,33 @@ def test_entangle_and_map_commands_smoke(tmp_path):
     assert run_cli(["map"], tmp_path, config=cfg) == 0
     mp = json.loads((tmp_path / "map.json").read_text())
     assert mp["channel_probabilities"]["V"] > 0.9  # alpha = 0 emits V only
+
+
+def test_entangle_and_map_run_on_the_configured_cavity(tmp_path):
+    """cavity.coupling_scale reaches the two-tone model: at half the coupling both
+    runs emit less in the same 6 us."""
+    emission = {}
+    for scale in (1.0, 0.5):
+        for command in ("entangle", "map"):
+            out = tmp_path / f"{command}_{scale}"
+            out.mkdir()
+            config = {**_SMOKE_TWO_TONE, "cavity": {"coupling_scale": scale}}
+            assert run_cli([command], out, config=config) == 0
+            emission[command, scale] = json.loads((out / f"{command}.json").read_text())["emission_probability"]
+    for command in ("entangle", "map"):
+        assert 0.0 < emission[command, 0.5] < 0.9 * emission[command, 1.0]
+
+
+@pytest.mark.parametrize("command", ["entangle", "map"])
+def test_two_tone_branch_missing_from_the_line_table_exits_2(command, tmp_path, capsys):
+    """With B along the cavity axis the cavity takes no pi photon, so the sigma-minus
+    table has no S1/2,-1/2 -> D5/2,-3/2 line, which both runs drive."""
+    config = {**_SMOKE_TWO_TONE, "b_field": {"orientation": "parallel"}}
+    assert run_cli(["--json-errors", command], tmp_path, config=config) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["kind"] == "config"
+    assert "(-1, -3)" in payload["message"] and "parallel" in payload["message"]
 
 
 def test_shipped_schema_file_matches():

@@ -35,7 +35,7 @@ from ioncavity.polarization import Polarization
 from ioncavity.raman import RamanSetting, enumerate_paths
 from ioncavity.system import Tone, beam_a_polarization, beam_b_polarization, standard_model
 
-from conftest import oscillation_contrast
+from conftest import oscillation_contrast, with_drive_tones
 
 
 def lorentzian_scan(centers, heights, width=mhz(0.5), dark=(33.1, 33.6), span=mhz(30.0)):
@@ -598,9 +598,9 @@ def test_scan_failures_keep_their_reason(atom, monkeypatch):
 def test_a_scan_without_drive_is_refused_by_the_probe(atom):
     """A drive tone of zero Rabi frequency leaves every S1/2 sublevel stationary:
     the scan's base LU is singular and the uniqueness probe raises."""
-    model = standard_model(
-        drive_rabi=0.0, drive_detuning=-mhz(400.0), atom=atom,
-        drive_tones=(Tone(rabi=0.0, detuning=-mhz(400.0)),),
+    model = with_drive_tones(
+        standard_model(drive_rabi=mhz(1.0), drive_detuning=-mhz(400.0), atom=atom),
+        (Tone(rabi=0.0, detuning=-mhz(400.0)),),
     )
     grid = np.linspace(-mhz(401.0), -mhz(399.0), 3)
     with pytest.raises(SteadyStateError, match="not unique"):

@@ -46,6 +46,7 @@ from conftest import (
     khz,
     manifold_populations,
     trace_preservation_defect,
+    with_drive_tones,
 )
 
 
@@ -618,12 +619,14 @@ def test_operator_dump(atom):
 
 
 def test_steady_state_requires_static(atom_no_decay):
-    model = standard_model(
-        drive_rabi=mhz(1.0), drive_detuning=0.0,
-        drive_polarization=beam_b_polarization(),
-        drive_tones=(Tone(rabi=mhz(1.0), detuning=0.0), Tone(rabi=mhz(0.5), detuning=mhz(3.0))),
-        repump_854_rabi=0.0, repump_866_rabi=0.0,
-        atom=atom_no_decay, coupling_scale=0.0, delta_cav=0.0, b_gauss=0.0,
+    model = with_drive_tones(
+        standard_model(
+            drive_rabi=mhz(1.0), drive_detuning=0.0,
+            drive_polarization=beam_b_polarization(),
+            repump_854_rabi=0.0, repump_866_rabi=0.0,
+            atom=atom_no_decay, coupling_scale=0.0, delta_cav=0.0, b_gauss=0.0,
+        ),
+        (Tone(rabi=mhz(1.0), detuning=0.0), Tone(rabi=mhz(0.5), detuning=mhz(3.0))),
     )
     layout = HilbertLayout(atom=atom_no_decay, n_max=1)
     liouv = build_liouvillian(model, layout)
@@ -661,7 +664,7 @@ def random_models(draw, atom):
     if draw(st.booleans()):
         tones.append(Tone(rabi=rabi / 2, detuning=detuning + mhz(draw(st.floats(-20.0, 20.0))), phase=0.3))
     static = standard_model(drive_rabi=rabi, drive_detuning=detuning, **common)
-    driven = standard_model(drive_rabi=rabi, drive_detuning=detuning, drive_tones=tuple(tones), **common)
+    driven = with_drive_tones(static, tones)
     return static, driven
 
 

@@ -18,6 +18,8 @@ from ioncavity.constants import mhz
 from ioncavity.lindblad import build_liouvillian, evolve, steady_state
 from ioncavity.system import Tone, beam_b_polarization, standard_model
 
+from conftest import with_drive_tones
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 )
@@ -35,8 +37,8 @@ def test_evolve_counters_read_from_a_result(atom, layout):
     d = -mhz(400.0)
     common = dict(drive_rabi=mhz(25.0), drive_detuning=d,
                   drive_polarization=beam_b_polarization(), atom=atom)
-    beat = standard_model(
-        drive_tones=(Tone(rabi=mhz(25.0), detuning=d), Tone(rabi=mhz(12.0), detuning=d + mhz(8.0))), **common,
+    beat = with_drive_tones(
+        standard_model(**common), (Tone(rabi=mhz(25.0), detuning=d), Tone(rabi=mhz(12.0), detuning=d + mhz(8.0))),
     )
     rho0 = layout.basis_state(atom.state("S1/2", -0.5))
     for model, generator, n_td in ((standard_model(**common), "static", 0), (beat, "beat", 2)):
