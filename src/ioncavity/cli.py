@@ -67,12 +67,11 @@ def _schema():
         },
         "lasers": {
             "drive": {
-                "rabi_2pi_mhz": (_NUM, 88.0),
-                "detuning_2pi_mhz": ((_NUM[0], _NUM[1], type(None)), None),
+                "rabi_2pi_mhz": (_NUM, 88.0, 0),
                 "polarization": (str, "linear_perp_b", tuple(POLARIZATIONS)),
             },
-            "repump_854": {"rabi_2pi_mhz": (_NUM, 5.0), "detuning_2pi_mhz": (_NUM, 0.0)},
-            "repump_866": {"rabi_2pi_mhz": (_NUM, 5.0), "detuning_2pi_mhz": (_NUM, 0.0)},
+            "repump_854": {"rabi_2pi_mhz": (_NUM, 5.0, 0), "detuning_2pi_mhz": (_NUM, 0.0)},
+            "repump_866": {"rabi_2pi_mhz": (_NUM, 5.0, 0), "detuning_2pi_mhz": (_NUM, 0.0)},
         },
         "solver": {
             "n_max": (int, 1, 1),
@@ -84,7 +83,6 @@ def _schema():
             "window_2pi_mhz": (_NUM, 1.5),
             "points_per_line": (int, 13),
             "baseline_points": (int, 24, 1),
-            "dwell_us": (_NUM, 300.0),
         },
         "sidebands": {
             "nu_axial_2pi_mhz": (_NUM, 1.1),
@@ -102,17 +100,17 @@ def _schema():
             "duration_us": (_NUM, 80.0),
             "bin_ns": (_NUM, 200.0),
             "target_line": (str, "D5/2,-5/2"),
-            "rabi_2pi_mhz": (_NUM, 106.0),
+            "rabi_2pi_mhz": (_NUM, 106.0, 0),
         },
         "overlap": {
-            "rabi_2pi_mhz": (_NUM, 106.0),
+            "rabi_2pi_mhz": (_NUM, 106.0, 0),
             "duration_us": (_NUM, 40.0),
             "bin_ns": (_NUM, 400.0),
             "rabi_scale_grid": (list, [1.0]),
             "detuning_offset_2pi_mhz": (list, [0.0]),
         },
         "entangle": {
-            "rabi_2pi_mhz": (_NUM, 25.0),
+            "rabi_2pi_mhz": (_NUM, 25.0, 0),
             "duration_us": (_NUM, 40.0),
             "relative_phase_rad": (_NUM, 0.0),
             "calibrate": (bool, True),
@@ -120,7 +118,7 @@ def _schema():
             "t_points": (int, 200, 1),
         },
         "map": {
-            "rabi_2pi_mhz": (_NUM, 25.0),
+            "rabi_2pi_mhz": (_NUM, 25.0, 0),
             "duration_us": (_NUM, 40.0),
             "alpha_rad": (_NUM, math.pi / 4),
             "phi_rad": (_NUM, 0.0),
@@ -128,7 +126,7 @@ def _schema():
             "t_points": (int, 160, 1),
         },
         "rabi": {
-            "rabi_2pi_khz": (_NUM, 200.0),
+            "rabi_2pi_khz": (_NUM, 200.0, 0),
             "eta": (list, [0.12, 0.05, 0.05]),
             "nbar": (list, [0.04, 0.1, 1.0]),
             "t_max_us": (_NUM, 50.0),
@@ -300,15 +298,11 @@ def detection_from_config(cfg) -> DetectionChain:
     )
 
 
-def model_from_config(cfg, drive_detuning=None, drive_rabi=None, polarization=None, repumps=True):
+def model_from_config(cfg, drive_detuning=0.0, drive_rabi=None, polarization=None, repumps=True):
     drv = cfg["lasers"]["drive"]
-    rabi = mhz(drive_rabi if drive_rabi is not None else drv["rabi_2pi_mhz"])
-    detuning = drive_detuning
-    if detuning is None:
-        detuning = mhz(drv["detuning_2pi_mhz"]) if drv["detuning_2pi_mhz"] is not None else 0.0
     model = standard_model(
-        drive_rabi=rabi,
-        drive_detuning=detuning,
+        drive_rabi=mhz(drive_rabi if drive_rabi is not None else drv["rabi_2pi_mhz"]),
+        drive_detuning=drive_detuning,
         drive_polarization=(polarization or POLARIZATIONS[drv["polarization"]])(),
         delta_cav=mhz(cfg["cavity"]["detuning_2pi_mhz"]),
         b_gauss=cfg["b_field"]["gauss"],
@@ -438,6 +432,15 @@ def cmd_plan(cfg, args):
     )
 
 
+def _scan_model(cfg, grid):
+    """The configured model driven at the first detuning of a scan's ``grid``."""
+    model = model_from_config(cfg, drive_detuning=float(grid[0]))
+    if model.laser("drive") is None:
+        raise ConfigError("a spectrum needs a drive laser",
+                          problems=["lasers.drive.rabi_2pi_mhz must be above 0"])
+    return model
+
+
 def _spectrum_scan(cfg):
     from .experiments import raman_spectrum, spectrum_grid
 
@@ -450,14 +453,8 @@ def _spectrum_scan(cfg):
         points_per_line=spec_cfg["points_per_line"],
         baseline_points=spec_cfg["baseline_points"],
     )
-    model = model_from_config(cfg, drive_detuning=float(grid[0]))
-    scan = raman_spectrum(
-        model,
-        grid,
-        dwell=spec_cfg["dwell_us"] * 1e-6,
-        n_max=cfg["solver"]["n_max"],
-        check_unique_first=cfg["solver"]["check_unique"],
-    )
+    scan = raman_spectrum(_scan_model(cfg, grid), grid, n_max=cfg["solver"]["n_max"],
+                          check_unique_first=cfg["solver"]["check_unique"])
     return setting, lines, scan
 
 
@@ -487,7 +484,7 @@ def cmd_spectrum(cfg, args):
         summaries={"spectrum.json": {"peaks": summary, "n_peaks": len(peaks)}},
         plot=("spectrum.svg", [(det, scan.rates[0], "H channel"), (det, scan.rates[1], "V channel")], DETUNING, RATE),
         texts=texts,
-        meta={"n_max": cfg["solver"]["n_max"], "rtol": cfg["solver"]["rtol"]},
+        meta={"n_max": cfg["solver"]["n_max"]},
     )
 
 
@@ -499,8 +496,7 @@ def _sideband_scan(cfg):
     line = _line_by_label(enumerate_paths(raman_setting_from_config(cfg)), sb["target_line"])
     window = mhz(sb["window_2pi_mhz"])
     grid = np.linspace(line.detuning - window, line.detuning + window, sb["points"])
-    model = model_from_config(cfg, drive_detuning=float(grid[0]))
-    base = raman_spectrum(model, grid, n_max=cfg["solver"]["n_max"],
+    base = raman_spectrum(_scan_model(cfg, grid), grid, n_max=cfg["solver"]["n_max"],
                           check_unique_first=cfg["solver"]["check_unique"])
     nu_r = sb["nu_radial_2pi_mhz"]
     trap = TrapMotion(
@@ -598,7 +594,7 @@ def cmd_pulse(cfg, args):
         }},
         plot=("pulse.svg", [(t_us, shape.probabilities[0], "H"), (t_us, shape.probabilities[1], "V")],
               "time [us]", "detection probability per bin"),
-        meta={"rtol": cfg["solver"]["rtol"], "bin_ns": p["bin_ns"]},
+        meta={"bin_ns": p["bin_ns"]},
     )
 
 
@@ -768,7 +764,8 @@ def cmd_localize_fit(cfg, args):
     waist = f["waist_um"] * 1e-6
     tables = {}
     if f["csv"]:
-        data = localization.ScanDataset.from_csv(f["csv"])
+        scan = localization.ScanDataset.from_csv(f["csv"])  # positions in um, as localize_scan.csv
+        data = localization.ScanDataset(position=scan.position * 1e-6, counts=scan.counts)
     else:
         rng = np.random.default_rng(args.seed)
         x = np.linspace(-f["span_um"] / 2, f["span_um"] / 2, f["points"]) * 1e-6

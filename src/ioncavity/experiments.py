@@ -38,7 +38,6 @@ class ScanResult:
     rates: np.ndarray  # shape (2, N): H and V channel count rates, counts/s
     converged: np.ndarray  # bool per point
     residuals: np.ndarray
-    dwell: float = 300e-6
     dark_counts: tuple = (33.1, 33.6)
     metadata: dict = field(default_factory=dict)
 
@@ -131,7 +130,6 @@ def spectrum_grid(lines, window=TWO_PI * 1.5e6, points_per_line=13, baseline_poi
 def raman_spectrum(
     model: SystemModel,
     detunings,
-    dwell: float = 300e-6,
     n_max: int = 1,
     check_unique_first: bool = True,
 ) -> ScanResult:
@@ -200,11 +198,9 @@ def raman_spectrum(
         rates=np.array([[r[0] for r in rows], [r[1] for r in rows]]),
         converged=np.array([r[2] for r in rows]),
         residuals=np.array([r[3] for r in rows]),
-        dwell=dwell,
         dark_counts=tuple(model.detection.dark_counts),
         metadata={
             "s_up_population": np.array([r[4] for r in rows]),
-            "n_max": n_max,
             "failures": failures,
             "solver": solver_summary,
         },
@@ -341,9 +337,8 @@ def sideband_overlay(
         rates=new_rates,
         converged=np.ones(len(out), dtype=bool),
         residuals=np.zeros(len(out)),
-        dwell=scan.dwell,
         dark_counts=scan.dark_counts,
-        metadata={**scan.metadata, "sidebands": trap},
+        metadata=dict(scan.metadata),
     )
 
 
@@ -684,8 +679,8 @@ def map_state(alpha: float, phi: float, **options) -> JointStateReport:
     emits a V (pi) photon, the +1/2 branch an H (sigma) photon. Target
     photonic state: cos(a)|V> + e^{i phi} sin(a)|H> on the basis (H, V).
     Calibration takes one probe pass; ``options`` are those of
-    ``entangle_bichromatic`` except ``check_overlap``. The channel
-    probabilities are the photon's polarization fractions.
+    ``entangle_bichromatic``. The channel probabilities are the photon's
+    polarization fractions.
     """
     report = _two_tone(
         ((-1, -3), (1, -3)), (math.cos(alpha), math.sin(alpha)), phi,

@@ -74,7 +74,7 @@ def _jsonable(obj):
     return obj
 
 
-def write_svg_plot(path, curves, xlabel, ylabel, title="", meta: dict | None = None):
+def write_svg_plot(path, curves, xlabel, ylabel, meta: dict | None = None):
     """Line plot as a standalone SVG; curves = [(x, y, label), ...].
 
     One polyline per curve (non-finite points dropped), the axis labels with
@@ -102,7 +102,6 @@ def write_svg_plot(path, curves, xlabel, ylabel, title="", meta: dict | None = N
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" font-size="12">',
         f"<desc>{escape(str(sorted((meta or {}).items())))}</desc>",
-        f'<text x="{w / 2}" y="20" text-anchor="middle">{escape(title)}</text>',
         f'<rect x="{left}" y="{top}" width="{w - left - right}" height="{h - top - bottom}" '
         'fill="none" stroke="black"/>',
         f'<text x="{left}" y="{h - bottom + 16}">{x0:.4g}</text>',

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -251,32 +250,6 @@ def operator_dump(model: SystemModel, layout: HilbertLayout) -> dict[str, str]:
     }
 
 
-class _Rhs:
-    """v -> L(t) v by one CSR matvec: the static part and every beat term sit side by
-    side in one CSR [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v;
-    ...] of :meth:`inputs`, so each row sums its static entries and then its beat
-    entries, as one product of each would. The native kernel checks no sizes or
-    types: ``v`` and ``out`` must be contiguous complex arrays of length ``n``."""
-
-    def __init__(self, liouv: Liouvillian):
-        fused = sp.csr_matrix(sp.hstack([liouv.static_part] + [op for op, _ in liouv.td_terms]))
-        self.n = fused.shape[0]
-        self.rates = -1j * np.array([w for _, w in liouv.td_terms])
-        self.fused = fused.indptr, fused.indices, fused.data.astype(complex)
-        self.stacked = self.inputs(1)[0]
-
-    def inputs(self, count: int) -> np.ndarray:
-        """``count`` stacked inputs of shape (1 + beat terms, n)."""
-        return np.empty((count, 1 + self.rates.size, self.n), dtype=complex)
-
-    def __call__(self, t: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self.stacked[0] = v
-        np.multiply(np.exp(self.rates * t)[:, None], v, out=self.stacked[1:])
-        out.fill(0.0)
-        csr_matvec(self.n, self.stacked.size, *self.fused, self.stacked.reshape(-1), out)
-        return out
-
-
 @dataclass
 class Liouvillian:
     """The generator L(t) = static_part + sum_k e^{-i w_k t} T_k on the entries ``keep``
@@ -286,10 +259,6 @@ class Liouvillian:
     keep: np.ndarray
     static_part: sp.csr_matrix
     td_terms: list = field(default_factory=list)  # [(superop T_k, w_k in rad/s)]
-
-    @cached_property
-    def _rhs(self) -> _Rhs:
-        return _Rhs(self)
 
     def restrict(self, seed) -> Liouvillian:
         """The weak block of the vectorized entries ``seed``: the block the steady
@@ -1079,22 +1048,28 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
     n2 = liouv.dim**2
     t = float(t_grid[0])
 
-    rhs = block._rhs
     vectors = np.empty((t_grid.size, keep.size), dtype=complex)
+
+    # v -> L(t) v is one CSR matvec: the static part and every beat term sit side by
+    # side in one CSR [static T_1 T_2 ...], applied to a stacked input [v; e^{-i w_1 t} v;
+    # ...], so each row sums its static entries and then its beat entries, as one
+    # product of each would. The native kernel checks no sizes or types.
+    fused = sp.csr_matrix(sp.hstack([block.static_part] + [op for op, _ in block.td_terms]))
+    n, indptr, indices, data = fused.shape[0], fused.indptr, fused.indices, fused.data.astype(complex)
+    rates = -1j * np.array([w for _, w in block.td_terms])
 
     # Preallocated rows: y, then the stages k0..k6. A stage is three calls: one dot
     # of the h-scaled tableau with the real view of these rows into row 0 of its
     # stacked input, one product by this step's phases into its beat rows, and one
     # matvec that accumulates k_i. Stage i holds (tableau row, rows it combines,
     # input as reals, input, phases, beat rows, stacked input flat, k_i).
-    stack = np.empty((8, keep.size), dtype=complex)
+    stack = np.zeros((8, keep.size), dtype=complex)
     stack[0] = vectors[0] = y0
     stack_re = stack.view(float)
-    stage_in = rhs.inputs(6)
+    stage_in = np.empty((6, 1 + rates.size, n), dtype=complex)
     y, y_new = stack[0], stage_in[5, 0]
     h_rows = np.empty_like(_DP_ROWS)
-    phases = np.empty((6, rhs.rates.size), dtype=complex)  # e^{-i w_k (t + c_i h)}
-    n, (indptr, indices, data) = rhs.n, rhs.fused
+    phases = np.empty((6, rates.size), dtype=complex)  # e^{-i w_k (t + c_i h)}
     stages = [
         (h_rows[i - 1, : i + 1], stack_re[: i + 1], stage_in[i - 1, 0].view(float), stage_in[i - 1, 0],
          phases[i - 1, :, None], stage_in[i - 1, 1:], stage_in[i - 1].reshape(-1), stack[i + 1])
@@ -1104,7 +1079,10 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
     scale = np.empty(y.size)
     err_pairs, scale_col = err_vec.reshape(-1, 2), scale[:, None]
 
-    rhs(t, y, stack[1])
+    # k0 = f(t, y), through stage 1's stacked input
+    stage_in[0, 0] = y
+    np.multiply(np.exp(rates * t)[:, None], y, out=stage_in[0, 1:])
+    csr_matvec(n, stage_in[0].size, indptr, indices, data, stage_in[0].reshape(-1), stack[1])
     h = _initial_step(y, stack[1], rtol, atol, n2)
     t_end = float(t_grid[-1])
     next_out = 1
@@ -1132,7 +1110,7 @@ def _dp5(liouv, block, y0, t_grid, rtol, atol, max_steps):
 
         np.multiply(_DP_ROWS, h_try, out=h_rows)
         h_rows[:6, 0] = 1.0
-        np.exp(np.multiply.outer(_DP_C[1:] * h_try + t, rhs.rates), out=phases)
+        np.exp(np.multiply.outer(_DP_C[1:] * h_try + t, rates), out=phases)
         stack[2:].fill(0.0)
         for row, combined, y_i_re, y_i, phase, beats, flat, k_i in stages:
             np.dot(row, combined, out=y_i_re)

@@ -76,6 +76,40 @@ def test_configured_cavity_reaches_the_model():
     assert model.cavity.g != pytest.approx(0.5 * model_from_config(merge_config({})).cavity.g, rel=1e-3)
 
 
+def test_schema_defaults_build_the_standard_model():
+    """The paper's parameters are written twice, as the schema defaults and as the
+    `standard_model`, `default_geometry` and `DetectionChain` defaults; both build
+    the same model."""
+    from ioncavity.cli import model_from_config
+    from ioncavity.constants import mhz
+    from ioncavity.system import standard_model
+
+    got = model_from_config(default_config())
+    want = standard_model(drive_rabi=mhz(88.0), drive_detuning=0.0)
+
+    def close(a, b):
+        return np.allclose(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), rtol=1e-12, atol=0.0)
+
+    assert got.atom.manifolds.keys() == want.atom.manifolds.keys()
+    for label, manifold in want.atom.manifolds.items():
+        mine = got.atom[label]
+        assert mine.two_j == manifold.two_j and close(mine.decay_rate, manifold.decay_rate), label
+        assert mine.branching.keys() == manifold.branching.keys(), label
+        assert close(list(mine.branching.values()), list(manifold.branching.values())), label
+    assert close(got.b_gauss, want.b_gauss) and got.orientation == want.orientation
+    for name in ("g", "kappa", "delta_cav"):
+        assert close(getattr(got.cavity, name), getattr(want.cavity, name)), name
+    assert [laser.role for laser in got.lasers] == [laser.role for laser in want.lasers]
+    for mine, laser in zip(got.lasers, want.lasers):
+        assert close([(t.rabi, t.detuning, t.phase) for t in mine.tones],
+                     [(t.rabi, t.detuning, t.phase) for t in laser.tones]), laser.role
+        assert close(mine.polarization.vector, laser.polarization.vector), laser.role
+        assert close(mine.polarization.k, laser.polarization.k), laser.role
+    for name in ("apd_efficiency", "path_transmission", "output_coupling", "dark_counts", "analysis_basis"):
+        assert close(getattr(got.detection, name), getattr(want.detection, name)), name
+    assert got.detection.fitted_path_efficiency is want.detection.fitted_path_efficiency is None
+
+
 def test_csv_output_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     out_a.mkdir(), out_b.mkdir()
@@ -114,13 +148,19 @@ def test_empty_config_exits_2(tmp_path, capsys):
     assert any("b_field" in p for p in payload["problems"])
 
 
-def test_unknown_keys_rejected():
+def test_unknown_keys_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         merge_config({"cavityy": {"length_mm": 1.0}})
     assert any("cavityy" in p for p in err.value.problems)
     with pytest.raises(ConfigError) as err:
         merge_config({"cavity": {"length_mm": "long"}})
     assert any("wrong type" in p for p in err.value.problems)
+    # retired keys, which changed nothing but the config hash
+    for config, key in (({"spectrum": {"dwell_us": 5.0}}, "spectrum.dwell_us"),
+                        ({"lasers": {"drive": {"detuning_2pi_mhz": 7.5}}}, "lasers.drive.detuning_2pi_mhz")):
+        assert run_cli(["--json-errors", "spectrum"], tmp_path, config=config) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["problems"] == [f"unknown key {key!r}"]
 
 
 @pytest.mark.parametrize("config, command, key", [
@@ -136,6 +176,14 @@ def test_unknown_keys_rejected():
                  id="config8-localize_fit-localize.fit.points"),
     ({"cavity": {"coupling_scale": -0.1}}, "plan", "cavity.coupling_scale"),
     ({"ramsey": {"n_phases": 2}}, "ramsey", "ramsey.n_phases"),
+    ({"lasers": {"drive": {"rabi_2pi_mhz": -5}}}, "spectrum", "lasers.drive.rabi_2pi_mhz"),
+    ({"lasers": {"repump_854": {"rabi_2pi_mhz": -1}}}, "spectrum", "lasers.repump_854.rabi_2pi_mhz"),
+    ({"lasers": {"repump_866": {"rabi_2pi_mhz": -1}}}, "spectrum", "lasers.repump_866.rabi_2pi_mhz"),
+    ({"pulse": {"rabi_2pi_mhz": -5}}, "pulse", "pulse.rabi_2pi_mhz"),
+    ({"overlap": {"rabi_2pi_mhz": -5}}, "overlap", "overlap.rabi_2pi_mhz"),
+    ({"entangle": {"rabi_2pi_mhz": -5}}, "entangle", "entangle.rabi_2pi_mhz"),
+    ({"map": {"rabi_2pi_mhz": -5}}, "map", "map.rabi_2pi_mhz"),
+    ({"rabi": {"rabi_2pi_khz": -5}}, "rabi", "rabi.rabi_2pi_khz"),
 ])
 def test_out_of_range_value_exits_2(config, command, key, tmp_path, capsys):
     """A value below its key's minimum is a config error that names the key."""
@@ -144,6 +192,16 @@ def test_out_of_range_value_exits_2(config, command, key, tmp_path, capsys):
     assert payload["error"] == "ConfigError"
     assert payload["kind"] == "config"
     assert any(p.startswith(f"{key} must be at least") for p in payload["problems"])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sidebands"])
+def test_scan_without_a_drive_exits_2(command, tmp_path, capsys):
+    """A drive Rabi frequency of 0 leaves no laser to scan: a config error naming the key."""
+    config = {"lasers": {"drive": {"rabi_2pi_mhz": 0}}}
+    assert run_cli(["--json-errors", command], tmp_path, config=config) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["problems"] == ["lasers.drive.rabi_2pi_mhz must be above 0"]
 
 
 def test_unknown_figure_exits_2(tmp_path, capsys):
@@ -183,6 +241,23 @@ def test_localize_fit_synthetic_round_trip(tmp_path):
     assert fit["sigma_x_um"] == pytest.approx(4.7, rel=1e-4)
     assert fit["sigma_z_nm"] == pytest.approx(48.0, rel=1e-4)
     assert (tmp_path / "localize_scan.csv").exists()
+
+
+def test_localize_fit_reads_back_its_own_scan(tmp_path):
+    """`localize fit` on the localize_scan.csv it wrote (positions in um) repeats the
+    synthetic fit, to the 9 digits the CSV keeps."""
+    synthetic, read_back = tmp_path / "synthetic", tmp_path / "read_back"
+    synthetic.mkdir()
+    read_back.mkdir()
+    fit = {"noise": 0.02}
+    assert run_cli(["localize", "fit"], synthetic, config={"localize": {"fit": fit}}) == 0
+    fit["csv"] = str(synthetic / "localize_scan.csv")
+    assert run_cli(["localize", "fit"], read_back, config={"localize": {"fit": fit}}) == 0
+    want = json.loads((synthetic / "localize_fit.json").read_text())
+    got = json.loads((read_back / "localize_fit.json").read_text())
+    for key in ("sigma_x_um", "sigma_z_nm", "amplitude", "offset", "cost"):
+        assert got[key] == pytest.approx(want[key], rel=1e-6), key
+    assert got["center_um"] == pytest.approx(want["center_um"], abs=1e-6)
 
 
 def test_rabi_and_ramsey_commands(tmp_path):

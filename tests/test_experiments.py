@@ -936,6 +936,17 @@ def test_single_tone_overlap_drives_each_tone_on_its_own_line(monkeypatch):
     assert min(efficiencies) > 0.02
 
 
+def test_low_single_tone_overlap_warns():
+    """Below OVERLAP_THRESHOLD the overlap check warns and records the warning in the report."""
+    from ioncavity.experiments import map_state
+
+    with pytest.warns(UserWarning, match=r"overlap only 0\.90\d < 0\.95") as caught:
+        report = map_state(0.3, 0.2, rabi_tone1=mhz(40.0), duration=2e-6, calibrate=False, t_points=40,
+                           check_overlap=True)
+    assert len(report.warnings) == 1
+    assert report.warnings[0] in [str(w.message) for w in caught]
+
+
 def test_accumulate_joint_matches_the_dense_loop():
     """The block-wise mode trace equals 2 kappa Tr_modes(a_p rho a_q^dagger) taken
     with full-space dense products, state by state, on random density matrices."""

@@ -39,7 +39,6 @@ OPTION_EXCEPTIONS = {
     "polarization.dipole_projection.quantization_axis": "tests check projections in other frames",
     "lindblad.steady_state.check_unique": "tests probe a single solve for a second stationary state",
     "lindblad.steady_state.return_info": "tests read a single solve's residual, block size, LU fill and path",
-    "io_utils.write_svg_plot.title": "always empty; dropping it changes every SVG",
 }
 
 
